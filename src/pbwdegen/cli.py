@@ -284,7 +284,13 @@ def cmd_rep(run, args):
     lam = _parse_lam(args.lam)
     run.params["lam"] = list(lam.coeffs)
     if args.action == "dim":
-        dim = representations.cyclic_module_dim(A, lam, max_dim=_max_dim())
+        max_dim = _max_dim()
+        try:
+            dim = representations.cyclic_module_dim(A, lam, max_dim=max_dim)
+        except RuntimeError:
+            raise InputError(
+                f"cyclic module dimension exceeds PBWDEGEN_MAX_DIM={max_dim}"
+            )
         _emit(run, dim, args.format, [str(dim)])
         return 0
     if A is None:

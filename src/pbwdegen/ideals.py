@@ -160,7 +160,8 @@ def plucker_relations(n, d):
 
     Runs over all size pairs p >= q in d, all exchange lengths k and all
     placements of the exchanged block; duplicates up to scalar are
-    dropped and the result is deterministically ordered.
+    dropped and the result is deterministically ordered. The result is
+    cached, so it is a tuple: no caller can change it for the next one.
     """
     d = tuple(d)
     seen = set()
@@ -183,12 +184,7 @@ def plucker_relations(n, d):
                                 seen.add(key)
                                 out.append(rel)
     out.sort(key=lambda r: r.key())
-    return out
-
-
-def grad_of(m, g):
-    """Grading of a monomial: sum of index degrees weighted by exponents."""
-    return mono_grade(m, g)
+    return tuple(out)
 
 
 def initial_part(f, g):

@@ -1,95 +1,104 @@
 """Sparse exact linear algebra over the rationals.
 
-Vectors are dicts mapping a hashable column label to a nonzero Fraction.
-The :class:`Echelon` container keeps an echelon basis of the inserted
-vectors with respect to a caller-supplied column order, which is all the
-row reduction the rest of the package needs.
+Vectors are dicts mapping a hashable column label to a nonzero int or
+Fraction. The :class:`Echelon` container keeps an echelon basis of the
+inserted vectors with respect to a caller-supplied column order, which is
+all the row reduction the rest of the package needs.
+
+Inside the kernel rows are integers: each inserted vector is scaled to a
+primitive integer row (denominators cleared, gcd divided out) and reduced
+fraction-free, in the spirit of Bareiss (Math. Comp. 22, 1968). Fractions
+appear only at the boundary, in the pivot-1 rows of
+:meth:`Echelon.reduced_rows`.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
-def vec_add(u, v, c=Fraction(1)):
-    """Return u + c*v as a fresh sparse vector."""
-    out = dict(u)
-    for col, val in v.items():
-        new = out.get(col, Fraction(0)) + c * val
+def _primitive(vec):
+    """Divide a nonzero integer vector in place by the gcd of its entries."""
+    g = gcd(*vec.values())
+    if g != 1:
+        for col in vec:
+            vec[col] //= g
+    return vec
+
+
+def _integral(vec):
+    """A fresh primitive integer multiple of a rational vector."""
+    den = lcm(*[v.denominator for v in vec.values()])
+    return _primitive({c: v.numerator * (den // v.denominator) for c, v in vec.items()})
+
+
+def _eliminate(vec, row, col):
+    """Clear column col of the integer vector vec with row, in place:
+    vec := (b/g)*vec - (a/g)*row with a = vec[col], b = row[col] > 0 and
+    g = gcd(a, b)."""
+    a, b = vec[col], row[col]
+    if b != 1:
+        g = gcd(a, b)
+        a //= g
+        b //= g
+        if b != 1:
+            for c in vec:
+                vec[c] *= b
+    for c, v in row.items():
+        new = vec.get(c, 0) - a * v
         if new:
-            out[col] = new
+            vec[c] = new
         else:
-            out.pop(col, None)
-    return out
-
-
-def vec_scale(u, c):
-    c = Fraction(c)
-    if not c:
-        return {}
-    return {col: c * val for col, val in u.items()}
+            del vec[c]
+    if b != 1:
+        _primitive(vec)
 
 
 class Echelon:
     """Incremental echelon basis of sparse rational vectors.
 
-    ``poskey`` maps a column label to a sortable position; the pivot of a
-    vector is its poskey-least column. Inserted vectors are normalized to
-    pivot coefficient 1.
+    ``poskey`` maps a column label to a sortable position (default: the
+    label itself); the pivot of a vector is its poskey-least column.
+    Stored rows are primitive integer vectors with a positive pivot.
     """
 
     def __init__(self, poskey=None):
-        self.poskey = poskey if poskey is not None else (lambda col: col)
-        self.rows = {}  # pivot column -> normalized row
+        self.poskey = poskey
+        self.rows = {}  # pivot column -> primitive integer row
 
     @property
     def rank(self):
         return len(self.rows)
 
-    def reduce(self, vec):
-        """Reduce vec against the stored rows, returning the residual."""
-        vec = dict(vec)
-        while vec:
-            pivot = min(vec, key=self.poskey)
-            row = self.rows.get(pivot)
-            if row is None:
-                return vec
-            vec = vec_add(vec, row, -vec[pivot])
-        return vec
-
     def insert(self, vec):
         """Insert vec; return its pivot column, or None if dependent."""
-        residual = self.reduce(vec)
-        if not residual:
-            return None
-        pivot = min(residual, key=self.poskey)
-        self.rows[pivot] = vec_scale(residual, Fraction(1) / residual[pivot])
-        return pivot
-
-    def contains(self, vec):
-        return not self.reduce(vec)
+        vec = _integral(vec)
+        rows = self.rows
+        while vec:
+            pivot = min(vec, key=self.poskey)
+            row = rows.get(pivot)
+            if row is None:
+                rows[pivot] = vec if vec[pivot] > 0 else {c: -v for c, v in vec.items()}
+                return pivot
+            _eliminate(vec, row, pivot)
+        return None
 
     def reduced_rows(self):
-        """Fully reduced (RREF) rows, sorted by pivot position."""
+        """Fully reduced (RREF) rows with pivot coefficient 1, as Fraction
+        vectors sorted by pivot position."""
         pivots = sorted(self.rows, key=self.poskey)
         reduced = {}
         for pivot in reversed(pivots):
             row = dict(self.rows[pivot])
-            while True:
-                stale = [c for c in row if c != pivot and c in reduced]
-                if not stale:
-                    break
-                for col in stale:
-                    if col in row:
-                        row = vec_add(row, reduced[col], -row[col])
+            # Rows already reduced vanish on every other pivot column, so
+            # one pass clears them all.
+            for col in [c for c in row if c in reduced]:
+                _eliminate(row, reduced[col], col)
             reduced[pivot] = row
-        return [reduced[p] for p in pivots]
-
-
-def rref(vectors, poskey=None):
-    """Reduced echelon rows of an iterable of sparse vectors."""
-    ech = Echelon(poskey)
-    for vec in vectors:
-        ech.insert(vec)
-    return ech.reduced_rows()
+        out = []
+        for pivot in pivots:
+            row = reduced[pivot]
+            out.append({c: Fraction(v, row[pivot]) for c, v in row.items()})
+        return out
 
 
 def canonical_rows(rows):

@@ -2,8 +2,9 @@
 
 The degenerate action is the graded slice of the classical one: a lowering
 generator survives on a wedge basis vector exactly when the coordinate
-degrees match up. Everything is computed with exact rationals on explicit
-bases, including the polynomial coordinates of nilpotent exponentials.
+degrees match up. Everything is exact on explicit bases: tensors have
+integer coefficients and act through per-computation action tables, and
+the polynomial coordinates of nilpotent exponentials are rational.
 """
 
 from fractions import Fraction
@@ -73,14 +74,18 @@ def graded_bracket(A, x, y):
     return {}
 
 
-def _module_map(A, n, k, x):
-    """Generator x as a partial map on the wedge basis of size k."""
-    out = {}
-    for I in all_indices(n, k):
-        res = _action(A, *x, I.elems)
-        if res is not None:
-            out[I.elems] = res
-    return out
+def wedge_maps(A, n, sizes):
+    """Every generator as a partial map on the wedge bases of the given
+    sizes, x -> {elems: (image, sign)}: the action table that one
+    computation builds once and then looks up."""
+    maps = {x: {} for x in triangle_pairs(n)}
+    for x, images in maps.items():
+        for k in sizes:
+            for I in all_indices(n, k):
+                res = _action(A, *x, I.elems)
+                if res is not None:
+                    images[I.elems] = res
+    return maps
 
 
 def verify_lie_structure(A):
@@ -117,7 +122,7 @@ def verify_lie_structure(A):
                     return False
 
     for k in range(1, n):
-        maps = {x: _module_map(A, n, k, x) for x in gens}
+        maps = wedge_maps(A, n, (k,))
         for x in gens:
             for y in gens:
                 comm = {}
@@ -154,34 +159,34 @@ def _tensor_factors(lam):
 
 def highest_weight_tensor(lam):
     key = tuple(tuple(range(1, k + 1)) for k in _tensor_factors(lam))
-    return {key: Fraction(1)}
+    return {key: 1}
 
 
-def apply_generator(A, state, x):
-    """Leibniz action of one generator across all tensor factors."""
-    i, j = x
+def apply_generator(maps, state, x):
+    """Leibniz action of one generator across all tensor factors, looked
+    up in the action table of :func:`wedge_maps`; coefficients are ints."""
+    act = maps[x]
     out = {}
     for key, coeff in state.items():
         for t, factor in enumerate(key):
-            res = _action(A, i, j, factor)
-            if res is None:
+            if factor not in act:
                 continue
-            new, sign = res
+            new, sign = act[factor]
             newkey = key[:t] + (new,) + key[t + 1 :]
-            val = out.get(newkey, Fraction(0)) + coeff * sign
+            val = out.get(newkey, 0) + coeff * sign
             if val:
                 out[newkey] = val
             else:
-                out.pop(newkey, None)
+                del out[newkey]
     return out
 
 
-def apply_pattern_monomial(A, state, T):
+def apply_pattern_monomial(maps, state, T):
     """Apply the product of generators with exponents T, factors ordered
     lexicographically by (i, j)."""
     for pair in triangle_pairs(T.n):
         for _ in range(T.value(*pair)):
-            state = apply_generator(A, state, pair)
+            state = apply_generator(maps, state, pair)
             if not state:
                 return state
     return state
@@ -191,6 +196,7 @@ def cyclic_module_dim(A, lam, max_dim=100000):
     """Dimension of the cyclic submodule generated by the highest weight
     tensor under the degenerate action."""
     gens = triangle_pairs(lam.n)
+    maps = wedge_maps(A, lam.n, lam.column_sizes())
     ech = Echelon()
     w = highest_weight_tensor(lam)
     ech.insert(w)
@@ -198,7 +204,7 @@ def cyclic_module_dim(A, lam, max_dim=100000):
     while queue:
         vec = queue.pop()
         for x in gens:
-            img = apply_generator(A, vec, x)
+            img = apply_generator(maps, vec, x)
             if img and ech.insert(img) is not None:
                 if ech.rank > max_dim:
                     raise RuntimeError("cyclic closure exceeded the size bound")
@@ -210,9 +216,10 @@ def fflv_basis_check(A, lam):
     """The pattern monomials applied to the highest weight tensor are
     linearly independent and span the cyclic module."""
     patterns = enumerate_patterns(lam)
+    maps = wedge_maps(A, lam.n, lam.column_sizes())
     ech = Echelon()
     for T in patterns:
-        vec = apply_pattern_monomial(A, highest_weight_tensor(lam), T)
+        vec = apply_pattern_monomial(maps, highest_weight_tensor(lam), T)
         if not vec or ech.insert(vec) is None:
             return False
     return ech.rank == cyclic_module_dim(A, lam)
@@ -227,9 +234,10 @@ def annihilator_monomial_check(A, lam):
     pairs = triangle_pairs(n)
     bounds = [cell_bound(lam, i, j) for i, j in pairs]
     inside = {T.entries for T in enumerate_patterns(lam)}
+    maps = wedge_maps(A, lam.n, lam.column_sizes())
     for entries in product(*[range(b + 1) for b in bounds]):
         S = TrianglePattern(n, entries)
-        vec = apply_pattern_monomial(A, highest_weight_tensor(lam), S)
+        vec = apply_pattern_monomial(maps, highest_weight_tensor(lam), S)
         if (entries in inside) != bool(vec):
             return False
     return True

@@ -70,10 +70,6 @@ def pbw_column(n, content):
     return tuple(col)
 
 
-def column_content(col):
-    return frozenset(col)
-
-
 def _column_is_pbw(col):
     h = len(col)
     if len(set(col)) != h:

@@ -95,6 +95,12 @@ def test_max_dim_guard(tmp_path, capsys, monkeypatch):
     assert "PBWDEGEN_MAX_DIM" in capsys.readouterr().err
 
 
+def test_max_dim_guard_module_closure(capsys, monkeypatch):
+    monkeypatch.setenv("PBWDEGEN_MAX_DIM", "3")
+    assert cli.main(["rep", "dim", "--lam", "1,1"]) == 2
+    assert "PBWDEGEN_MAX_DIM" in capsys.readouterr().err
+
+
 def test_suite_capped(capsys):
     assert cli.main(["suite", "--n", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -36,8 +36,18 @@ def test_normalize_index():
 
 
 def test_trivial_relation_sets():
-    assert plucker_relations(2, (1,)) == []
-    assert plucker_relations(3, (1,)) == []
+    assert plucker_relations(2, (1,)) == ()
+    assert plucker_relations(3, (1,)) == ()
+
+
+def test_cached_relations_cannot_be_changed():
+    rels = plucker_relations(3, (1, 2))
+    assert rels is plucker_relations(3, (1, 2))
+    with pytest.raises(AttributeError):
+        rels.append(rels[0])
+    with pytest.raises(TypeError):
+        rels[0] = rels[0]
+    assert len(plucker_relations(3, (1, 2))) == 1
 
 
 def test_flag_three_relation():

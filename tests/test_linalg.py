@@ -1,0 +1,80 @@
+"""The integer echelon kernel against the Fraction reference and sympy."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
+
+from fraction_echelon import FractionEchelon
+from pbwdegen.linalg import Echelon
+
+COLUMNS = 8
+
+entries = st.builds(
+    Fraction,
+    st.integers(-6, 6).filter(bool),
+    st.sampled_from((1, 1, 1, 2, 3, 4)),
+)
+sparse_vectors = st.dictionaries(st.integers(0, COLUMNS - 1), entries, max_size=COLUMNS)
+
+
+@st.composite
+def vector_lists(draw):
+    """Random sparse vectors, each possibly followed by a rational
+    combination of two earlier ones, so that dependent inserts occur."""
+    vecs = []
+    for vec in draw(st.lists(sparse_vectors, max_size=10)):
+        vecs.append(vec)
+        if len(vecs) >= 2 and draw(st.booleans()):
+            i = draw(st.integers(0, len(vecs) - 1))
+            j = draw(st.integers(0, len(vecs) - 1))
+            a, b = draw(entries), draw(entries)
+            combo = {}
+            for c in set(vecs[i]) | set(vecs[j]):
+                combo[c] = a * vecs[i].get(c, 0) + b * vecs[j].get(c, 0)
+            vecs.append({c: v for c, v in combo.items() if v})
+    return vecs
+
+
+# Column orders: the labels themselves, or ascending grade and then label
+# as in ideals._graded_poskey.
+poskeys = st.one_of(
+    st.none(),
+    st.lists(st.integers(-3, 3), min_size=COLUMNS, max_size=COLUMNS).map(
+        lambda grades: lambda c: (grades[c], c)
+    ),
+)
+
+
+def sympy_rank(vecs):
+    if not vecs:
+        return 0
+    rows = [[QQ(vec.get(c, 0).numerator, vec.get(c, Fraction(1)).denominator)
+             for c in range(COLUMNS)] for vec in vecs]
+    return DomainMatrix(rows, (len(vecs), COLUMNS), QQ).rank()
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(vector_lists(), poskeys)
+def test_integer_kernel_matches_fraction_reference(vecs, poskey):
+    fast, slow = Echelon(poskey), FractionEchelon(poskey)
+    for vec in vecs:
+        assert fast.insert(vec) == slow.insert(vec)
+    assert fast.rank == slow.rank == sympy_rank(vecs)
+    rows = fast.reduced_rows()
+    assert rows == slow.reduced_rows()
+    for row in rows:
+        assert all(type(v) is Fraction for v in row.values())
+
+
+def test_stored_rows_are_primitive_integers():
+    ech = Echelon()
+    ech.insert({0: Fraction(-2, 3), 1: Fraction(4, 9)})
+    ech.insert({0: 6, 2: -3})
+    assert ech.rows == {0: {0: 3, 1: -2}, 1: {1: 4, 2: -3}}
+    assert ech.reduced_rows() == [
+        {0: 1, 2: Fraction(-1, 2)},
+        {1: 1, 2: Fraction(-3, 4)},
+    ]

@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from pbwdegen.fflv import DominantWeight, enumerate_patterns
+from pbwdegen.fflv import DominantWeight, enumerate_patterns, weyl_dim
 from pbwdegen.ideals import initial_part, plucker_relations
 from pbwdegen.degrees import grading_vector
 from pbwdegen.representations import (
@@ -19,8 +21,11 @@ from pbwdegen.representations import (
 )
 from pbwdegen.weights import (
     NotInConeError,
+    WeightSystem,
     abelian_weight_system,
     canonical_weight_systems,
+    check_cone_membership,
+    is_interior,
     toric_weight_system,
     zero_weight_system,
 )
@@ -154,3 +159,35 @@ def test_pattern_count_equals_cyclic_dim_degenerate():
     for coeffs in ((1, 0), (0, 1), (1, 1)):
         lam = DominantWeight(3, coeffs)
         assert cyclic_module_dim(A, lam) == len(enumerate_patterns(lam))
+
+
+@st.composite
+def module_inputs(draw):
+    """A small dominant weight and a weight system: classical, abelian,
+    toric, or an interior point built as the toric system plus a
+    nonnegative combination of closed-form cone points (abelian, toric and
+    the column-independent a_{i,j} = u_i with u_i >= 0)."""
+    n = draw(st.integers(3, 4))
+    lam = DominantWeight(n, tuple(draw(st.integers(0, 2)) for _ in range(n - 1)))
+    assume(weyl_dim(lam) <= 64)
+    kind = draw(st.sampled_from(("classical", "abelian", "toric", "interior")))
+    if kind == "interior":
+        c_ab, c_tor = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        u = [draw(st.integers(0, 2)) for _ in range(n)]
+        A = WeightSystem.from_function(
+            n, lambda i, j: (1 + c_tor) * (j - i + 1) * (n - j) + c_ab + u[i - 1]
+        )
+        assert check_cone_membership(A) and is_interior(A)
+    else:
+        make = {"classical": zero_weight_system, "abelian": abelian_weight_system,
+                "toric": toric_weight_system}[kind]
+        A = make(n)
+    return A, lam
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(module_inputs())
+def test_module_dimension_is_weyl_dimension(inputs):
+    A, lam = inputs
+    assert cyclic_module_dim(A, lam) == weyl_dim(lam)
+    assert fflv_basis_check(A, lam)
