@@ -36,6 +36,14 @@ def _parse_lam(text):
     return fflv.DominantWeight(len(coeffs) + 1, coeffs)
 
 
+def _parse_sizes(text, n):
+    d = _parse_ints(text, "--d")
+    try:
+        return degrees.check_sizes(n, d)
+    except ValueError as exc:
+        raise InputError(str(exc))
+
+
 def _max_dim():
     raw = os.environ.get("PBWDEGEN_MAX_DIM")
     if raw is None:
@@ -145,6 +153,8 @@ def cmd_weights(run, args):
             lines.append(f"interior={str(info['interior']).lower()}")
         _emit(run, info, args.format, lines)
         return 0 if member else 1
+    if args.n < 2:
+        raise InputError(f"weights {args.action} needs --n >= 2")
     if args.action == "canonical":
         out = [
             {"label": label, "weights": A.to_json()}
@@ -162,11 +172,11 @@ def cmd_weights(run, args):
 
 def cmd_degrees(run, args):
     A = run.load_weights(args.weights)
-    d = _parse_ints(args.d, "--d")
+    d = _parse_sizes(args.d, A.n)
     run.params["d"] = list(d)
     try:
         g = degrees.grading_vector(A, d)
-    except (ValueError, weights.NotInConeError) as exc:
+    except weights.NotInConeError as exc:
         raise InputError(str(exc))
     out = g.to_json()
     _emit(run, out, args.format, [f"{k} {v}" for k, v in out.items()])
@@ -213,8 +223,8 @@ def cmd_tableaux(run, args):
 
 
 def cmd_ideal(run, args):
-    d = _parse_ints(args.d, "--d")
     n = args.n
+    d = _parse_sizes(args.d, n)
     run.params["n"] = n
     run.params["d"] = list(d)
     gens = ideals.plucker_relations(n, d)
@@ -266,8 +276,8 @@ def cmd_ideal(run, args):
 def cmd_rep(run, args):
     A = run.load_weights(args.weights) if args.weights else None
     if args.action == "psi-check":
-        d = _parse_ints(args.d, "--d")
         n = args.n
+        d = _parse_sizes(args.d, n)
         run.params["n"] = n
         run.params["d"] = list(d)
         if args.relations:
@@ -328,7 +338,7 @@ def cmd_trop(run, args):
         payload = {"in_cone": ok, "violations": violations}
         lines = [f"in-cone={str(ok).lower()}"] + violations
         if ok and args.degree_bound is not None:
-            d = tuple(range(1, point.n)) if args.d is None else _parse_ints(args.d, "--d")
+            d = tuple(range(1, point.n)) if args.d is None else _parse_sizes(args.d, point.n)
             run.params["degree_bound"] = args.degree_bound
             for mu in ideals.multidegrees_up_to(d, args.degree_bound):
                 _guard_component(point.n, d, mu)
@@ -379,10 +389,6 @@ def build_parser():
         description="Weighted PBW degenerations of type-A flag varieties.",
     )
     parser.add_argument("--format", choices=("json", "text"), default="text")
-    parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="parallelism bound (execution is serial for reproducible logs)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("weights", help="cone membership and reference systems")
@@ -447,8 +453,6 @@ def build_parser():
 
 
 def _validate(args):
-    if args.jobs < 1:
-        raise InputError("--jobs must be at least 1")
     if args.command == "weights" and args.action == "check" and not args.weights:
         raise InputError("weights check needs --weights")
     if args.command == "ideal" and args.action != "gen" and not args.mu:

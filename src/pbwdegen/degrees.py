@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .fflv import TrianglePattern
-from .weights import NotInConeError, check_cone_membership
+from .weights import require_cone_membership
 
 
 @dataclass(frozen=True)
@@ -51,15 +51,31 @@ def complement_pairs(I):
     elems = set(I.elems)
     ps = sorted(base - elems)
     qs = sorted(elems - base, reverse=True)
-    assert len(ps) == len(qs)
     return list(zip(ps, qs))
+
+
+def triangle_degree(T, I):
+    """Sum of the entries of the triangle T over the complement pairs of I.
+
+    For an admissible weight system this is the degree s_I; the cone is
+    not checked here, so callers check it once per triangle.
+    """
+    return sum(T.a(p, q) for p, q in complement_pairs(I))
 
 
 def degree_s(A, I):
     """Degree of the Pluecker coordinate X_I under weight system A."""
-    if not check_cone_membership(A):
-        raise NotInConeError("degree formula requires an admissible weight system")
-    return sum(A.a(p, q) for p, q in complement_pairs(I))
+    require_cone_membership(A)
+    return triangle_degree(A, I)
+
+
+def check_sizes(n, d):
+    """The index sizes d as a tuple; ValueError unless d is a nonempty
+    increasing subset of [1, n-1]."""
+    d = tuple(d)
+    if not d or any(not 1 <= k <= n - 1 for k in d) or list(d) != sorted(set(d)):
+        raise ValueError("d must be a nonempty increasing subset of [1, n-1]")
+    return d
 
 
 @dataclass(frozen=True)
@@ -84,13 +100,12 @@ class GradingVector:
 
 
 def grading_vector(A, d):
-    d = tuple(d)
-    if not d or any(not 1 <= k <= A.n - 1 for k in d) or list(d) != sorted(set(d)):
-        raise ValueError("d must be a nonempty increasing subset of [1, n-1]")
+    d = check_sizes(A.n, d)
+    require_cone_membership(A)
     s = {}
     for k in d:
         for I in all_indices(A.n, k):
-            s[I] = degree_s(A, I)
+            s[I] = triangle_degree(A, I)
     return GradingVector(A.n, d, s)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .weights import triangle_pairs
+from .weights import Triangle, triangle_pairs
 
 
 @dataclass(frozen=True)
@@ -53,15 +53,11 @@ class DominantWeight:
 
 
 @dataclass(frozen=True)
-class TrianglePattern:
-    """Nonnegative integer triangle T_{i,j}, stored in pair order."""
-
-    n: int
-    entries: tuple  # aligned with triangle_pairs(n)
+class TrianglePattern(Triangle):
+    """Nonnegative integer triangle T_{i,j}."""
 
     def __post_init__(self):
-        if len(self.entries) != self.n * (self.n - 1) // 2:
-            raise ValueError("wrong number of triangle entries")
+        super().__post_init__()
         if any(v < 0 for v in self.entries):
             raise ValueError("entries must be nonnegative")
 
@@ -72,13 +68,6 @@ class TrianglePattern:
     @classmethod
     def zero(cls, n):
         return cls(n, (0,) * (n * (n - 1) // 2))
-
-    def value(self, i, j):
-        base = sum(self.n - t for t in range(1, i))
-        return self.entries[base + (j - i - 1)]
-
-    def as_map(self):
-        return dict(zip(triangle_pairs(self.n), self.entries))
 
     def support(self):
         return [p for p, v in zip(triangle_pairs(self.n), self.entries) if v]
@@ -147,7 +136,7 @@ def path_bound(lam, path):
 
 
 def path_sum(T, path):
-    return sum(T.value(i, j) for i, j in path.steps)
+    return sum(T.a(i, j) for i, j in path.steps)
 
 
 def is_fflv_pattern(T, lam):

@@ -281,30 +281,29 @@ def component_basis(gens, n, d, mu):
     return ComponentBasis(mu, basis, ech.reduced_rows())
 
 
-def _graded_poskey(basis, grades):
-    return lambda c: (grades[c], c)
+def _initial_rows(rows, grades):
+    """RREF rows spanning the initial parts of the span of rows, for the
+    column grades.
+
+    Reducing with pivots ordered by ascending grade makes the initial
+    parts of the echelon rows linearly independent, so they span the
+    initial space; a final reduction in column order canonicalizes.
+    """
+    ech = Echelon(lambda c: (grades[c], c))
+    for row in rows:
+        ech.insert(row)
+    out = Echelon()
+    for row in ech.reduced_rows():
+        lowest = min(grades[c] for c in row)
+        out.insert({c: v for c, v in row.items() if grades[c] == lowest})
+    return out.reduced_rows()
 
 
 def initial_component(gens, n, d, mu, g):
-    """Basis of the initial-ideal component for grading g.
-
-    Reducing the component with pivots ordered by ascending grade makes
-    the initial parts of the echelon rows linearly independent, so they
-    span the initial component; a final lex reduction canonicalizes.
-    """
+    """Basis of the initial-ideal component for grading g."""
     basis, rows = _ideal_rows(gens, n, d, mu)
     grades = [mono_grade(m, g) for m in basis]
-    ech = Echelon(_graded_poskey(basis, grades))
-    for row in rows:
-        ech.insert(row)
-    initial_rows = []
-    for row in ech.reduced_rows():
-        lowest = min(grades[c] for c in row)
-        initial_rows.append({c: v for c, v in row.items() if grades[c] == lowest})
-    out = Echelon()
-    for row in initial_rows:
-        out.insert(row)
-    return ComponentBasis(mu, basis, out.reduced_rows())
+    return ComponentBasis(mu, basis, _initial_rows(rows, grades))
 
 
 def contains_monomial(cb):
@@ -334,19 +333,8 @@ def quadratic_generation_check(A, n, d, mu):
         if init.key() not in seen:
             seen.add(init.key())
             quad.append(init)
-    basis = component_monomials(n, d, mu)
-    col = {m: idx for idx, m in enumerate(basis)}
-    ech = Echelon()
-    for rel in quad:
-        nu = rel.multidegree(d)
-        rest = tuple(a - b for a, b in zip(mu, nu))
-        if any(x < 0 for x in rest):
-            continue
-        for m in component_monomials(n, d, rest):
-            prod = rel.mul_monomial(m)
-            ech.insert({col[t]: c for t, c in prod.terms.items()})
     full = initial_component(gens, n, d, mu, g)
-    return ech.rank == full.rank
+    return component_basis(quad, n, d, mu).rank == full.rank
 
 
 def face_degeneration_check(A, B, n, d, mu):
@@ -364,16 +352,8 @@ def face_degeneration_check(A, B, n, d, mu):
     gA = grading_vector(A, d)
     gB = grading_vector(B, d)
     ideal_A = initial_component(gens, n, d, mu, gA)
-    basis = ideal_A.monomials
-    grades_B = [mono_grade(m, gB) for m in basis]
-    ech = Echelon(_graded_poskey(basis, grades_B))
-    for row in ideal_A.rows:
-        ech.insert(row)
-    out = Echelon()
-    for row in ech.reduced_rows():
-        lowest = min(grades_B[c] for c in row)
-        out.insert({c: v for c, v in row.items() if grades_B[c] == lowest})
-    lhs = canonical_rows(out.reduced_rows())
+    grades_B = [mono_grade(m, gB) for m in ideal_A.monomials]
+    lhs = canonical_rows(_initial_rows(ideal_A.rows, grades_B))
     rhs = initial_component(gens, n, d, mu, gB).span_key()
     return lhs == rhs
 

@@ -185,7 +185,7 @@ def apply_pattern_monomial(maps, state, T):
     """Apply the product of generators with exponents T, factors ordered
     lexicographically by (i, j)."""
     for pair in triangle_pairs(T.n):
-        for _ in range(T.value(*pair)):
+        for _ in range(T.a(*pair)):
             state = apply_generator(maps, state, pair)
             if not state:
                 return state

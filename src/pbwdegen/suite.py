@@ -195,7 +195,7 @@ def check_toric_detection(cap=None):
                 (mono,) = poly
                 exps = {var[1:]: e for var, e in mono}
                 T = degrees.fundamental_pattern(I)
-                want = {c: T.value(*c) for c in T.support()}
+                want = {c: T.a(*c) for c in T.support()}
                 if exps != want:
                     return False, f"C_{I.label()} exponent mismatch, n={n}"
         d = tuple(range(1, n))

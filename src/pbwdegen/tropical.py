@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .degrees import GradingVector, PlueckerIndex, degree_s
+from .degrees import GradingVector, PlueckerIndex, complement_pairs, triangle_degree
 from .ideals import (
     GradedPolynomial,
     contains_monomial,
@@ -23,7 +23,7 @@ from .ideals import (
     plucker_relations,
 )
 from .linalg import Echelon
-from .weights import triangle_pairs
+from .weights import Triangle, require_cone_membership, triangle_pairs
 
 
 def proper_subsets(n):
@@ -74,35 +74,21 @@ class TropicalPoint:
             return cls.from_json(json.load(fh))
 
 
-def _complement_pairs_raw(n, elems):
-    k = len(elems)
-    base = set(range(1, k + 1))
-    s = set(elems)
-    ps = sorted(base - s)
-    qs = sorted(s - base, reverse=True)
-    return list(zip(ps, qs))
-
-
 def point_from_triangle(n, values):
     """Point with s_I summing the given pair values over the complement
     pairs of I. No cone requirement; violating triangles give points
     satisfying [i]-[iii] but possibly not [iv]/[v]."""
+    T = Triangle(n, tuple(values[pq] for pq in triangle_pairs(n)))
     s = {}
     for elems in proper_subsets(n):
-        s[elems] = sum(
-            (Fraction(values[pq]) for pq in _complement_pairs_raw(n, elems)),
-            Fraction(0),
-        )
+        s[elems] = triangle_degree(T, PlueckerIndex(n, elems))
     return TropicalPoint(n, s)
 
 
 def map_h(A):
     """Degrees of all Pluecker coordinates of an admissible weight system."""
-    n = A.n
-    s = {}
-    for elems in proper_subsets(n):
-        s[elems] = Fraction(degree_s(A, PlueckerIndex(n, elems)))
-    return TropicalPoint(n, s)
+    require_cone_membership(A)
+    return point_from_triangle(A.n, A.as_map())
 
 
 def normalize(point):
@@ -139,7 +125,7 @@ def cone_C_membership(point):
             if len(vals) > 1:
                 violations.append(f"[ii] i={i} j={j}")
     for elems in proper_subsets(n):
-        pairs = _complement_pairs_raw(n, elems)
+        pairs = complement_pairs(PlueckerIndex(n, elems))
         total = sum(
             (point.s[_prefix(p - 1) + (q,)] for p, q in pairs), Fraction(0)
         )
@@ -235,7 +221,7 @@ def h_image_rank(n):
     for pair in triangle_pairs(n):
         vec = {}
         for elems in coords:
-            count = sum(1 for pq in _complement_pairs_raw(n, elems) if pq == pair)
+            count = complement_pairs(PlueckerIndex(n, elems)).count(pair)
             if count:
                 vec[pos[elems]] = Fraction(count)
         ech.insert(vec)

@@ -26,17 +26,40 @@ class NotInConeError(ValueError):
 
 
 @dataclass(frozen=True)
-class WeightSystem:
-    """Integer triangle a_{i,j}, 1 <= i < j <= n."""
+class Triangle:
+    """Values T_{i,j} on the pairs 1 <= i < j <= n.
+
+    Weight systems and FFLV patterns are both such triangles; each
+    subclass adds the conditions on its entries. Equality holds only
+    between triangles of the same class.
+    """
 
     n: int
     entries: tuple  # aligned with triangle_pairs(n)
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("need n >= 2")
         if len(self.entries) != self.n * (self.n - 1) // 2:
             raise ValueError("wrong number of triangle entries")
+
+    def a(self, i, j):
+        """The entry at (i, j); KeyError unless 1 <= i < j <= n."""
+        if not 1 <= i < j <= self.n:
+            raise KeyError((i, j))
+        # rows 1..i-1 hold (n-1) + ... + (n-i+1) entries before row i
+        return self.entries[(i - 1) * (2 * self.n - i) // 2 + j - i - 1]
+
+    def as_map(self):
+        return dict(zip(triangle_pairs(self.n), self.entries))
+
+
+@dataclass(frozen=True)
+class WeightSystem(Triangle):
+    """Integer triangle a_{i,j}, 1 <= i < j <= n, with n >= 2."""
+
+    def __post_init__(self):
+        if self.n < 2:
+            raise ValueError("need n >= 2")
+        super().__post_init__()
         if not all(isinstance(v, int) for v in self.entries):
             raise ValueError("weight entries must be integers")
 
@@ -51,16 +74,6 @@ class WeightSystem:
     @classmethod
     def from_function(cls, n, func):
         return cls(n, tuple(func(i, j) for i, j in triangle_pairs(n)))
-
-    def a(self, i, j):
-        if not 1 <= i < j <= self.n:
-            raise KeyError((i, j))
-        # offset of row i block, then j within it
-        base = sum(self.n - t for t in range(1, i))
-        return self.entries[base + (j - i - 1)]
-
-    def as_map(self):
-        return dict(zip(triangle_pairs(self.n), self.entries))
 
     def to_json(self):
         return {
@@ -159,9 +172,14 @@ class FaceSignature:
     tight_b: frozenset
 
 
-def face_signature(A):
+def require_cone_membership(A):
+    """Raise NotInConeError unless A lies in the admissible cone."""
     if not check_cone_membership(A):
         raise NotInConeError("weight system outside the admissible cone")
+
+
+def face_signature(A):
+    require_cone_membership(A)
     tight_a = frozenset(i for i in ineq_a_indices(A.n) if _slack_a(A, i) == 0)
     tight_b = frozenset(p for p in ineq_b_indices(A.n) if _slack_b(A, *p) == 0)
     return FaceSignature(A.n, tight_a, tight_b)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from pbwdegen import cli
 from pbwdegen.tropical import map_h, point_from_triangle
 from pbwdegen.weights import abelian_weight_system, zero_weight_system
@@ -38,6 +40,30 @@ def test_missing_required_flag_exits_two(capsys):
     assert cli.main(["weights", "check"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["weights", "canonical", "--n", "1"],
+    ["weights", "random", "--n", "1"],
+    ["ideal", "gen", "--n", "1", "--d", "1"],
+    ["ideal", "gen", "--n", "4", "--d", "5"],
+    ["ideal", "gen", "--n", "4", "--d", "0"],
+    ["ideal", "gen", "--n", "4", "--d", "2,1"],
+    ["rep", "psi-check", "--n", "3", "--d", "3"],
+])
+def test_bad_sizes_exit_two(argv, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["degrees", "--d", "1,2"], ["trop", "map"]])
+def test_weights_outside_cone_exit_two(argv, tmp_path, capsys):
+    bad = {"n": 3, "a": {"1,2": 0, "1,3": 5, "2,3": 0}}
+    path = _write(tmp_path, "bad.json", bad)
+    assert cli.main(argv + ["--weights", path]) == 2
+    assert "outside the admissible cone" in capsys.readouterr().err
+
+
 def test_fflv_count(capsys):
     assert cli.main(["fflv", "count", "--lam", "1,1"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "8"
@@ -73,6 +99,13 @@ def test_trop_check_and_witness(tmp_path, capsys):
     assert "[iv] i=1" in capsys.readouterr().out
     assert cli.main(["trop", "witness", "--point", bad]) == 0
     assert "X_{" in capsys.readouterr().out
+
+
+def test_trop_check_bad_sizes_exit_two(tmp_path, capsys):
+    good = _write(tmp_path, "pt.json", map_h(abelian_weight_system(3)).to_json())
+    argv = ["trop", "check", "--point", good, "--degree-bound", "2", "--d", "0"]
+    assert cli.main(argv) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_tableaux_roundtrip(capsys):

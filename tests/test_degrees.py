@@ -1,6 +1,8 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pbwdegen.degrees import (
     GradingVector,
@@ -12,10 +14,12 @@ from pbwdegen.degrees import (
     grading_vector,
     zero_grading,
 )
+from pbwdegen.tropical import cone_C_membership, map_h
 from pbwdegen.weights import (
     NotInConeError,
     WeightSystem,
     abelian_weight_system,
+    check_cone_membership,
     random_cone_points,
 )
 
@@ -72,6 +76,39 @@ def test_degree_requires_cone_membership():
     A = WeightSystem.from_map(3, {(1, 2): 0, (2, 3): 0, (1, 3): 5})
     with pytest.raises(NotInConeError):
         degree_s(A, PlueckerIndex(3, (3,)))
+    with pytest.raises(NotInConeError):
+        grading_vector(A, (1, 2))
+    with pytest.raises(NotInConeError):
+        map_h(A)
+
+
+@st.composite
+def cone_points(draw):
+    """Integer points of the cone for n = 3..6, faces included. The
+    entries a_{i,i+1} are free; every other entry is the bound that its
+    inequality (a) or (b) puts on it minus a drawn slack, so each
+    inequality is used once and a zero slack makes it tight."""
+    n = draw(st.integers(3, 6))
+    slack = st.integers(0, 3)
+    a = {(i, i + 1): draw(st.integers(-3, 3)) for i in range(1, n)}
+    for i in range(1, n - 1):
+        a[(i, i + 2)] = a[(i, i + 1)] + a[(i + 1, i + 2)] - draw(slack)
+    for diff in range(3, n):
+        for i in range(1, n - diff + 1):
+            j = i + diff - 1
+            a[(i, j + 1)] = a[(i, j)] + a[(i + 1, j + 1)] - a[(i + 1, j)] - draw(slack)
+    A = WeightSystem.from_map(n, a)
+    assert check_cone_membership(A)
+    return A
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(cone_points())
+def test_degrees_on_random_cone_points(A):
+    for k in range(1, A.n):
+        for I in all_indices(A.n, k):
+            assert degree_s(A, I) == oracle_min_cost(A, I)
+    assert cone_C_membership(map_h(A))[0]
 
 
 def test_abelian_grading_n3():
@@ -113,5 +150,5 @@ def test_fundamental_pattern_support():
     I = PlueckerIndex(4, (3, 4))
     T = fundamental_pattern(I)
     assert set(T.support()) == {(1, 4), (2, 3)}
-    assert T.value(1, 4) == 1
+    assert T.a(1, 4) == 1
     assert fundamental_pattern(PlueckerIndex(4, (1, 2))).support() == []

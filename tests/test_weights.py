@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from pbwdegen.fflv import TrianglePattern
 from pbwdegen.weights import (
     NotInConeError,
     WeightSystem,
@@ -31,6 +32,17 @@ def test_entry_lookup():
     assert A.a(2, 4) == 24
     with pytest.raises(KeyError):
         A.a(2, 2)
+
+
+@pytest.mark.parametrize("cls", [WeightSystem, TrianglePattern])
+def test_triangle_indexing_matches_map(cls):
+    for n in range(2, 9):
+        T = cls(n, tuple(range(n * (n - 1) // 2)))
+        for (i, j), v in T.as_map().items():
+            assert T.a(i, j) == v
+        for i, j in [(0, 1), (1, 1), (2, 2), (3, 2), (1, n + 1), (n, n + 1)]:
+            with pytest.raises(KeyError):
+                T.a(i, j)
 
 
 def test_canonical_systems_are_members():
