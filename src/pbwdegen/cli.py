@@ -44,6 +44,11 @@ def _parse_sizes(text, n):
         raise InputError(str(exc))
 
 
+def _check_n(A, n, flag):
+    if A.n != n:
+        raise InputError(f"the weight system has n={A.n} but {flag} gives n={n}")
+
+
 def _max_dim():
     raw = os.environ.get("PBWDEGEN_MAX_DIM")
     if raw is None:
@@ -241,8 +246,9 @@ def cmd_ideal(run, args):
         raise InputError("--mu must have one entry per size in --d")
     run.params["mu"] = list(mu)
     _guard_component(n, d, mu)
+    A = run.load_weights(args.weights)
+    _check_n(A, n, "--n")
     if args.action == "initial":
-        A = run.load_weights(args.weights)
         g = degrees.grading_vector(A, d)
         cb = ideals.initial_component(gens, n, d, mu, g)
         polys = cb.row_polynomials()
@@ -255,14 +261,13 @@ def cmd_ideal(run, args):
         )
         return 0
     if args.action == "check-quadratic":
-        A = run.load_weights(args.weights)
         ok = ideals.quadratic_generation_check(A, n, d, mu)
         run.verdicts["quadratic"] = ok
         _emit(run, ok, args.format, [f"quadratic={str(ok).lower()}"])
         return 0 if ok else 1
     if args.action == "check-face-degeneration":
-        A = run.load_weights(args.weights)
         B = run.load_weights(args.weights_b)
+        _check_n(B, n, "--n")
         try:
             ok = ideals.face_degeneration_check(A, B, n, d, mu)
         except ValueError as exc:
@@ -280,6 +285,8 @@ def cmd_rep(run, args):
         d = _parse_sizes(args.d, n)
         run.params["n"] = n
         run.params["d"] = list(d)
+        if A is not None:
+            _check_n(A, n, "--n")
         if args.relations:
             data = run.load_json(args.relations)
             rels = [_rel_from_json(e) for e in data]
@@ -293,6 +300,8 @@ def cmd_rep(run, args):
         return 0 if ok else 1
     lam = _parse_lam(args.lam)
     run.params["lam"] = list(lam.coeffs)
+    if A is not None:
+        _check_n(A, lam.n, "--lam")
     if args.action == "dim":
         max_dim = _max_dim()
         try:

@@ -80,7 +80,8 @@ def check_sizes(n, d):
 
 @dataclass(frozen=True)
 class GradingVector:
-    """Degrees for every index of each size in d."""
+    """Degrees for every index of each size in d; ``by_elems``, derived
+    from ``s`` and not a field, keys them by the index's elems tuple."""
 
     n: int
     d: tuple
@@ -88,6 +89,7 @@ class GradingVector:
 
     def __post_init__(self):
         object.__setattr__(self, "s", dict(self.s))
+        object.__setattr__(self, "by_elems", {I.elems: v for I, v in self.s.items()})
 
     def grade(self, I):
         return self.s[I]

@@ -198,7 +198,8 @@ def weyl_dim(lam):
     dim = Fraction(1)
     for i, j in triangle_pairs(lam.n):
         dim *= Fraction(sum(lam.a(t) + 1 for t in range(i, j)), j - i)
-    assert dim.denominator == 1
+    if dim.denominator != 1:
+        raise RuntimeError(f"Weyl dimension formula gave the non-integer {dim}")
     return int(dim)
 
 

@@ -16,18 +16,29 @@ from .linalg import Echelon, canonical_rows
 from .weights import face_contains, face_signature
 
 
+def _sort_sign(seq):
+    """The sorted tuple of seq and the sign of the sorting permutation;
+    (None, 0) on a repeated entry."""
+    out = list(seq)
+    sign = 1
+    for i in range(1, len(out)):  # insertion sort, one sign flip per swap
+        x = out[i]
+        j = i
+        while j and out[j - 1] > x:
+            out[j] = out[j - 1]
+            j -= 1
+            sign = -sign
+        if j and out[j - 1] == x:
+            return None, 0
+        out[j] = x
+    return tuple(out), sign
+
+
 def normalize_index(n, seq):
     """Sort an arbitrary tuple into a Pluecker index with the sign of the
     sorting permutation; repeated entries give sign 0."""
-    seq = tuple(seq)
-    if len(set(seq)) != len(seq):
-        return None, 0
-    sign = 1
-    for a in range(len(seq)):
-        for b in range(a + 1, len(seq)):
-            if seq[a] > seq[b]:
-                sign = -sign
-    return PlueckerIndex(n, tuple(sorted(seq))), sign
+    elems, sign = _sort_sign(tuple(seq))
+    return (PlueckerIndex(n, elems) if sign else None), sign
 
 
 # -- monomials ---------------------------------------------------------------
@@ -49,7 +60,8 @@ def mono_multidegree(m, d):
 
 
 def mono_grade(m, g):
-    return sum(e * g.grade(PlueckerIndex(g.n, elems)) for elems, e in m)
+    by_elems = g.by_elems
+    return sum(e * by_elems[elems] for elems, e in m)
 
 
 def mono_str(m):
@@ -131,26 +143,27 @@ class GradedPolynomial:
         ]
 
 
-def term_product(n, seq1, seq2):
-    """Sign-normalized product X_{seq1} X_{seq2} as a polynomial."""
-    I1, s1 = normalize_index(n, seq1)
-    I2, s2 = normalize_index(n, seq2)
-    if s1 == 0 or s2 == 0:
-        return GradedPolynomial()
-    m = mono_mul(((I1.elems, 1),), ((I2.elems, 1),))
-    return GradedPolynomial({m: Fraction(s1 * s2)})
-
-
-def _exchange_relation(n, i_tuple, j_tuple, k):
-    """Single Pluecker exchange: swap the first k entries of j into i in
-    all possible ways."""
-    rel = term_product(n, i_tuple, j_tuple)
+def _exchange_terms(i_tuple, j_tuple, k):
+    """Single Pluecker exchange as {monomial: int}: X_i X_j minus the
+    products with the first k entries of j swapped into i in all possible
+    ways, each index sorted with its sign."""
+    rel = {}
+    terms = [(i_tuple, j_tuple, 1)]
     for positions in combinations(range(len(i_tuple)), k):
         i_new = list(i_tuple)
         for m, pos in enumerate(positions):
             i_new[pos] = j_tuple[m]
         r_tuple = tuple(i_tuple[pos] for pos in positions)
-        rel = rel - term_product(n, tuple(i_new), r_tuple + j_tuple[k:])
+        terms.append((tuple(i_new), r_tuple + j_tuple[k:], -1))
+    for seq1, seq2, c in terms:
+        e1, s1 = _sort_sign(seq1)
+        e2, s2 = _sort_sign(seq2) if s1 else (None, 0)
+        if not s2:
+            continue
+        mono = ((e1, 2),) if e1 == e2 else ((min(e1, e2), 1), (max(e1, e2), 1))
+        rel[mono] = rel.get(mono, 0) + c * s1 * s2
+        if not rel[mono]:
+            del rel[mono]
     return rel
 
 
@@ -159,32 +172,38 @@ def plucker_relations(n, d):
     """Generating set of the multihomogeneous Pluecker ideal.
 
     Runs over all size pairs p >= q in d, all exchange lengths k and all
-    placements of the exchanged block; duplicates up to scalar are
-    dropped and the result is deterministically ordered. The result is
-    cached, so it is a tuple: no caller can change it for the next one.
+    placements of the exchanged block, except those that give zero;
+    duplicates up to scalar are dropped and the result is
+    deterministically ordered. Relations are built over the integers and
+    scaled to lead coefficient 1; only the kept ones become Fraction
+    polynomials. The result is cached, so it is a tuple: no caller can
+    change it for the next one.
     """
     d = tuple(d)
-    seen = set()
-    out = []
+    kept = {}
     for p in d:
         for q in d:
             if p < q:
                 continue
             for i_set in combinations(range(1, n + 1), p):
                 for j_set in combinations(range(1, n + 1), q):
-                    for k in range(1, q + 1):
+                    # Swapping all of i (k = p = q) or a block already in
+                    # i only puts the factors back: X_i X_j - X_i X_j = 0.
+                    for k in range(1, min(q, p - 1) + 1):
                         for block in combinations(j_set, k):
+                            if all(v in i_set for v in block):
+                                continue
                             rest = tuple(v for v in j_set if v not in block)
-                            rel = _exchange_relation(n, i_set, block + rest, k)
-                            rel = rel.canonical()
+                            rel = _exchange_terms(i_set, block + rest, k)
                             if not rel:
                                 continue
-                            key = rel.key()
-                            if key not in seen:
-                                seen.add(key)
-                                out.append(rel)
-    out.sort(key=lambda r: r.key())
-    return tuple(out)
+                            lead = rel[min(rel)]
+                            canon = {
+                                m: Fraction(c, lead) if c % lead else c // lead
+                                for m, c in rel.items()
+                            }
+                            kept.setdefault(tuple(sorted(canon.items())), canon)
+    return tuple(GradedPolynomial(kept[key]) for key in sorted(kept))
 
 
 def initial_part(f, g):
@@ -245,7 +264,8 @@ def _canonical_rows_cache(n, d, mu):
 
 
 def _ideal_rows(gens, n, d, mu):
-    if gens is plucker_relations(n, d):
+    # the Pluecker ideal, recognized by value, has its rows cached per mu
+    if tuple(gens) == plucker_relations(n, d):
         return _canonical_rows_cache(n, d, mu)
     return _spanning_rows(gens, n, d, mu)
 

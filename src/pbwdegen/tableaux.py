@@ -200,5 +200,6 @@ def zeta(T, lam):
     if any(v for v in residual.values()):
         raise ValueError("pattern decomposition left a nonzero residual")
     Y = PBWTableau(n, tuple(columns))
-    assert is_pbw_ssyt(Y)
+    if not is_pbw_ssyt(Y):
+        raise RuntimeError("zeta produced a tableau that is not PBW semistandard")
     return Y

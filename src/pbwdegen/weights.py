@@ -21,6 +21,13 @@ def triangle_pairs(n):
     return [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
 
 
+def _json_int(val, what):
+    """val if it is a JSON integer; ValueError for bools and non-integers."""
+    if isinstance(val, bool) or not isinstance(val, int):
+        raise ValueError(f"{what} must be an integer, got {val!r}")
+    return val
+
+
 class NotInConeError(ValueError):
     """Raised when an operation requires an admissible weight system."""
 
@@ -83,11 +90,21 @@ class WeightSystem(Triangle):
 
     @classmethod
     def from_json(cls, data):
-        n = int(data["n"])
+        """Parse {"n": n, "a": {"i,j": a_ij}}. Every value must be a JSON
+        integer and the keys must be exactly the pairs of the triangle."""
+        n = _json_int(data["n"], "n")
+        entries = data["a"]
+        if not isinstance(entries, dict):
+            raise TypeError("'a' must map \"i,j\" keys to integers")
+        pairs = n * (n - 1) // 2  # counted before from_map lists them
+        if len(entries) != pairs:
+            raise ValueError(f"{len(entries)} keys for the {pairs} pairs of a triangle")
         a = {}
-        for key, val in data["a"].items():
+        for key, val in entries.items():
             i, j = (int(t) for t in key.split(","))
-            a[(i, j)] = int(val)
+            if not 1 <= i < j <= n:
+                raise ValueError(f"key {key!r} lies outside the triangle for n={n}")
+            a[(i, j)] = _json_int(val, f"a[{key!r}]")
         return cls.from_map(n, a)
 
     @classmethod
@@ -233,7 +250,8 @@ def canonical_weight_systems(n):
         tight = frozenset(subset)
         A = _pbw_locus_representative(n, tight)
         sig = face_signature(A)
-        assert sig.tight_a == tight and sig.tight_b == frozenset(ineq_b_indices(n))
+        if sig.tight_a != tight or sig.tight_b != frozenset(ineq_b_indices(n)):
+            raise RuntimeError(f"pbw-locus representative off its face {sorted(tight)}")
         label = "pbw-locus-" + ("".join(str(i) for i in sorted(tight)) or "none")
         out.append((label, A))
     return out

@@ -1,0 +1,77 @@
+"""Reference Pluecker relation builder over Fractions, kept for the tests only.
+
+This is the package's original ``plucker_relations``: every exchange
+relation is built as a ``GradedPolynomial`` with Fraction coefficients,
+through validated ``PlueckerIndex`` objects, then scaled to lead
+coefficient 1; no exchange data is skipped. The tests compare the
+integer builder of ``pbwdegen.ideals`` against it.
+"""
+
+from fractions import Fraction
+from itertools import combinations
+
+from pbwdegen.degrees import PlueckerIndex
+from pbwdegen.ideals import GradedPolynomial, mono_mul
+
+
+def normalize_index(n, seq):
+    """The original ``ideals.normalize_index``, so the reference shares no
+    sorting code with the builder it checks."""
+    seq = tuple(seq)
+    if len(set(seq)) != len(seq):
+        return None, 0
+    sign = 1
+    for a in range(len(seq)):
+        for b in range(a + 1, len(seq)):
+            if seq[a] > seq[b]:
+                sign = -sign
+    return PlueckerIndex(n, tuple(sorted(seq))), sign
+
+
+def term_product(n, seq1, seq2):
+    """Sign-normalized product X_{seq1} X_{seq2} as a polynomial."""
+    I1, s1 = normalize_index(n, seq1)
+    I2, s2 = normalize_index(n, seq2)
+    if s1 == 0 or s2 == 0:
+        return GradedPolynomial()
+    m = mono_mul(((I1.elems, 1),), ((I2.elems, 1),))
+    return GradedPolynomial({m: Fraction(s1 * s2)})
+
+
+def exchange_relation(n, i_tuple, j_tuple, k):
+    """Single Pluecker exchange: swap the first k entries of j into i in
+    all possible ways."""
+    rel = term_product(n, i_tuple, j_tuple)
+    for positions in combinations(range(len(i_tuple)), k):
+        i_new = list(i_tuple)
+        for m, pos in enumerate(positions):
+            i_new[pos] = j_tuple[m]
+        r_tuple = tuple(i_tuple[pos] for pos in positions)
+        rel = rel - term_product(n, tuple(i_new), r_tuple + j_tuple[k:])
+    return rel
+
+
+def fraction_plucker_relations(n, d):
+    """The relations of ``plucker_relations(n, d)``, in the same order."""
+    d = tuple(d)
+    seen = set()
+    out = []
+    for p in d:
+        for q in d:
+            if p < q:
+                continue
+            for i_set in combinations(range(1, n + 1), p):
+                for j_set in combinations(range(1, n + 1), q):
+                    for k in range(1, q + 1):
+                        for block in combinations(j_set, k):
+                            rest = tuple(v for v in j_set if v not in block)
+                            rel = exchange_relation(n, i_set, block + rest, k)
+                            rel = rel.canonical()
+                            if not rel:
+                                continue
+                            key = rel.key()
+                            if key not in seen:
+                                seen.add(key)
+                                out.append(rel)
+    out.sort(key=lambda r: r.key())
+    return tuple(out)

@@ -1,10 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from pbwdegen import cli
 from pbwdegen.tropical import map_h, point_from_triangle
-from pbwdegen.weights import abelian_weight_system, zero_weight_system
+from pbwdegen.weights import (
+    abelian_weight_system,
+    toric_weight_system,
+    zero_weight_system,
+)
 
 
 def _write(tmp_path, name, payload):
@@ -62,6 +70,57 @@ def test_weights_outside_cone_exit_two(argv, tmp_path, capsys):
     path = _write(tmp_path, "bad.json", bad)
     assert cli.main(argv + ["--weights", path]) == 2
     assert "outside the admissible cone" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["rep", "dim", "--lam", "1,1"],
+    ["rep", "fflv-check", "--lam", "1,1"],
+    ["rep", "psi-check", "--n", "3", "--d", "1,2"],
+    ["ideal", "initial", "--n", "3", "--d", "1,2", "--mu", "1,1"],
+    ["ideal", "check-quadratic", "--n", "3", "--d", "1,2", "--mu", "1,1"],
+])
+def test_weights_of_another_n_exit_two(argv, tmp_path, capsys):
+    path = _write(tmp_path, "toric4.json", toric_weight_system(4).to_json())
+    assert cli.main(argv + ["--weights", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n=4" in captured.err and "n=3" in captured.err
+
+
+def test_face_degeneration_weights_b_of_another_n_exit_two(tmp_path, capsys):
+    A = _write(tmp_path, "zero3.json", zero_weight_system(3).to_json())
+    B = _write(tmp_path, "toric4.json", toric_weight_system(4).to_json())
+    argv = ["ideal", "check-face-degeneration", "--n", "3", "--d", "1,2",
+            "--mu", "1,1", "--weights", A, "--weights-b", B]
+    assert cli.main(argv) == 2
+    assert "n=4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entries", [
+    {"1,2": 2.7, "1,3": 0, "2,3": 0},
+    {"1,2": True, "1,3": 0, "2,3": 0},
+    {"1,2": 0, "1,3": 0},
+    {"1,2": 0, "1,3": 0, "2,3": 0, "1,4": 0},
+    [0, 0, 0],
+])
+def test_malformed_weight_entries_exit_two(entries, tmp_path, capsys):
+    path = _write(tmp_path, "w.json", {"n": 3, "a": entries})
+    assert cli.main(["weights", "check", "--weights", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad weight system" in captured.err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pbwdegen", "fflv", "dim", "--lam", "1,1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "8"
 
 
 def test_fflv_count(capsys):

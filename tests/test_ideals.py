@@ -1,8 +1,14 @@
+from dataclasses import fields
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pbwdegen.degrees import grading_vector, zero_grading
+from fraction_relations import fraction_plucker_relations
+from pbwdegen import ideals
+from pbwdegen.degrees import GradingVector, PlueckerIndex, grading_vector, zero_grading
 from pbwdegen.ideals import (
     GradedPolynomial,
     classical_component,
@@ -13,6 +19,7 @@ from pbwdegen.ideals import (
     initial_component,
     initial_part,
     is_binomially_spanned,
+    mono_grade,
     mono_str,
     multidegrees_up_to,
     normalize_index,
@@ -33,6 +40,113 @@ def test_normalize_index():
     assert I.elems == (2, 3, 4) and sign == 1
     I, sign = normalize_index(4, (2, 2))
     assert I is None and sign == 0
+
+
+def test_normalize_index_sign_is_inversion_parity():
+    for k in range(1, 6):
+        for seq in permutations(range(1, k + 1)):
+            inversions = sum(a > b for a, b in combinations(seq, 2))
+            I, sign = normalize_index(6, seq)
+            assert I.elems == tuple(range(1, k + 1))
+            assert sign == (-1) ** inversions
+    assert normalize_index(6, (3, 1, 3)) == (None, 0)
+
+
+def _all_sizes(n):
+    return [d for r in range(1, n) for d in combinations(range(1, n), r)]
+
+
+@pytest.mark.parametrize(
+    "n, d",
+    [(n, d) for n in range(2, 6) for d in _all_sizes(n)] + [(6, (1, 2, 3, 4, 5))],
+)
+def test_relations_match_fraction_reference(n, d):
+    ours = plucker_relations(n, d)
+    ref = fraction_plucker_relations(n, d)
+    assert len(ours) == len(ref)
+    for rel, want in zip(ours, ref):
+        # same monomials in the same order, so every output is byte-identical
+        assert list(rel.terms.items()) == list(want.terms.items())
+        assert all(type(c) is Fraction for c in rel.terms.values())
+
+
+def _det(rows):
+    """Integer determinant by fraction-free (Bareiss) elimination."""
+    m = [list(r) for r in rows]
+    size, sign, prev = len(m), 1, 1
+    for k in range(size - 1):
+        if m[k][k] == 0:
+            swap = next((r for r in range(k + 1, size) if m[r][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1]
+
+
+@st.composite
+def flags(draw):
+    n = draw(st.integers(3, 6))
+    d = tuple(sorted(draw(st.sets(st.integers(1, n - 1), min_size=1))))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return n, d, seed
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(flags())
+def test_relations_vanish_on_flag_minors(case):
+    """X_I = minor on rows I and the first |I| columns of an integer
+    matrix; every Pluecker relation vanishes there."""
+    import random
+
+    n, d, seed = case
+    rng = random.Random(seed)
+    M = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+    minors = {
+        I: _det([M[i - 1][:k] for i in I])
+        for k in d
+        for I in combinations(range(1, n + 1), k)
+    }
+    for rel in plucker_relations(n, d):
+        total = 0
+        for mono, coeff in rel.terms.items():
+            term = coeff
+            for elems, exp in mono:
+                term *= minors[elems] ** exp
+            total += term
+        assert total == 0
+
+
+def test_equal_generators_take_the_cached_rows():
+    n, d, mu = 4, (1, 2, 3), (1, 1, 1)
+    rels = plucker_relations(n, d)
+    copy = tuple(GradedPolynomial(dict(r.terms)) for r in rels)
+    assert copy is not rels and copy == rels
+    g = grading_vector(toric_weight_system(n), d)
+    want = initial_component(rels, n, d, mu, g).span_key()
+    hits = ideals._canonical_rows_cache.cache_info().hits
+    assert initial_component(copy, n, d, mu, g).span_key() == want
+    assert ideals._canonical_rows_cache.cache_info().hits == hits + 1
+    # a proper subset of the relations is spanned afresh
+    part = initial_component(rels[1:], n, d, mu, g)
+    assert ideals._canonical_rows_cache.cache_info().hits == hits + 1
+    assert part.rank <= len(want)
+
+
+def test_grade_lookup_by_elems_is_not_a_field():
+    d = (1, 2, 3)
+    g = grading_vector(toric_weight_system(4), d)
+    assert [f.name for f in fields(GradingVector)] == ["n", "d", "s"]
+    assert g == GradingVector(4, d, g.s)
+    assert g.by_elems == {I.elems: v for I, v in g.s.items()}
+    for m in component_monomials(4, d, (1, 1, 1)):
+        assert mono_grade(m, g) == sum(
+            e * g.grade(PlueckerIndex(4, elems)) for elems, e in m
+        )
 
 
 def test_trivial_relation_sets():

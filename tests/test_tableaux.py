@@ -74,6 +74,17 @@ def test_zeta_example():
     assert tau(Y) == T
 
 
+def test_zeta_raises_when_its_result_is_not_semistandard(monkeypatch):
+    # the check must hold under python -O, so it is a raise, not an assert
+    import pbwdegen.tableaux as tableaux
+
+    monkeypatch.setattr(tableaux, "is_pbw_ssyt", lambda Y: False)
+    lam = DominantWeight(3, (1, 1))
+    T = TrianglePattern.from_map(3, {(1, 3): 1, (2, 3): 1})
+    with pytest.raises(RuntimeError, match="not PBW semistandard"):
+        zeta(T, lam)
+
+
 def test_single_column_tau_is_fundamental_pattern():
     from itertools import combinations
 

@@ -107,6 +107,33 @@ def test_json_round_trip(tmp_path):
     assert WeightSystem.load(path) == A
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"a": {"1,2": 2.7, "1,3": 0, "2,3": 0}}, "must be an integer"),
+    ({"a": {"1,2": 2.0, "1,3": 0, "2,3": 0}}, "must be an integer"),
+    ({"a": {"1,2": True, "1,3": 0, "2,3": 0}}, "must be an integer"),
+    ({"a": {"1,2": "1", "1,3": 0, "2,3": 0}}, "must be an integer"),
+    ({"n": 3.0}, "must be an integer"),
+    ({"n": True}, "must be an integer"),
+    ({"a": {"1,2": 0, "1,3": 0}}, "2 keys for the 3 pairs"),
+    ({"a": {"1,2": 0, "1,3": 0, "2,3": 0, "3,4": 0}}, "4 keys for the 3 pairs"),
+    ({"a": {"1,2": 0, "1,3": 0, "3,4": 0}}, "outside the triangle"),
+    ({"a": {"1,2": 0, "1,3": 0, "2,2": 0}}, "outside the triangle"),
+    ({"a": {"2,1": 0, "1,3": 0, "2,3": 0}}, "outside the triangle"),
+    ({"a": {"1,2": 0, "01,2": 0, "1,3": 0}}, "missing entries"),
+])
+def test_json_is_strict(change, message):
+    data = {"n": 3, "a": {"1,2": 0, "1,3": 0, "2,3": 0}}
+    assert WeightSystem.from_json(data) == zero_weight_system(3)
+    data.update(change)
+    with pytest.raises(ValueError, match=message):
+        WeightSystem.from_json(data)
+
+
+def test_json_entries_must_be_an_object():
+    with pytest.raises(TypeError):
+        WeightSystem.from_json({"n": 3, "a": [0, 0, 0]})
+
+
 def test_text_rendering_mentions_all_entries():
     A = abelian_weight_system(3)
     text = A.to_text()
