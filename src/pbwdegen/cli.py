@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__, degrees, fflv, ideals, representations, suite, tableaux, tropical, weights
 
@@ -123,20 +122,34 @@ def _poly_payload(polys, fmt):
     return [str(p) for p in polys]
 
 
-def _rel_from_json(entry):
+def _rel_from_json(entry, n, d):
+    """One relation as written by ``ideal gen``. Every variable must be a
+    Pluecker index of [1, n] whose size is in d, with a positive integer
+    exponent; coefficients are read as in tropical points."""
     terms = {}
     for item in entry:
-        mono = tuple((tuple(e), int(x)) for e, x in item["monomial"])
-        terms[mono] = Fraction(item["coeff"])
+        mono = []
+        for e, x in item["monomial"]:
+            elems = degrees.PlueckerIndex(n, tuple(e)).elems
+            if len(elems) not in d:
+                raise ValueError(f"variable {list(elems)} has a size outside --d")
+            if weights.json_int(x, "an exponent") < 1:
+                raise ValueError(f"exponent {x} of {list(elems)} is not positive")
+            mono.append((elems, x))
+        if tuple(mono) in terms:
+            raise ValueError(f"monomial {item['monomial']} appears twice")
+        terms[tuple(mono)] = weights.json_rational(item["coeff"], "a coefficient")
     return ideals.GradedPolynomial(terms)
 
 
+def _guard_size(what, size):
+    max_dim = _max_dim()
+    if size > max_dim:
+        raise InputError(f"{what} {size} exceeds PBWDEGEN_MAX_DIM={max_dim}")
+
+
 def _guard_component(n, d, mu):
-    size = len(ideals.component_monomials(n, d, mu))
-    if size > _max_dim():
-        raise InputError(
-            f"component dimension {size} exceeds PBWDEGEN_MAX_DIM"
-        )
+    _guard_size("component dimension", len(ideals.component_monomials(n, d, mu)))
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -195,6 +208,7 @@ def cmd_fflv(run, args):
         dim = fflv.weyl_dim(lam)
         _emit(run, dim, args.format, [str(dim)])
         return 0
+    _guard_size("Weyl dimension", fflv.weyl_dim(lam))
     patterns = fflv.enumerate_patterns(lam)
     if args.action == "count":
         _emit(run, len(patterns), args.format, [str(len(patterns))])
@@ -209,6 +223,7 @@ def cmd_fflv(run, args):
 def cmd_tableaux(run, args):
     lam = _parse_lam(args.lam)
     run.params["lam"] = list(lam.coeffs)
+    _guard_size("Weyl dimension", fflv.weyl_dim(lam))
     if args.action == "count":
         count = len(tableaux.enumerate_ssyt(lam))
         _emit(run, count, args.format, [str(count)])
@@ -289,7 +304,10 @@ def cmd_rep(run, args):
             _check_n(A, n, "--n")
         if args.relations:
             data = run.load_json(args.relations)
-            rels = [_rel_from_json(e) for e in data]
+            try:
+                rels = [_rel_from_json(e, n, d) for e in data]
+            except (KeyError, TypeError, ValueError) as exc:
+                raise InputError(f"bad relation in {args.relations}: {exc!r}")
         else:
             rels = ideals.plucker_relations(n, d)
         ok = all(

@@ -58,7 +58,7 @@ class TrianglePattern(Triangle):
 
     def __post_init__(self):
         super().__post_init__()
-        if any(v < 0 for v in self.entries):
+        if self.entries and min(self.entries) < 0:
             raise ValueError("entries must be nonnegative")
 
     @classmethod
@@ -153,41 +153,40 @@ def cell_bound(lam, i, j):
 def enumerate_patterns(lam):
     """All integer points of the FFLV polytope, in lexicographic order.
 
-    Backtracks over cells in pair order, pruning with partial Dyck path
-    sums; the per-cell hook bound keeps the search finite.
+    Backtracks over cells in pair order. Every cell lies on its hook
+    path, and path sums grow with the cell's value, so the values that
+    keep every path through the cell within its bound are exactly
+    0..limit, where limit is the least slack (bound minus partial sum)
+    of those paths, capped by the hook bound.
     """
     n = lam.n
     pairs = triangle_pairs(n)
     paths = dyck_paths(n)
-    bounds = [path_bound(lam, p) for p in paths]
-    cell_paths = {pair: [] for pair in pairs}
+    slack = [path_bound(lam, p) for p in paths]
+    position = {pair: pos for pos, pair in enumerate(pairs)}
+    cell_paths = [[] for _ in pairs]
     for idx, p in enumerate(paths):
         for step in p.steps:
-            cell_paths[step].append(idx)
+            cell_paths[position[step]].append(idx)
     maxima = [cell_bound(lam, i, j) for i, j in pairs]
-    sums = [0] * len(paths)
     values = [0] * len(pairs)
+    last = len(pairs) - 1
     out = []
 
     def assign(pos):
-        if pos == len(pairs):
-            out.append(TrianglePattern(n, tuple(values)))
+        through = cell_paths[pos]
+        limit = min(maxima[pos], min(map(slack.__getitem__, through)))
+        if pos == last:
+            head = tuple(values[:last])
+            out.extend(TrianglePattern(n, head + (v,)) for v in range(limit + 1))
             return
-        pair = pairs[pos]
-        for v in range(maxima[pos] + 1):
+        for v in range(limit + 1):
             values[pos] = v
-            ok = True
-            for idx in cell_paths[pair]:
-                sums[idx] += v
-                if sums[idx] > bounds[idx]:
-                    ok = False
-            if ok:
-                assign(pos + 1)
-            for idx in cell_paths[pair]:
-                sums[idx] -= v
-            if not ok:
-                break
-        values[pos] = 0
+            assign(pos + 1)
+            for idx in through:
+                slack[idx] -= 1
+        for idx in through:
+            slack[idx] += limit + 1
 
     assign(0)
     return out

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .fflv import DominantWeight, TrianglePattern, is_fflv_pattern
+from .weights import triangle_pairs
 
 
 @dataclass(frozen=True)
@@ -27,13 +28,13 @@ class PBWTableau:
     columns: tuple  # tuple of tuples
 
     def __post_init__(self):
-        heights = [len(c) for c in self.columns]
-        if any(h2 > h1 for h1, h2 in zip(heights, heights[1:])):
+        heights = list(map(len, self.columns))
+        if heights != sorted(heights, reverse=True):
             raise ValueError("column heights must be non-increasing")
-        if any(h == 0 or h > self.n - 1 for h in heights):
+        if heights and (heights[-1] < 1 or heights[0] > self.n - 1):
             raise ValueError("column heights must lie in [1, n-1]")
         for col in self.columns:
-            if any(not 1 <= v <= self.n for v in col):
+            if min(col) < 1 or max(col) > self.n:
                 raise ValueError("entries out of range")
 
     def shape(self):
@@ -124,30 +125,42 @@ def _column_heights(lam):
 
 def enumerate_ssyt(lam):
     """All PBW semistandard tableaux of the given shape, depth first over
-    column content sets in sorted order."""
+    column content sets in sorted order.
+
+    The columns of each height are built once, and the columns that may
+    stand right of a given column are found once per call; filtering
+    keeps content order, so the output order is that of the content sets.
+    """
     n = lam.n
     heights = _column_heights(lam)
     if not heights:
         return [empty_tableau(n)]
-    contents = {
-        h: [c for c in combinations(range(1, n + 1), h)] for h in set(heights)
+    columns = {
+        h: [pbw_column(n, c) for c in combinations(range(1, n + 1), h)]
+        for h in set(heights)
     }
+    following = {}  # (left column, next height) -> columns allowed right of it
+    last = len(heights) - 1
     out = []
     cols = []
 
-    def extend(depth):
-        if depth == len(heights):
-            out.append(PBWTableau(n, tuple(cols)))
+    def extend(depth, choices):
+        if depth == last:
+            head = tuple(cols)
+            out.extend(PBWTableau(n, head + (col,)) for col in choices)
             return
-        for content in contents[heights[depth]]:
-            col = pbw_column(n, content)
-            if cols and not _adjacent_ok(cols[-1], col):
-                continue
+        h = heights[depth + 1]
+        for col in choices:
+            nxt = following.get((col, h))
+            if nxt is None:
+                nxt = following[(col, h)] = [
+                    right for right in columns[h] if _adjacent_ok(col, right)
+                ]
             cols.append(col)
-            extend(depth + 1)
+            extend(depth + 1, nxt)
             cols.pop()
 
-    extend(0)
+    extend(0, columns[heights[0]])
     return out
 
 
@@ -156,14 +169,13 @@ def tau(Y):
     below its own row, summed over columns."""
     if not is_pbw_tableau(Y):
         raise ValueError("not a PBW tableau")
-    T = TrianglePattern.zero(Y.n)
+    position = {pair: pos for pos, pair in enumerate(triangle_pairs(Y.n))}
+    entries = [0] * len(position)
     for col in Y.columns:
-        marks = {}
         for i, v in enumerate(col, start=1):
             if v > i:
-                marks[(i, v)] = 1
-        T = T + TrianglePattern.from_map(Y.n, marks)
-    return T
+                entries[position[(i, v)]] += 1
+    return TrianglePattern(Y.n, tuple(entries))
 
 
 def _maximal_cells(support):

@@ -23,7 +23,7 @@ from .ideals import (
     plucker_relations,
 )
 from .linalg import Echelon
-from .weights import Triangle, require_cone_membership, triangle_pairs
+from .weights import Triangle, json_int, json_rational, require_cone_membership, triangle_pairs
 
 
 def proper_subsets(n):
@@ -61,11 +61,16 @@ class TropicalPoint:
 
     @classmethod
     def from_json(cls, data):
-        n = int(data["n"])
+        """Parse {"n": n, "s": {"i,j,...": value}}. A value is a JSON
+        integer or a string such as "1/3"; floats and bools are refused,
+        since they would be read as the binary float's exact value."""
+        n = json_int(data["n"], "n")
         s = {}
         for key, val in data["s"].items():
             elems = tuple(int(t) for t in key.split(","))
-            s[elems] = Fraction(val)
+            if elems in s:
+                raise ValueError(f"key {key!r} repeats the subset {list(elems)}")
+            s[elems] = json_rational(val, f"s[{key!r}]")
         return cls(n, s)
 
     @classmethod

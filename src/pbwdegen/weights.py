@@ -14,6 +14,7 @@ only depends on that face.
 import json
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 
 def triangle_pairs(n):
@@ -21,11 +22,22 @@ def triangle_pairs(n):
     return [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
 
 
-def _json_int(val, what):
+def json_int(val, what):
     """val if it is a JSON integer; ValueError for bools and non-integers."""
     if isinstance(val, bool) or not isinstance(val, int):
         raise ValueError(f"{what} must be an integer, got {val!r}")
     return val
+
+
+def json_rational(val, what):
+    """Fraction of a JSON integer or of a string such as "1/3"; ValueError
+    for floats and bools, which would be read as the binary float's value."""
+    if isinstance(val, bool) or not isinstance(val, (int, str)):
+        raise ValueError(f"{what} must be an integer or a string such as '1/3', got {val!r}")
+    try:
+        return Fraction(val)
+    except ZeroDivisionError:
+        raise ValueError(f"{what} has a zero denominator")
 
 
 class NotInConeError(ValueError):
@@ -92,7 +104,7 @@ class WeightSystem(Triangle):
     def from_json(cls, data):
         """Parse {"n": n, "a": {"i,j": a_ij}}. Every value must be a JSON
         integer and the keys must be exactly the pairs of the triangle."""
-        n = _json_int(data["n"], "n")
+        n = json_int(data["n"], "n")
         entries = data["a"]
         if not isinstance(entries, dict):
             raise TypeError("'a' must map \"i,j\" keys to integers")
@@ -104,7 +116,7 @@ class WeightSystem(Triangle):
             i, j = (int(t) for t in key.split(","))
             if not 1 <= i < j <= n:
                 raise ValueError(f"key {key!r} lies outside the triangle for n={n}")
-            a[(i, j)] = _json_int(val, f"a[{key!r}]")
+            a[(i, j)] = json_int(val, f"a[{key!r}]")
         return cls.from_map(n, a)
 
     @classmethod

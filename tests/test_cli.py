@@ -206,3 +206,72 @@ def test_deterministic_output(capsys):
     cli.main(["--format", "json", "fflv", "patterns", "--lam", "1,0"])
     second = json.loads(capsys.readouterr().out)["result"]
     assert first == second
+
+
+@pytest.mark.parametrize("argv", [
+    ["fflv", "count"],
+    ["fflv", "patterns"],
+    ["tableaux", "count"],
+    ["tableaux", "roundtrip"],
+])
+def test_enumeration_size_guard(argv, capsys, monkeypatch):
+    # the guard reads the Weyl dimension before anything is enumerated
+    def refuse(lam):
+        raise AssertionError("enumerated past the size guard")
+
+    monkeypatch.setattr(cli.fflv, "enumerate_patterns", refuse)
+    monkeypatch.setattr(cli.tableaux, "enumerate_ssyt", refuse)
+    monkeypatch.setenv("PBWDEGEN_MAX_DIM", "100")
+    assert cli.main(argv + ["--lam", "3,3,3,3,3"]) == 2
+    assert "PBWDEGEN_MAX_DIM" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["fflv", "count"],
+    ["tableaux", "count"],
+    ["tableaux", "roundtrip"],
+])
+def test_enumeration_size_guard_bound_is_inclusive(argv, capsys, monkeypatch):
+    monkeypatch.setenv("PBWDEGEN_MAX_DIM", "8")  # the dimension of (1,1)
+    assert cli.main(argv + ["--lam", "1,1"]) == 0
+    monkeypatch.setenv("PBWDEGEN_MAX_DIM", "7")
+    assert cli.main(argv + ["--lam", "1,1"]) == 2
+
+
+@pytest.mark.parametrize("relations", [
+    [[{"coeff": "1"}]],  # no monomial
+    [[{"monomial": [[[1], 1], [[2, 3], 1]]}]],  # no coefficient
+    [5],  # an entry that is not a list of terms
+    [[{"coeff": "1", "monomial": [[[3, 2], 1]]}]],  # unsorted index
+    [[{"coeff": "1", "monomial": [[[1, 2, 3], 1]]}]],  # not a proper subset
+    [[{"coeff": "1", "monomial": [[[2, 3], 1]]}]],  # size 2 with --d 1
+    [[{"coeff": "1/0", "monomial": [[[1], 1]]}]],  # zero denominator
+    [[{"coeff": 0.5, "monomial": [[[1], 1]]}]],  # float coefficient
+    [[{"coeff": "1", "monomial": [[[1], 0]]}]],  # exponent 0
+    [[{"coeff": "1", "monomial": [[[1], 1.5]]}]],  # non-integer exponent
+    [[{"coeff": "1", "monomial": [[[1], 1]]},
+      {"coeff": "-1", "monomial": [[[1], 1]]}]],  # a monomial twice
+])
+def test_malformed_relations_exit_two(relations, tmp_path, capsys):
+    path = _write(tmp_path, "rels.json", relations)
+    argv = ["rep", "psi-check", "--n", "3", "--d", "1", "--relations", path]
+    assert cli.main(argv) == 2
+    assert "bad relation in" in capsys.readouterr().err
+
+
+def test_psi_check_reads_relations_written_by_ideal_gen(tmp_path, capsys):
+    assert cli.main(["--format", "json", "ideal", "gen", "--n", "4", "--d", "1,2"]) == 0
+    rels = json.loads(capsys.readouterr().out)["result"]
+    path = _write(tmp_path, "rels.json", rels)
+    argv = ["rep", "psi-check", "--n", "4", "--d", "1,2", "--relations", path]
+    assert cli.main(argv) == 0
+    assert "psi=true" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", [0.1, True, 1.0, None, "1/0x", "1/0"])
+def test_trop_check_non_rational_point_exits_two(value, tmp_path, capsys):
+    data = map_h(abelian_weight_system(3)).to_json()
+    data["s"]["1,2"] = value
+    path = _write(tmp_path, "pt.json", data)
+    assert cli.main(["trop", "check", "--point", path]) == 2
+    assert "bad tropical point" in capsys.readouterr().err

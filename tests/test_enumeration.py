@@ -1,0 +1,56 @@
+from itertools import product
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pbwdegen.fflv import DominantWeight, enumerate_patterns, weyl_dim
+from pbwdegen.tableaux import enumerate_ssyt, tau, zeta
+from reference_enumeration import reference_patterns, reference_ssyt
+
+
+def _weights(n, total):
+    return [
+        DominantWeight(n, c)
+        for c in product(range(total + 1), repeat=n - 1)
+        if sum(c) <= total
+    ]
+
+
+EQUIVALENCE_CASES = (
+    [lam for n in range(2, 6) for lam in _weights(n, 3)]
+    + _weights(6, 2)
+    + [DominantWeight(6, (1,) * 5)]
+)
+
+
+@pytest.mark.parametrize(
+    "lam", EQUIVALENCE_CASES, ids=lambda lam: f"n{lam.n}-" + ",".join(map(str, lam.coeffs))
+)
+def test_enumerators_match_reference(lam):
+    # same objects in the same order as the try-every-value references
+    assert enumerate_patterns(lam) == reference_patterns(lam)
+    assert enumerate_ssyt(lam) == reference_ssyt(lam)
+
+
+@st.composite
+def small_weights(draw):
+    """Dominant weights, n = 2..5, with Weyl dimension at most 2,000: the
+    largest coefficient is lowered until the dimension fits."""
+    n = draw(st.integers(2, 5))
+    coeffs = draw(st.lists(st.integers(0, 3), min_size=n - 1, max_size=n - 1))
+    while weyl_dim(DominantWeight(n, tuple(coeffs))) > 2000:
+        coeffs[coeffs.index(max(coeffs))] -= 1
+    return DominantWeight(n, tuple(coeffs))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(small_weights())
+def test_patterns_and_tableaux_in_bijection(lam):
+    patterns = enumerate_patterns(lam)
+    tableaux = enumerate_ssyt(lam)
+    assert len(patterns) == len(tableaux) == weyl_dim(lam)
+    for T in patterns:
+        assert tau(zeta(T, lam)) == T
+    for Y in tableaux:
+        assert zeta(tau(Y), lam) == Y

@@ -73,6 +73,14 @@ def test_membership_respects_path_bounds():
     assert not is_fflv_pattern(too_big, lam)
 
 
+def test_pattern_entries_must_be_nonnegative():
+    with pytest.raises(ValueError, match="nonnegative"):
+        TrianglePattern(3, (0, -1, 0))
+    with pytest.raises(ValueError, match="wrong number"):
+        TrianglePattern(3, (0, 0))
+    assert TrianglePattern(1, ()).entries == ()  # the empty n=1 triangle
+
+
 def test_cell_bound():
     lam = DominantWeight(4, (2, 1, 0))
     assert cell_bound(lam, 1, 2) == 2

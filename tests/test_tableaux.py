@@ -29,6 +29,18 @@ def test_tableau_validation():
         PBWTableau(3, ((1, 2, 3),))  # height n-1 exceeded
     with pytest.raises(ValueError):
         PBWTableau(3, ((4,),))  # entry out of range
+    # each check keeps its message
+    with pytest.raises(ValueError, match="non-increasing"):
+        PBWTableau(4, ((1,), (2, 1), (3,)))
+    with pytest.raises(ValueError, match=r"\[1, n-1\]"):
+        PBWTableau(4, ((1, 2), ()))  # zero-height column
+    with pytest.raises(ValueError, match=r"\[1, n-1\]"):
+        PBWTableau(4, ((1, 2, 3, 4),))  # a column of height n
+    with pytest.raises(ValueError, match="out of range"):
+        PBWTableau(4, ((1, 2), (0,)))  # entry 0
+    with pytest.raises(ValueError, match="out of range"):
+        PBWTableau(4, ((1, 5), (2,)))  # entry n+1
+    assert PBWTableau(4, ()).columns == ()
 
 
 def test_column_conditions():

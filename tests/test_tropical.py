@@ -133,3 +133,29 @@ def test_json_round_trip_with_rationals():
     data = s.to_json()
     assert data["s"]["1,2"] == "1/3"
     assert TropicalPoint.from_json(data) == s
+
+
+def test_json_round_trip_of_canonical_points():
+    for n in (3, 4):
+        for _, A in canonical_weight_systems(n):
+            point = map_h(A)
+            assert TropicalPoint.from_json(point.to_json()) == point
+
+
+@pytest.mark.parametrize("value", [0.1, 2.0, True, False, None, [1], "abc", "1/0"])
+def test_json_refuses_non_rational_values(value):
+    data = map_h(abelian_weight_system(3)).to_json()
+    data["s"]["1,2"] = value
+    with pytest.raises(ValueError):
+        TropicalPoint.from_json(data)
+
+
+def test_json_refuses_repeated_subsets_and_non_integer_n():
+    data = map_h(abelian_weight_system(3)).to_json()
+    data["s"]["01,2"] = 0
+    with pytest.raises(ValueError, match="repeats"):
+        TropicalPoint.from_json(data)
+    data = map_h(abelian_weight_system(3)).to_json()
+    data["n"] = 3.0
+    with pytest.raises(ValueError):
+        TropicalPoint.from_json(data)
