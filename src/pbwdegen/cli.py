@@ -180,12 +180,10 @@ def cmd_weights(run, args):
         ]
         _emit(run, out, args.format, [e["label"] for e in out])
         return 0
-    if args.action == "random":
-        pts = weights.random_cone_points(args.n, args.count, seed=args.seed)
-        out = [A.to_json() for A in pts]
-        _emit(run, out, args.format, [json.dumps(e, sort_keys=True) for e in out])
-        return 0
-    raise InputError(f"unknown weights action {args.action!r}")
+    pts = weights.random_cone_points(args.n, args.count, seed=args.seed)
+    out = [A.to_json() for A in pts]
+    _emit(run, out, args.format, [json.dumps(e, sort_keys=True) for e in out])
+    return 0
 
 
 def cmd_degrees(run, args):
@@ -213,11 +211,9 @@ def cmd_fflv(run, args):
     if args.action == "count":
         _emit(run, len(patterns), args.format, [str(len(patterns))])
         return 0
-    if args.action == "patterns":
-        out = [T.to_json() for T in patterns]
-        _emit(run, out, args.format, [json.dumps(e, sort_keys=True) for e in out])
-        return 0
-    raise InputError(f"unknown fflv action {args.action!r}")
+    out = [T.to_json() for T in patterns]
+    _emit(run, out, args.format, [json.dumps(e, sort_keys=True) for e in out])
+    return 0
 
 
 def cmd_tableaux(run, args):
@@ -228,18 +224,16 @@ def cmd_tableaux(run, args):
         count = len(tableaux.enumerate_ssyt(lam))
         _emit(run, count, args.format, [str(count)])
         return 0
-    if args.action == "roundtrip":
-        ok = all(
-            tableaux.tau(tableaux.zeta(T, lam)) == T
-            for T in fflv.enumerate_patterns(lam)
-        ) and all(
-            tableaux.zeta(tableaux.tau(Y), lam) == Y
-            for Y in tableaux.enumerate_ssyt(lam)
-        )
-        run.verdicts["roundtrip"] = ok
-        _emit(run, ok, args.format, [f"roundtrip={str(ok).lower()}"])
-        return 0 if ok else 1
-    raise InputError(f"unknown tableaux action {args.action!r}")
+    ok = all(
+        tableaux.tau(tableaux.zeta(T, lam)) == T
+        for T in fflv.enumerate_patterns(lam)
+    ) and all(
+        tableaux.zeta(tableaux.tau(Y), lam) == Y
+        for Y in tableaux.enumerate_ssyt(lam)
+    )
+    run.verdicts["roundtrip"] = ok
+    _emit(run, ok, args.format, [f"roundtrip={str(ok).lower()}"])
+    return 0 if ok else 1
 
 
 def cmd_ideal(run, args):
@@ -280,17 +274,15 @@ def cmd_ideal(run, args):
         run.verdicts["quadratic"] = ok
         _emit(run, ok, args.format, [f"quadratic={str(ok).lower()}"])
         return 0 if ok else 1
-    if args.action == "check-face-degeneration":
-        B = run.load_weights(args.weights_b)
-        _check_n(B, n, "--n")
-        try:
-            ok = ideals.face_degeneration_check(A, B, n, d, mu)
-        except ValueError as exc:
-            raise InputError(str(exc))
-        run.verdicts["face_degeneration"] = ok
-        _emit(run, ok, args.format, [f"face-degeneration={str(ok).lower()}"])
-        return 0 if ok else 1
-    raise InputError(f"unknown ideal action {args.action!r}")
+    B = run.load_weights(args.weights_b)
+    _check_n(B, n, "--n")
+    try:
+        ok = ideals.face_degeneration_check(A, B, n, d, mu)
+    except ValueError as exc:
+        raise InputError(str(exc))
+    run.verdicts["face_degeneration"] = ok
+    _emit(run, ok, args.format, [f"face-degeneration={str(ok).lower()}"])
+    return 0 if ok else 1
 
 
 def cmd_rep(run, args):
@@ -337,15 +329,13 @@ def cmd_rep(run, args):
         run.verdicts["fflv_basis"] = ok
         _emit(run, ok, args.format, [f"fflv-basis={str(ok).lower()}"])
         return 0 if ok else 1
-    if args.action == "annihilator-check":
-        try:
-            ok = representations.annihilator_monomial_check(A, lam)
-        except weights.NotInConeError as exc:
-            raise InputError(str(exc))
-        run.verdicts["annihilator"] = ok
-        _emit(run, ok, args.format, [f"annihilator-monomial={str(ok).lower()}"])
-        return 0 if ok else 1
-    raise InputError(f"unknown rep action {args.action!r}")
+    try:
+        ok = representations.annihilator_monomial_check(A, lam)
+    except weights.NotInConeError as exc:
+        raise InputError(str(exc))
+    run.verdicts["annihilator"] = ok
+    _emit(run, ok, args.format, [f"annihilator-monomial={str(ok).lower()}"])
+    return 0 if ok else 1
 
 
 def cmd_trop(run, args):
@@ -379,20 +369,20 @@ def cmd_trop(run, args):
             ok = ok and no_mono
         _emit(run, payload, args.format, lines)
         return 0 if ok else 1
-    if args.action == "witness":
-        try:
-            w = tropical.maximality_witness(point)
-        except ValueError as exc:
-            raise InputError(str(exc))
-        if w is None:
-            _emit(run, None, args.format, ["no violated inequality"])
-        else:
-            _emit(run, w.to_json(), args.format, [str(w)])
-        return 0
-    raise InputError(f"unknown trop action {args.action!r}")
+    try:
+        w = tropical.maximality_witness(point)
+    except ValueError as exc:
+        raise InputError(str(exc))
+    if w is None:
+        _emit(run, None, args.format, ["no violated inequality"])
+    else:
+        _emit(run, w.to_json(), args.format, [str(w)])
+    return 0
 
 
 def cmd_suite(run, args):
+    if args.n is not None and args.n < 2:
+        raise InputError(f"suite --n must be at least 2, got {args.n}")
     results = suite.run_suite(cap=args.n)
     lines = []
     all_ok = True

@@ -2,7 +2,9 @@
 
 Polynomials live in the multigraded coordinate ring with one variable
 per Pluecker index of each size in d. A monomial is a sorted tuple of
-(index elems, exponent) pairs; coefficients are exact rationals. All
+(variable, exponent) pairs; coefficients are exact rationals. The same
+type carries the polynomials on the other side of the substitution psi,
+whose variables are keys such as ("z", i, j) and ("col", k). All
 component computations fix the monomial order (grading ascending, then
 lexicographic on the exponent lists) so outputs are deterministic.
 """
@@ -42,7 +44,8 @@ def normalize_index(n, seq):
 
 
 # -- monomials ---------------------------------------------------------------
-# A monomial is a tuple of ((i_1, ..., i_k), exponent) pairs sorted by index.
+# A monomial is a tuple of (variable, exponent) pairs sorted by variable. The
+# helpers below other than mono_mul read Pluecker variables: index tuples.
 
 
 def mono_mul(m1, m2):
@@ -73,12 +76,14 @@ def mono_str(m):
 
 
 class GradedPolynomial:
-    """Sparse polynomial in Pluecker variables with rational coefficients."""
+    """Sparse polynomial {monomial: Fraction} in any mutually sortable
+    variables; the package's one implementation of polynomial arithmetic."""
 
     def __init__(self, terms=None):
         self.terms = {}
         for m, c in (terms or {}).items():
-            c = Fraction(c)
+            if type(c) is not Fraction:  # Fractions are immutable: keep them
+                c = Fraction(c)
             if c:
                 self.terms[m] = c
 
@@ -111,6 +116,12 @@ class GradedPolynomial:
 
     def mul_monomial(self, m, c=Fraction(1)):
         return GradedPolynomial({mono_mul(t, m): c * v for t, v in self.terms.items()})
+
+    def __mul__(self, other):
+        out = GradedPolynomial()
+        for m, c in other.terms.items():
+            out = out + self.mul_monomial(m, c)
+        return out
 
     def multidegree(self, d):
         degs = {mono_multidegree(m, d) for m in self.terms}

@@ -4,7 +4,8 @@ The degenerate action is the graded slice of the classical one: a lowering
 generator survives on a wedge basis vector exactly when the coordinate
 degrees match up. Everything is exact on explicit bases: tensors have
 integer coefficients and act through per-computation action tables, and
-the polynomial coordinates of nilpotent exponentials are rational.
+the polynomial coordinates of nilpotent exponentials are rational
+``ideals.GradedPolynomial``s.
 """
 
 from fractions import Fraction
@@ -13,6 +14,7 @@ from itertools import product
 
 from .degrees import PlueckerIndex, all_indices, degree_s
 from .fflv import TrianglePattern, cell_bound, enumerate_patterns
+from .ideals import GradedPolynomial
 from .linalg import Echelon
 from .weights import NotInConeError, is_interior, triangle_pairs
 
@@ -244,62 +246,21 @@ def annihilator_monomial_check(A, lam):
 
 
 # -- exponential coordinates and the substitution oracle ---------------------
-# Polynomials in the variables z_{i,j} (one per generator) and z_k (one per
-# column size) are dicts: sorted ((var, exponent), ...) tuples -> Fraction.
-
-
-def zp_scale(p, c):
-    c = Fraction(c)
-    if not c:
-        return {}
-    return {m: c * v for m, v in p.items()}
-
-
-def zp_add(p, q):
-    out = dict(p)
-    for m, v in q.items():
-        new = out.get(m, Fraction(0)) + v
-        if new:
-            out[m] = new
-        else:
-            out.pop(m, None)
-    return out
-
-
-def zp_mul(p, q):
-    out = {}
-    for m1, v1 in p.items():
-        for m2, v2 in q.items():
-            exps = {}
-            for var, e in m1 + m2:
-                exps[var] = exps.get(var, 0) + e
-            key = tuple(sorted(exps.items()))
-            new = out.get(key, Fraction(0)) + v1 * v2
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
-    return out
-
-
-def zp_var(var):
-    return {((var, 1),): Fraction(1)}
-
-
-ZP_ONE = {(): Fraction(1)}
+# Polynomials in the variables z_{i,j} (one per generator, keyed ("z", i, j))
+# and z_k (one per column size, keyed ("col", k)) are GradedPolynomials.
 
 
 def exp_coordinates(n, k, A=None):
     """Coordinates of exp(sum z_{i,j} f_{i,j}) applied to the highest
-    wedge vector, as polynomials in the z_{i,j}.
+    wedge vector, as {elems: GradedPolynomial in the z_{i,j}}.
 
     The classical mode uses the full action, the degenerate mode (weight
     system given) its graded slice; the exponential truncates because the
     action is nilpotent.
     """
     start = tuple(range(1, k + 1))
-    term = {start: ZP_ONE}
-    total = {start: ZP_ONE}
+    term = {start: GradedPolynomial({(): 1})}
+    total = dict(term)
     order = 1
     while term:
         nxt = {}
@@ -309,13 +270,11 @@ def exp_coordinates(n, k, A=None):
                 if res is None:
                     continue
                 new, sign = res
-                contrib = zp_mul(
-                    zp_var(("z",) + pair), zp_scale(poly, Fraction(sign, order))
-                )
-                nxt[new] = zp_add(nxt.get(new, {}), contrib)
+                contrib = poly.mul_monomial(((("z",) + pair, 1),), Fraction(sign, order))
+                nxt[new] = nxt.get(new, GradedPolynomial()) + contrib
         term = {e: p for e, p in nxt.items() if p}
         for elems, poly in term.items():
-            total[elems] = zp_add(total.get(elems, {}), poly)
+            total[elems] = total.get(elems, GradedPolynomial()) + poly
         order += 1
     return total
 
@@ -325,16 +284,17 @@ def psi_substitution_check(f, n, d, A=None):
 
     C_I are the exponential coordinates (classical or degenerate); the
     kernel of this substitution is the defining ideal, so relations must
-    vanish.
+    vanish. The markers z_k keep apart terms of different multidegree.
     """
     coords = {k: exp_coordinates(n, k, A) for k in d}
-    total = {}
+    total = GradedPolynomial()
     for mono, coeff in f.terms.items():
-        prod = dict(ZP_ONE)
+        prod = GradedPolynomial({(): coeff})
         for elems, e in mono:
             k = len(elems)
-            factor = zp_mul(zp_var(("col", k)), coords[k].get(elems, {}))
+            coord = coords[k].get(elems, GradedPolynomial())
+            factor = coord.mul_monomial(((("col", k), 1),))
             for _ in range(e):
-                prod = zp_mul(prod, factor)
-        total = zp_add(total, zp_scale(prod, coeff))
+                prod = prod * factor
+        total = total + prod
     return not total

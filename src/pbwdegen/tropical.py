@@ -177,14 +177,14 @@ def in_trop_necessary_check(point, d, degree_bound):
     return True
 
 
-def _quad(plus, minus1, minus2):
-    terms = {}
-    for sign, (a, b) in ((1, plus), (-1, minus1), (-1, minus2)):
-        mono = tuple(sorted(((tuple(a), 1), (tuple(b), 1))))
-        if a == b:
-            mono = ((tuple(a), 2),)
-        terms[mono] = terms.get(mono, 0) + sign
-    return GradedPolynomial({m: Fraction(c) for m, c in terms.items()})
+def _quad(n, plus, minus1, minus2):
+    """X_a X_b - X_c X_d - X_e X_f for the index pairs (a, b), (c, d), (e, f)."""
+
+    def x(elems):
+        return GradedPolynomial.variable(PlueckerIndex(n, elems))
+
+    (a, b), (c, d), (e, f) = plus, minus1, minus2
+    return x(a) * x(b) - x(c) * x(d) - x(e) * x(f)
 
 
 def maximality_witness(point):
@@ -201,6 +201,7 @@ def maximality_witness(point):
         lhs = point.s[_prefix(i - 1) + (i + 1,)] + point.s[_prefix(i) + (i + 2,)]
         if lhs < point.s[_prefix(i - 1) + (i + 2,)]:
             return _quad(
+                n,
                 (_prefix(i) + (i + 2,), _prefix(i - 1) + (i + 1,)),
                 (_prefix(i) + (i + 1,), _prefix(i - 1) + (i + 2,)),
                 (_prefix(i - 1) + (i + 1, i + 2), _prefix(i)),
@@ -211,8 +212,9 @@ def maximality_witness(point):
             rhs = point.s[_prefix(i - 1) + (j + 1,)] + point.s[_prefix(i) + (j,)]
             if lhs < rhs:
                 return _quad(
-                    (_prefix(i - 1) + (i + 1, j), _prefix(i) + (j + 1,)),
+                    n,
                     (_prefix(i - 1) + (i + 1, j + 1), _prefix(i) + (j,)),
+                    (_prefix(i - 1) + (i + 1, j), _prefix(i) + (j + 1,)),
                     (_prefix(i - 1) + (j, j + 1), _prefix(i) + (i + 1,)),
                 )
     return None

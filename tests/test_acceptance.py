@@ -18,3 +18,10 @@ def _run(number, name, func):
 )
 def test_acceptance(number, name, func):
     _run(number, name, func)
+
+
+@pytest.mark.parametrize("cap,drawn", [(3, 50), (4, 100), (None, 200)])
+def test_cone_soundness_counts_the_triangles_drawn(cap, drawn):
+    ok, detail = suite.check_cone_soundness(cap)
+    assert ok
+    assert detail.startswith(f"{drawn} triangles, ")

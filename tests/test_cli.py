@@ -200,6 +200,21 @@ def test_suite_capped(capsys):
     assert len(passes) == 13
 
 
+@pytest.mark.parametrize("cap", ["0", "1", "-3"])
+def test_suite_cap_below_two_exits_two(cap, capsys):
+    assert cli.main(["suite", "--n", cap]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "suite --n must be at least 2" in captured.err
+
+
+def test_unknown_action_exits_two(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["fflv", "frob", "--lam", "1"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_deterministic_output(capsys):
     cli.main(["--format", "json", "fflv", "patterns", "--lam", "1,0"])
     first = json.loads(capsys.readouterr().out)["result"]

@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pbwdegen.fflv import DominantWeight, enumerate_patterns, weyl_dim
-from pbwdegen.ideals import initial_part, plucker_relations
+from pbwdegen.ideals import GradedPolynomial, initial_part, plucker_relations
 from pbwdegen.degrees import grading_vector
 from pbwdegen.representations import (
     annihilator_monomial_check,
@@ -29,6 +29,8 @@ from pbwdegen.weights import (
     toric_weight_system,
     zero_weight_system,
 )
+from reference_substitution import exp_coordinates as reference_exp_coordinates
+from reference_substitution import psi_substitution_check as reference_psi_check
 
 
 def test_classical_action_signs():
@@ -80,9 +82,9 @@ def test_degenerate_exp_is_min_grade_slice_of_classical():
                     def zgrade(mono):
                         return sum(e * A.a(v[1], v[2]) for v, e in mono)
 
-                    low = min(zgrade(m) for m in poly)
-                    slice_ = {m: c for m, c in poly.items() if zgrade(m) == low}
-                    assert degenerate.get(elems, {}) == slice_
+                    low = min(zgrade(m) for m in poly.terms)
+                    slice_ = {m: c for m, c in poly.terms.items() if zgrade(m) == low}
+                    assert degenerate.get(elems, GradedPolynomial()).terms == slice_
 
 
 def test_cyclic_dimensions_classical_limit():
@@ -122,9 +124,9 @@ def test_highest_weight_tensor_shape():
 
 def test_exp_coordinates_classical_n3():
     coords = exp_coordinates(3, 1)
-    assert coords[(1,)] == {(): Fraction(1)}
-    assert coords[(2,)] == {((("z", 1, 2), 1),): Fraction(1)}
-    assert coords[(3,)] == {
+    assert coords[(1,)].terms == {(): Fraction(1)}
+    assert coords[(2,)].terms == {((("z", 1, 2), 1),): Fraction(1)}
+    assert coords[(3,)].terms == {
         ((("z", 1, 3), 1),): Fraction(1),
         ((("z", 1, 2), 1), (("z", 2, 3), 1)): Fraction(1, 2),
     }
@@ -133,7 +135,7 @@ def test_exp_coordinates_classical_n3():
 def test_exp_coordinates_toric_are_monomial():
     A = toric_weight_system(3)
     coords = exp_coordinates(3, 1, A)
-    assert coords[(3,)] == {((("z", 1, 3), 1),): Fraction(1)}
+    assert coords[(3,)].terms == {((("z", 1, 3), 1),): Fraction(1)}
 
 
 def test_psi_kills_relations_and_detects_sign_errors():
@@ -152,6 +154,48 @@ def test_psi_degenerate_initial_parts():
     for _, A in canonical_weight_systems(n):
         init = initial_part(rel, grading_vector(A, d))
         assert psi_substitution_check(init, n, d, A)
+
+
+def _systems_and_classical(n):
+    return [None] + [A for _, A in canonical_weight_systems(n)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_exp_coordinates_match_reference(n):
+    for A in _systems_and_classical(n):
+        for k in range(1, n):
+            ours = exp_coordinates(n, k, A)
+            want = reference_exp_coordinates(n, k, A)
+            assert {elems: poly.terms for elems, poly in ours.items()} == want
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_psi_verdicts_match_reference(n):
+    # every relation classically, every initial part under its system, and
+    # each of them with the sign of its last term flipped
+    d = tuple(range(1, n))
+    rels = plucker_relations(n, d)
+    cases = [(rel, None) for rel in rels]
+    for _, A in canonical_weight_systems(n):
+        g = grading_vector(A, d)
+        cases += [(initial_part(rel, g), A) for rel in rels]
+    verdicts = set()
+    for f, A in cases:
+        m = max(f.terms)
+        flipped = f - GradedPolynomial({m: 2 * f.terms[m]})
+        for poly in (f, flipped):
+            ours = psi_substitution_check(poly, n, d, A)
+            assert ours == reference_psi_check(poly, n, d, A)
+            verdicts.add((poly is f, ours))
+    assert verdicts == {(True, True), (False, False)}
+
+
+def test_psi_keeps_column_markers():
+    # C_{1} = 1, so X_{1} - X_{1}^2 would cancel without the z_k markers
+    n, d = 3, (1, 2)
+    f = GradedPolynomial({(((1,), 1),): 1, (((1,), 2),): -1})
+    for A in _systems_and_classical(n):
+        assert not psi_substitution_check(f, n, d, A)
 
 
 def test_pattern_count_equals_cyclic_dim_degenerate():

@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from pbwdegen.degrees import PlueckerIndex, degree_s
 from pbwdegen.ideals import initial_part
+from pbwdegen.representations import psi_substitution_check
 from pbwdegen.tropical import (
     TropicalPoint,
     cone_C_membership,
@@ -21,6 +23,7 @@ from pbwdegen.weights import (
     canonical_weight_systems,
     random_cone_points,
     toric_weight_system,
+    triangle_pairs,
 )
 
 
@@ -82,6 +85,26 @@ def test_witness_is_monomial_after_degeneration():
     assert len(initial_part(w, g).terms) == 1
     # members of the cone have no witness
     assert maximality_witness(map_h(abelian_weight_system(3))) is None
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_witnesses_are_relations_with_monomial_initial_parts(n):
+    # seeded triangles satisfy [i]-[iii]; each one outside C gets a witness
+    # that vanishes under psi, so it lies in the Pluecker ideal
+    rng = random.Random(n)
+    d = tuple(range(1, n))
+    kinds = set()
+    for _ in range(40):
+        values = {pq: rng.randint(-3, 3) for pq in triangle_pairs(n)}
+        s = point_from_triangle(n, values)
+        ok, violations = cone_C_membership(s)
+        if ok:
+            continue
+        kinds.add(violations[0].split()[0])
+        w = maximality_witness(s)
+        assert psi_substitution_check(w, n, d)
+        assert len(initial_part(w, grading_from_point(s, d)).terms) == 1
+    assert kinds == ({"[iv]"} if n == 3 else {"[iv]", "[v]"})
 
 
 def test_witness_requires_linear_conditions():
