@@ -287,6 +287,11 @@ def cmd_ideal(run, args):
 
 def cmd_rep(run, args):
     A = run.load_weights(args.weights) if args.weights else None
+    if A is not None:
+        try:
+            weights.require_cone_membership(A)
+        except weights.NotInConeError as exc:
+            raise InputError(str(exc))
     if args.action == "psi-check":
         n = args.n
         d = _parse_sizes(args.d, n)
@@ -302,9 +307,7 @@ def cmd_rep(run, args):
                 raise InputError(f"bad relation in {args.relations}: {exc!r}")
         else:
             rels = ideals.plucker_relations(n, d)
-        ok = all(
-            representations.psi_substitution_check(f, n, d, A) for f in rels
-        )
+        ok = representations.psi_substitution_check(rels, n, d, A)
         run.verdicts["psi"] = ok
         _emit(run, ok, args.format, [f"psi={str(ok).lower()}"])
         return 0 if ok else 1

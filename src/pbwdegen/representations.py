@@ -16,7 +16,7 @@ from .degrees import PlueckerIndex, all_indices, degree_s
 from .fflv import TrianglePattern, cell_bound, enumerate_patterns
 from .ideals import GradedPolynomial
 from .linalg import Echelon
-from .weights import NotInConeError, is_interior, triangle_pairs
+from .weights import NotInConeError, is_interior, triangle_pairs, zero_weight_system
 
 
 def classical_action(i, j, elems):
@@ -194,23 +194,50 @@ def apply_pattern_monomial(maps, state, T):
     return state
 
 
+def lie_generators(A, n):
+    """The generators f_{i,l} that are not brackets in the graded algebra:
+    those with no j, i < j < l, for which [f_{i,j}, f_{j,l}] survives.
+
+    Together they generate the algebra (by induction on l - i). A=None
+    means the classical algebra, graded by the zero system, whose
+    generators are the simple roots; for interior systems no bracket
+    survives and every pair is kept.
+    """
+    if A is None:
+        A = zero_weight_system(n)
+    return [
+        (i, l)
+        for i, l in triangle_pairs(n)
+        if not any(graded_bracket(A, (i, j), (j, l)) for j in range(i + 1, l))
+    ]
+
+
 def cyclic_module_dim(A, lam, max_dim=100000):
     """Dimension of the cyclic submodule generated by the highest weight
-    tensor under the degenerate action."""
-    gens = triangle_pairs(lam.n)
+    tensor under the degenerate action.
+
+    Only the :func:`lie_generators` are applied: since x(yv) - y(xv) =
+    [x, y]v, a span closed under a generating set is closed under the whole
+    algebra. That holds because the action is a representation of the
+    graded bracket, which is what :func:`verify_lie_structure` checks. The
+    closure extends from the stored echelon rows, which span the same space
+    as the images they came from and are sparser.
+    """
+    gens = lie_generators(A, lam.n)
     maps = wedge_maps(A, lam.n, lam.column_sizes())
     ech = Echelon()
-    w = highest_weight_tensor(lam)
-    ech.insert(w)
-    queue = [w]
+    queue = [ech.rows[ech.insert(highest_weight_tensor(lam))]]
     while queue:
         vec = queue.pop()
         for x in gens:
             img = apply_generator(maps, vec, x)
-            if img and ech.insert(img) is not None:
+            if not img:
+                continue
+            pivot = ech.insert(img)
+            if pivot is not None:
                 if ech.rank > max_dim:
                     raise RuntimeError("cyclic closure exceeded the size bound")
-                queue.append(img)
+                queue.append(ech.rows[pivot])
     return ech.rank
 
 
@@ -279,22 +306,29 @@ def exp_coordinates(n, k, A=None):
     return total
 
 
-def psi_substitution_check(f, n, d, A=None):
-    """Substitute X_I -> z_{|I|} * C_I into a polynomial and test for zero.
+def psi_substitution_check(polys, n, d, A=None):
+    """Substitute X_I -> z_{|I|} * C_I into each polynomial of a list and
+    test that every one of them becomes zero.
 
-    C_I are the exponential coordinates (classical or degenerate); the
-    kernel of this substitution is the defining ideal, so relations must
-    vanish. The markers z_k keep apart terms of different multidegree.
+    C_I are the exponential coordinates (classical or degenerate), built
+    once per call; the kernel of this substitution is the defining ideal,
+    so relations must vanish. The markers z_k keep apart terms of
+    different multidegree.
     """
-    coords = {k: exp_coordinates(n, k, A) for k in d}
-    total = GradedPolynomial()
-    for mono, coeff in f.terms.items():
-        prod = GradedPolynomial({(): coeff})
-        for elems, e in mono:
-            k = len(elems)
-            coord = coords[k].get(elems, GradedPolynomial())
-            factor = coord.mul_monomial(((("col", k), 1),))
-            for _ in range(e):
-                prod = prod * factor
-        total = total + prod
-    return not total
+    factors = {
+        elems: coord.mul_monomial(((("col", k), 1),))
+        for k in d
+        for elems, coord in exp_coordinates(n, k, A).items()
+    }
+    zero = GradedPolynomial()
+    for f in polys:
+        total = GradedPolynomial()
+        for mono, coeff in f.terms.items():
+            prod = GradedPolynomial({(): coeff})
+            for elems, e in mono:
+                for _ in range(e):
+                    prod = prod * factors.get(elems, zero)
+            total = total + prod
+        if total:
+            return False
+    return True

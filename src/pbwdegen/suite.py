@@ -248,7 +248,8 @@ def check_monomial_annihilator(cap=None):
 
 def check_tropical_cone(cap=None):
     """Image of the cone lands in C, bounded membership tests pass,
-    violations yield monomial witnesses, and the degree map is injective."""
+    violations yield witnesses in the ideal with monomial initial parts,
+    and the degree map is injective."""
     for n in _ns((3, 4, 5), cap):
         points = [A for _, A in weights.canonical_weight_systems(n)]
         points += weights.random_cone_points(n, 50, bound=3, seed=10 + n)
@@ -280,10 +281,12 @@ def check_tropical_cone(cap=None):
         w = tropical.maximality_witness(s)
         if w is None:
             return False, f"no witness, n={n}"
-        g = tropical.grading_from_point(s, tuple(range(1, n)))
-        init = ideals.initial_part(w, g)
+        d = tuple(range(1, n))
+        init = ideals.initial_part(w, tropical.grading_from_point(s, d))
         if len(init.terms) != 1:
             return False, f"witness initial part not a monomial, n={n}"
+        if not representations.psi_substitution_check([w], n, d):
+            return False, f"witness not in the Pluecker ideal, n={n}"
     for n in _ns((2, 3, 4, 5, 6), cap):
         want = n * (n - 1) // 2
         got = tropical.h_image_rank(n)
@@ -297,18 +300,16 @@ def check_psi_substitution(cap=None):
     for n <= 4 and degenerate for n = 3."""
     for n in _ns((2, 3, 4), cap):
         d = tuple(range(1, n))
-        for rel in ideals.plucker_relations(n, d):
-            if not representations.psi_substitution_check(rel, n, d):
-                return False, f"classical relation survives, n={n}"
+        if not representations.psi_substitution_check(ideals.plucker_relations(n, d), n, d):
+            return False, f"classical relation survives, n={n}"
     if cap is not None and cap < 3:
         return True, "classical substitutions vanish"
     n, d = 3, (1, 2)
     for label, A in weights.canonical_weight_systems(n):
         g = degrees.grading_vector(A, d)
-        for rel in ideals.plucker_relations(n, d):
-            init = ideals.initial_part(rel, g)
-            if not representations.psi_substitution_check(init, n, d, A):
-                return False, f"initial part survives for {label}"
+        inits = [ideals.initial_part(rel, g) for rel in ideals.plucker_relations(n, d)]
+        if not representations.psi_substitution_check(inits, n, d, A):
+            return False, f"initial part survives for {label}"
     return True, "classical and degenerate substitutions vanish"
 
 

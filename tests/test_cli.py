@@ -64,7 +64,14 @@ def test_bad_sizes_exit_two(argv, capsys):
     assert "error:" in captured.err
 
 
-@pytest.mark.parametrize("argv", [["degrees", "--d", "1,2"], ["trop", "map"]])
+@pytest.mark.parametrize("argv", [
+    ["degrees", "--d", "1,2"],
+    ["trop", "map"],
+    ["rep", "dim", "--lam", "1,1"],
+    ["rep", "fflv-check", "--lam", "1,1"],
+    ["rep", "annihilator-check", "--lam", "1,1"],
+    ["rep", "psi-check", "--n", "3", "--d", "1,2"],
+])
 def test_weights_outside_cone_exit_two(argv, tmp_path, capsys):
     bad = {"n": 3, "a": {"1,2": 0, "1,3": 5, "2,3": 0}}
     path = _write(tmp_path, "bad.json", bad)

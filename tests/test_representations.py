@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -16,6 +17,7 @@ from pbwdegen.representations import (
     fflv_basis_check,
     graded_bracket,
     highest_weight_tensor,
+    lie_generators,
     psi_substitution_check,
     verify_lie_structure,
 )
@@ -26,9 +28,11 @@ from pbwdegen.weights import (
     canonical_weight_systems,
     check_cone_membership,
     is_interior,
+    random_cone_points,
     toric_weight_system,
     zero_weight_system,
 )
+from reference_closure import cyclic_module_dim as reference_cyclic_module_dim
 from reference_substitution import exp_coordinates as reference_exp_coordinates
 from reference_substitution import psi_substitution_check as reference_psi_check
 
@@ -65,8 +69,6 @@ def test_lie_structure_canonical_systems():
 
 
 def test_lie_structure_random_points():
-    from pbwdegen.weights import random_cone_points
-
     for n, count in ((3, 7), (4, 7), (5, 6)):
         for A in random_cone_points(n, count, seed=n + 60):
             assert verify_lie_structure(A)
@@ -141,11 +143,14 @@ def test_exp_coordinates_toric_are_monomial():
 def test_psi_kills_relations_and_detects_sign_errors():
     n, d = 3, (1, 2)
     (rel,) = plucker_relations(n, d)
-    assert psi_substitution_check(rel, n, d)
+    assert psi_substitution_check([rel], n, d)
     broken = rel + rel.scale(Fraction(0))  # copy
     m = max(broken.terms)
     broken.terms[m] = -broken.terms[m]
-    assert not psi_substitution_check(broken, n, d)
+    assert not psi_substitution_check([broken], n, d)
+    # one survivor in a list of relations fails the whole list
+    assert not psi_substitution_check([rel, broken, rel], n, d)
+    assert psi_substitution_check([], n, d)
 
 
 def test_psi_degenerate_initial_parts():
@@ -153,7 +158,7 @@ def test_psi_degenerate_initial_parts():
     (rel,) = plucker_relations(n, d)
     for _, A in canonical_weight_systems(n):
         init = initial_part(rel, grading_vector(A, d))
-        assert psi_substitution_check(init, n, d, A)
+        assert psi_substitution_check([init], n, d, A)
 
 
 def _systems_and_classical(n):
@@ -184,10 +189,16 @@ def test_psi_verdicts_match_reference(n):
         m = max(f.terms)
         flipped = f - GradedPolynomial({m: 2 * f.terms[m]})
         for poly in (f, flipped):
-            ours = psi_substitution_check(poly, n, d, A)
+            ours = psi_substitution_check([poly], n, d, A)
             assert ours == reference_psi_check(poly, n, d, A)
             verdicts.add((poly is f, ours))
     assert verdicts == {(True, True), (False, False)}
+
+
+def test_psi_classical_n5_relations():
+    n = 5
+    d = tuple(range(1, n))
+    assert psi_substitution_check(plucker_relations(n, d), n, d)
 
 
 def test_psi_keeps_column_markers():
@@ -195,7 +206,7 @@ def test_psi_keeps_column_markers():
     n, d = 3, (1, 2)
     f = GradedPolynomial({(((1,), 1),): 1, (((1,), 2),): -1})
     for A in _systems_and_classical(n):
-        assert not psi_substitution_check(f, n, d, A)
+        assert not psi_substitution_check([f], n, d, A)
 
 
 def test_pattern_count_equals_cyclic_dim_degenerate():
@@ -235,3 +246,66 @@ def test_module_dimension_is_weyl_dimension(inputs):
     A, lam = inputs
     assert cyclic_module_dim(A, lam) == weyl_dim(lam)
     assert fflv_basis_check(A, lam)
+
+
+def test_lie_generators():
+    # verify_lie_structure is the precondition of the generator-only
+    # closure, so it is asserted for every system whose set is checked
+    for n in (2, 3, 4, 5):
+        simple = [(i, i + 1) for i in range(1, n)]
+        every = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+        assert lie_generators(None, n) == simple
+        systems = dict(canonical_weight_systems(n))
+        assert lie_generators(systems["classical"], n) == simple
+        for label in ("abelian", "toric"):
+            assert lie_generators(systems[label], n) == every
+        for A in systems.values():
+            assert verify_lie_structure(A)
+        # toric plus a seeded cone point lies in the interior
+        toric = systems["toric"]
+        for B in random_cone_points(n, 3, seed=n + 80):
+            A = WeightSystem.from_function(n, lambda i, j: toric.a(i, j) + B.a(i, j))
+            assert is_interior(A)
+            assert lie_generators(A, n) == every
+            assert verify_lie_structure(A)
+        if n >= 4:
+            A = systems["pbw-locus-1"]
+            gens = lie_generators(A, n)
+            assert set(simple) < set(gens) < set(every)
+
+
+def _small_weights(n, total):
+    """Dominant weights of rank n - 1 with 1 <= |lam| <= total."""
+    out = []
+    for coeffs in product(range(total + 1), repeat=n - 1):
+        if 1 <= sum(coeffs) <= total:
+            out.append(DominantWeight(n, coeffs))
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_closure_matches_reference_canonical(n):
+    for lam in _small_weights(n, 3):
+        for A in _systems_and_classical(n):
+            assert cyclic_module_dim(A, lam) == reference_cyclic_module_dim(A, lam)
+
+
+@pytest.mark.parametrize("coeffs", [(1, 1, 1, 1), (2, 1, 2)])
+def test_closure_matches_reference_n5(coeffs):
+    n = len(coeffs) + 1
+    lam = DominantWeight(n, coeffs)
+    for A in _systems_and_classical(n):
+        assert cyclic_module_dim(A, lam) == reference_cyclic_module_dim(A, lam)
+
+
+def test_closure_matches_reference_random_points():
+    for n, lams in ((3, ((1, 1), (2, 1))), (4, ((1, 0, 1), (1, 1, 1)))):
+        for A in random_cone_points(n, 5, seed=n + 90):
+            for coeffs in lams:
+                lam = DominantWeight(n, coeffs)
+                assert cyclic_module_dim(A, lam) == reference_cyclic_module_dim(A, lam)
+
+
+def test_classical_closure_n5_frontier():
+    lam = DominantWeight(5, (1, 1, 1, 2))
+    assert cyclic_module_dim(None, lam) == weyl_dim(lam) == 2520

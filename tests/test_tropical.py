@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from pbwdegen import suite, tropical
 from pbwdegen.degrees import PlueckerIndex, degree_s
-from pbwdegen.ideals import initial_part
+from pbwdegen.ideals import GradedPolynomial, initial_part
 from pbwdegen.representations import psi_substitution_check
 from pbwdegen.tropical import (
     TropicalPoint,
@@ -102,9 +103,32 @@ def test_witnesses_are_relations_with_monomial_initial_parts(n):
             continue
         kinds.add(violations[0].split()[0])
         w = maximality_witness(s)
-        assert psi_substitution_check(w, n, d)
+        assert psi_substitution_check([w], n, d)
         assert len(initial_part(w, grading_from_point(s, d)).terms) == 1
     assert kinds == ({"[iv]"} if n == 3 else {"[iv]", "[v]"})
+
+
+def test_suite_refuses_witness_outside_the_ideal(monkeypatch):
+    # the old [v] witness X_{2,3}X_{1,4} - X_{2,4}X_{1,3} - X_{3,4}X_{1,2}
+    # at n=4, i=1, j=3 has one sign wrong: its initial part is still a
+    # monomial, but it does not vanish under psi
+    def x(elems):
+        return GradedPolynomial.variable(PlueckerIndex(4, elems))
+
+    wrong = x((2, 3)) * x((1, 4)) - x((2, 4)) * x((1, 3)) - x((3, 4)) * x((1, 2))
+    real = tropical.maximality_witness
+
+    def old_witness(point):
+        ok, violations = cone_C_membership(point)
+        if violations == ["[v] i=1 j=3"]:
+            return wrong
+        return real(point)
+
+    assert suite.check_tropical_cone(cap=4)[0]
+    monkeypatch.setattr(tropical, "maximality_witness", old_witness)
+    ok, detail = suite.check_tropical_cone(cap=4)
+    assert not ok
+    assert detail == "witness not in the Pluecker ideal, n=4"
 
 
 def test_witness_requires_linear_conditions():
