@@ -48,6 +48,13 @@ def _check_n(A, n, flag):
         raise InputError(f"the weight system has n={A.n} but {flag} gives n={n}")
 
 
+def _require_cone(A):
+    try:
+        weights.require_cone_membership(A)
+    except weights.NotInConeError as exc:
+        raise InputError(str(exc))
+
+
 def _max_dim():
     raw = os.environ.get("PBWDEGEN_MAX_DIM")
     if raw is None:
@@ -190,11 +197,8 @@ def cmd_degrees(run, args):
     A = run.load_weights(args.weights)
     d = _parse_sizes(args.d, A.n)
     run.params["d"] = list(d)
-    try:
-        g = degrees.grading_vector(A, d)
-    except weights.NotInConeError as exc:
-        raise InputError(str(exc))
-    out = g.to_json()
+    _require_cone(A)
+    out = degrees.grading_vector(A, d).to_json()
     _emit(run, out, args.format, [f"{k} {v}" for k, v in out.items()])
     return 0
 
@@ -257,6 +261,7 @@ def cmd_ideal(run, args):
     _guard_component(n, d, mu)
     A = run.load_weights(args.weights)
     _check_n(A, n, "--n")
+    _require_cone(A)
     if args.action == "initial":
         g = degrees.grading_vector(A, d)
         cb = ideals.initial_component(gens, n, d, mu, g)
@@ -288,10 +293,7 @@ def cmd_ideal(run, args):
 def cmd_rep(run, args):
     A = run.load_weights(args.weights) if args.weights else None
     if A is not None:
-        try:
-            weights.require_cone_membership(A)
-        except weights.NotInConeError as exc:
-            raise InputError(str(exc))
+        _require_cone(A)
     if args.action == "psi-check":
         n = args.n
         d = _parse_sizes(args.d, n)
@@ -344,11 +346,8 @@ def cmd_rep(run, args):
 def cmd_trop(run, args):
     if args.action == "map":
         A = run.load_weights(args.weights)
-        try:
-            point = tropical.map_h(A)
-        except weights.NotInConeError as exc:
-            raise InputError(str(exc))
-        out = point.to_json()
+        _require_cone(A)
+        out = tropical.map_h(A).to_json()
         _emit(run, out, args.format, [f"{k} {v}" for k, v in sorted(out["s"].items())])
         return 0
     point = run.load_point(args.point)

@@ -43,14 +43,12 @@ def all_indices(n, k):
     return [PlueckerIndex(n, c) for c in combinations(range(1, n + 1), k)]
 
 
-def complement_pairs(I):
+def complement_pairs(elems):
     """Positional pairing of {1..k} \\ I (ascending) with I \\ {1..k}
-    (descending)."""
-    k = I.size
-    base = set(range(1, k + 1))
-    elems = set(I.elems)
-    ps = sorted(base - elems)
-    qs = sorted(elems - base, reverse=True)
+    (descending), for the index I with entries elems and k = |I|."""
+    base = set(range(1, len(elems) + 1))
+    ps = sorted(base.difference(elems))
+    qs = sorted(set(elems) - base, reverse=True)
     return list(zip(ps, qs))
 
 
@@ -60,7 +58,7 @@ def triangle_degree(T, I):
     For an admissible weight system this is the degree s_I; the cone is
     not checked here, so callers check it once per triangle.
     """
-    return sum(T.a(p, q) for p, q in complement_pairs(I))
+    return sum(T.a(p, q) for p, q in complement_pairs(I.elems))
 
 
 def degree_s(A, I):
@@ -118,4 +116,4 @@ def zero_grading(n, d):
 def fundamental_pattern(I):
     """0/1 triangle supported on the complement pairs of I; its support is
     an antichain located in rows <= k and columns > k."""
-    return TrianglePattern.from_map(I.n, {pair: 1 for pair in complement_pairs(I)})
+    return TrianglePattern.from_map(I.n, {pair: 1 for pair in complement_pairs(I.elems)})

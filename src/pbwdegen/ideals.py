@@ -12,8 +12,9 @@ lexicographic on the exponent lists) so outputs are deterministic.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
+from math import lcm
 
-from .degrees import PlueckerIndex, all_indices, grading_vector, zero_grading
+from .degrees import all_indices, grading_vector, zero_grading
 from .linalg import Echelon, canonical_rows
 from .weights import face_contains, face_signature
 
@@ -34,13 +35,6 @@ def _sort_sign(seq):
             return None, 0
         out[j] = x
     return tuple(out), sign
-
-
-def normalize_index(n, seq):
-    """Sort an arbitrary tuple into a Pluecker index with the sign of the
-    sorting permutation; repeated entries give sign 0."""
-    elems, sign = _sort_sign(tuple(seq))
-    return (PlueckerIndex(n, elems) if sign else None), sign
 
 
 # -- monomials ---------------------------------------------------------------
@@ -154,10 +148,10 @@ class GradedPolynomial:
         ]
 
 
-def _exchange_terms(i_tuple, j_tuple, k):
+def _exchange_terms(i_tuple, j_tuple, k, signs):
     """Single Pluecker exchange as {monomial: int}: X_i X_j minus the
     products with the first k entries of j swapped into i in all possible
-    ways, each index sorted with its sign."""
+    ways, each index sorted with its sign. signs memoizes _sort_sign."""
     rel = {}
     terms = [(i_tuple, j_tuple, 1)]
     for positions in combinations(range(len(i_tuple)), k):
@@ -167,9 +161,9 @@ def _exchange_terms(i_tuple, j_tuple, k):
         r_tuple = tuple(i_tuple[pos] for pos in positions)
         terms.append((tuple(i_new), r_tuple + j_tuple[k:], -1))
     for seq1, seq2, c in terms:
-        e1, s1 = _sort_sign(seq1)
-        e2, s2 = _sort_sign(seq2) if s1 else (None, 0)
-        if not s2:
+        e1, s1 = signs.get(seq1) or signs.setdefault(seq1, _sort_sign(seq1))
+        e2, s2 = signs.get(seq2) or signs.setdefault(seq2, _sort_sign(seq2))
+        if not (s1 and s2):
             continue
         mono = ((e1, 2),) if e1 == e2 else ((min(e1, e2), 1), (max(e1, e2), 1))
         rel[mono] = rel.get(mono, 0) + c * s1 * s2
@@ -192,6 +186,7 @@ def plucker_relations(n, d):
     """
     d = tuple(d)
     kept = {}
+    signs = {}  # few distinct sequences recur across the exchanges
     for p in d:
         for q in d:
             if p < q:
@@ -205,7 +200,7 @@ def plucker_relations(n, d):
                             if all(v in i_set for v in block):
                                 continue
                             rest = tuple(v for v in j_set if v not in block)
-                            rel = _exchange_terms(i_set, block + rest, k)
+                            rel = _exchange_terms(i_set, block + rest, k, signs)
                             if not rel:
                                 continue
                             lead = rel[min(rel)]
@@ -245,16 +240,13 @@ def component_monomials(n, d, mu):
         monos = [
             mono_mul(m, tuple((e, 1) for e in f)) for m in monos for f in factors
         ]
-    seen = {}
-    for m in monos:
-        seen[m] = True
-    return sorted(seen)
+    return sorted(set(monos))
 
 
 def _spanning_rows(gens, n, d, mu):
-    """Spanning rows of the ideal component: every generator times every
-    monomial of complementary multidegree, as sparse vectors over the
-    monomial basis."""
+    """Spanning rows of the ideal component: every generator, scaled to
+    integer coefficients, times every monomial of complementary
+    multidegree, as sparse integer vectors over the monomial basis."""
     basis = component_monomials(n, d, mu)
     col = {m: idx for idx, m in enumerate(basis)}
     rows = []
@@ -263,9 +255,10 @@ def _spanning_rows(gens, n, d, mu):
         rest = tuple(a - b for a, b in zip(mu, nu))
         if any(x < 0 for x in rest):
             continue
+        den = lcm(*[c.denominator for c in g.terms.values()])
+        terms = [(t, c.numerator * (den // c.denominator)) for t, c in g.terms.items()]
         for m in component_monomials(n, d, rest):
-            prod = g.mul_monomial(m)
-            rows.append({col[t]: c for t, c in prod.terms.items()})
+            rows.append({col[mono_mul(t, m)]: c for t, c in terms})
     return basis, rows
 
 
@@ -313,20 +306,26 @@ def component_basis(gens, n, d, mu):
 
 
 def _initial_rows(rows, grades):
-    """RREF rows spanning the initial parts of the span of rows, for the
+    """RREF rows spanning the initial parts of the span V of rows, for the
     column grades.
 
-    Reducing with pivots ordered by ascending grade makes the initial
-    parts of the echelon rows linearly independent, so they span the
-    initial space; a final reduction in column order canonicalizes.
+    Columns are relabeled by their position in (grade, column) order, so
+    the pivot of each stored echelon row is its least (grade, column)
+    entry and the row's initial part, its entries of least grade,
+    contains that pivot. The pivots are distinct, so the dim V initial
+    parts are linearly independent; they lie in in(V), and dim in(V) =
+    dim V, so they span it. A second reduction in column order
+    canonicalizes.
     """
-    ech = Echelon(lambda c: (grades[c], c))
+    order = sorted(range(len(grades)), key=grades.__getitem__)  # stable: ties by column
+    pos = {c: p for p, c in enumerate(order)}
+    ech = Echelon()
     for row in rows:
-        ech.insert(row)
+        ech.insert({pos[c]: v for c, v in row.items()})
     out = Echelon()
-    for row in ech.reduced_rows():
-        lowest = min(grades[c] for c in row)
-        out.insert({c: v for c, v in row.items() if grades[c] == lowest})
+    for pivot, row in ech.rows.items():
+        lowest = grades[order[pivot]]
+        out.insert({order[p]: v for p, v in row.items() if grades[order[p]] == lowest})
     return out.reduced_rows()
 
 

@@ -1,15 +1,15 @@
 """Sparse exact linear algebra over the rationals.
 
-Vectors are dicts mapping a hashable column label to a nonzero int or
-Fraction. The :class:`Echelon` container keeps an echelon basis of the
-inserted vectors with respect to a caller-supplied column order, which is
-all the row reduction the rest of the package needs.
+Vectors are dicts mapping a sortable column label to a nonzero int or
+Fraction. :class:`Echelon` keeps an echelon basis of the inserted vectors
+in the order of the labels; a caller that wants another column order
+relabels its columns by position in that order.
 
-Inside the kernel rows are integers: each inserted vector is scaled to a
-primitive integer row (denominators cleared, gcd divided out) and reduced
-fraction-free, in the spirit of Bareiss (Math. Comp. 22, 1968). Fractions
-appear only at the boundary, in the pivot-1 rows of
-:meth:`Echelon.reduced_rows`.
+Rows enter as integers on the hot paths (ideal components, module
+closures) and stay integers: each vector is copied to a primitive integer
+row, denominators cleared only if it has Fraction entries, and reduced
+fraction-free in the spirit of Bareiss (Math. Comp. 22, 1968). Fractions
+appear only in the pivot-1 rows of :meth:`Echelon.reduced_rows`.
 """
 
 from fractions import Fraction
@@ -27,8 +27,12 @@ def _primitive(vec):
 
 def _integral(vec):
     """A fresh primitive integer multiple of a rational vector."""
-    den = lcm(*[v.denominator for v in vec.values()])
-    return _primitive({c: v.numerator * (den // v.denominator) for c, v in vec.items()})
+    try:
+        g = gcd(*vec.values())  # TypeError unless every entry is an int
+    except TypeError:
+        den = lcm(*[v.denominator for v in vec.values()])
+        return _primitive({c: v.numerator * (den // v.denominator) for c, v in vec.items()})
+    return dict(vec) if g == 1 else {c: v // g for c, v in vec.items()}
 
 
 def _eliminate(vec, row, col):
@@ -56,13 +60,11 @@ def _eliminate(vec, row, col):
 class Echelon:
     """Incremental echelon basis of sparse rational vectors.
 
-    ``poskey`` maps a column label to a sortable position (default: the
-    label itself); the pivot of a vector is its poskey-least column.
-    Stored rows are primitive integer vectors with a positive pivot.
+    The pivot of a vector is its least column label. Stored rows are
+    primitive integer vectors with a positive pivot.
     """
 
-    def __init__(self, poskey=None):
-        self.poskey = poskey
+    def __init__(self):
         self.rows = {}  # pivot column -> primitive integer row
 
     @property
@@ -74,7 +76,7 @@ class Echelon:
         vec = _integral(vec)
         rows = self.rows
         while vec:
-            pivot = min(vec, key=self.poskey)
+            pivot = min(vec)
             row = rows.get(pivot)
             if row is None:
                 rows[pivot] = vec if vec[pivot] > 0 else {c: -v for c, v in vec.items()}
@@ -85,7 +87,7 @@ class Echelon:
     def reduced_rows(self):
         """Fully reduced (RREF) rows with pivot coefficient 1, as Fraction
         vectors sorted by pivot position."""
-        pivots = sorted(self.rows, key=self.poskey)
+        pivots = sorted(self.rows)
         reduced = {}
         for pivot in reversed(pivots):
             row = dict(self.rows[pivot])

@@ -130,7 +130,7 @@ def cone_C_membership(point):
             if len(vals) > 1:
                 violations.append(f"[ii] i={i} j={j}")
     for elems in proper_subsets(n):
-        pairs = complement_pairs(PlueckerIndex(n, elems))
+        pairs = complement_pairs(elems)
         total = sum(
             (point.s[_prefix(p - 1) + (q,)] for p, q in pairs), Fraction(0)
         )
@@ -228,8 +228,8 @@ def h_image_rank(n):
     for pair in triangle_pairs(n):
         vec = {}
         for elems in coords:
-            count = complement_pairs(PlueckerIndex(n, elems)).count(pair)
+            count = complement_pairs(elems).count(pair)
             if count:
-                vec[pos[elems]] = Fraction(count)
+                vec[pos[elems]] = count
         ech.insert(vec)
     return ech.rank

@@ -71,12 +71,16 @@ def test_bad_sizes_exit_two(argv, capsys):
     ["rep", "fflv-check", "--lam", "1,1"],
     ["rep", "annihilator-check", "--lam", "1,1"],
     ["rep", "psi-check", "--n", "3", "--d", "1,2"],
+    ["ideal", "initial", "--n", "3", "--d", "1,2", "--mu", "1,1"],
+    ["ideal", "check-quadratic", "--n", "3", "--d", "1,2", "--mu", "1,1"],
 ])
 def test_weights_outside_cone_exit_two(argv, tmp_path, capsys):
     bad = {"n": 3, "a": {"1,2": 0, "1,3": 5, "2,3": 0}}
     path = _write(tmp_path, "bad.json", bad)
     assert cli.main(argv + ["--weights", path]) == 2
-    assert "outside the admissible cone" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "outside the admissible cone" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

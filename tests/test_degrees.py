@@ -58,10 +58,10 @@ def test_index_validation():
 
 
 def test_complement_pairs_examples():
-    assert complement_pairs(PlueckerIndex(3, (2, 3))) == [(1, 3)]
-    assert complement_pairs(PlueckerIndex(4, (3, 4))) == [(1, 4), (2, 3)]
-    assert complement_pairs(PlueckerIndex(4, (1, 2))) == []
-    assert complement_pairs(PlueckerIndex(5, (2, 4, 5))) == [(1, 5), (3, 4)]
+    assert complement_pairs((2, 3)) == [(1, 3)]
+    assert complement_pairs((3, 4)) == [(1, 4), (2, 3)]
+    assert complement_pairs((1, 2)) == []
+    assert complement_pairs((2, 4, 5)) == [(1, 5), (3, 4)]
 
 
 def test_degree_matches_shortest_path_oracle():

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraction_relations import fraction_plucker_relations
+from fraction_echelon import FractionEchelon
+from fraction_relations import fraction_plucker_relations, normalize_index
 from pbwdegen import ideals
 from pbwdegen.degrees import GradingVector, PlueckerIndex, grading_vector, zero_grading
+from pbwdegen.fflv import DominantWeight, weyl_dim
 from pbwdegen.ideals import (
     GradedPolynomial,
     classical_component,
@@ -22,12 +24,12 @@ from pbwdegen.ideals import (
     mono_grade,
     mono_str,
     multidegrees_up_to,
-    normalize_index,
     plucker_relations,
     quadratic_generation_check,
 )
 from pbwdegen.weights import (
     abelian_weight_system,
+    canonical_weight_systems,
     toric_weight_system,
     zero_weight_system,
 )
@@ -49,7 +51,10 @@ def test_normalize_index_sign_is_inversion_parity():
             I, sign = normalize_index(6, seq)
             assert I.elems == tuple(range(1, k + 1))
             assert sign == (-1) ** inversions
+            # the builder's own sorting agrees with the reference
+            assert ideals._sort_sign(seq) == (I.elems, sign)
     assert normalize_index(6, (3, 1, 3)) == (None, 0)
+    assert ideals._sort_sign((3, 1, 3)) == (None, 0)
 
 
 def _all_sizes(n):
@@ -222,7 +227,6 @@ def test_quadratic_generation_full_flag_four():
 def test_ssyt_monomials_complement_the_ideal():
     """Products of the column variables of PBW semistandard tableaux form
     a basis of the quotient component."""
-    from pbwdegen.fflv import DominantWeight
     from pbwdegen.linalg import Echelon
     from pbwdegen.tableaux import enumerate_ssyt
 
@@ -334,3 +338,75 @@ def test_multihomogeneity_error():
     y = GradedPolynomial.variable(PlueckerIndex(3, (1, 2)))
     with pytest.raises(ValueError):
         (x + y).multidegree((1, 2))
+
+
+def reference_initial_rows(rows, grades):
+    """The graded initial-span step as first written, over Fractions:
+    pivots in (grade, column) order, RREF, initial parts of the RREF rows,
+    then RREF in column order."""
+    graded = FractionEchelon(lambda c: (grades[c], c))
+    for row in rows:
+        graded.insert(row)
+    out = FractionEchelon()
+    for row in graded.reduced_rows():
+        lowest = min(grades[c] for c in row)
+        out.insert({c: v for c, v in row.items() if grades[c] == lowest})
+    return out.reduced_rows()
+
+
+COLUMNS = 6
+_cols = st.integers(0, COLUMNS - 1)
+# All-int rows, as the ideal components insert, and rational rows, as the
+# face-degeneration check re-reduces; more rows than columns, so that many
+# inserts are dependent.
+_rows = st.lists(
+    st.one_of(
+        st.dictionaries(_cols, st.integers(-4, 4).filter(bool), max_size=COLUMNS),
+        st.dictionaries(
+            _cols,
+            st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3)),
+            max_size=COLUMNS,
+        ),
+    ),
+    max_size=12,
+)
+_grades = st.lists(st.integers(-2, 2), min_size=COLUMNS, max_size=COLUMNS)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_rows, _grades)
+def test_initial_rows_match_fraction_reference(rows, grades):
+    got = ideals._initial_rows(rows, grades)
+    assert got == reference_initial_rows(rows, grades)
+    assert all(type(v) is Fraction for row in got for v in row.values())
+
+
+@pytest.mark.parametrize("n, bound", [(5, 3), (6, 2)])
+def test_initial_component_dimensions_frontier(n, bound):
+    """Every canonical system: the quotient of each initial-ideal
+    component has the Weyl dimension of its multidegree."""
+    d = tuple(range(1, n))
+    gens = plucker_relations(n, d)
+    mus = multidegrees_up_to(d, bound)
+    assert len(mus) == {5: 34, 6: 20}[n]
+    for label, A in canonical_weight_systems(n):
+        g = grading_vector(A, d)
+        for mu in mus:
+            cb = initial_component(gens, n, d, mu, g)
+            want = weyl_dim(DominantWeight(n, mu))
+            assert len(cb.monomials) - cb.rank == want, (label, mu)
+
+
+def test_fraction_generators_span_their_own_multiples():
+    """Generators with Fraction coefficients are scaled to integer rows
+    that span exactly their multiples."""
+    n, d = 3, (1, 2)
+    basis = component_monomials(n, d, (1, 1))
+    p = GradedPolynomial({basis[0]: Fraction(1, 2), basis[1]: Fraction(-2, 3), basis[4]: 5})
+    for mu in [(1, 1), (2, 1), (1, 2)]:
+        cb = component_basis((p,), n, d, mu)
+        col = {m: c for c, m in enumerate(cb.monomials)}
+        ref = FractionEchelon()
+        for m in component_monomials(n, d, (mu[0] - 1, mu[1] - 1)):
+            ref.insert({col[t]: v for t, v in p.mul_monomial(m).terms.items()})
+        assert cb.rows == ref.reduced_rows()
