@@ -5,6 +5,10 @@ tableau combinatorics, ideal components, representation checks, the
 tropical cone, and the full verification suite. All numeric output is
 exact; JSON output is stable-key-sorted and every run ends with a
 reproducibility manifest.
+
+Every action is one row of ``ACTIONS``: its handler, the flags it needs
+and the flags it may take. The parser, the required-flag check and the
+dispatch in ``main`` are all built from that table.
 """
 
 import argparse
@@ -28,30 +32,11 @@ def _parse_ints(text, what):
         raise InputError(f"cannot parse {what}: {text!r}")
 
 
-def _parse_lam(text):
-    coeffs = _parse_ints(text, "dominant weight")
-    if any(c < 0 for c in coeffs):
-        raise InputError("dominant weight coefficients must be nonnegative")
-    return fflv.DominantWeight(len(coeffs) + 1, coeffs)
-
-
 def _parse_sizes(text, n):
     d = _parse_ints(text, "--d")
     try:
         return degrees.check_sizes(n, d)
     except ValueError as exc:
-        raise InputError(str(exc))
-
-
-def _check_n(A, n, flag):
-    if A.n != n:
-        raise InputError(f"the weight system has n={A.n} but {flag} gives n={n}")
-
-
-def _require_cone(A):
-    try:
-        weights.require_cone_membership(A)
-    except weights.NotInConeError as exc:
         raise InputError(str(exc))
 
 
@@ -65,15 +50,46 @@ def _max_dim():
         raise InputError(f"PBWDEGEN_MAX_DIM must be an integer, got {raw!r}")
 
 
-class Run:
-    """Collects manifest data while a subcommand executes."""
+def _guard_size(what, size):
+    max_dim = _max_dim()
+    if size > max_dim:
+        raise InputError(f"{what} {size} exceeds PBWDEGEN_MAX_DIM={max_dim}")
 
-    def __init__(self, argv):
+
+def _guard_component(n, d, mu):
+    _guard_size("component dimension", len(ideals.component_monomials(n, d, mu)))
+
+
+class Run:
+    """Parses the shared flags and collects manifest data while an action
+    executes."""
+
+    def __init__(self, argv, fmt):
         self.argv = argv
+        self.fmt = fmt
         self.start = time.monotonic()
         self.hashes = {}
         self.params = {}
         self.verdicts = {}
+
+    def lam(self, text):
+        """The dominant weight of --lam, recorded."""
+        coeffs = _parse_ints(text, "dominant weight")
+        if any(c < 0 for c in coeffs):
+            raise InputError("dominant weight coefficients must be nonnegative")
+        self.params["lam"] = list(coeffs)
+        return fflv.DominantWeight(len(coeffs) + 1, coeffs)
+
+    def sizes(self, n, text):
+        """The sizes of --d for rank n, recorded."""
+        d = _parse_sizes(text, n)
+        self.params["d"] = list(d)
+        return d
+
+    def rank_and_sizes(self, args):
+        """--n and --d, both recorded."""
+        self.params["n"] = args.n
+        return args.n, self.sizes(args.n, args.d)
 
     def load_json(self, path):
         try:
@@ -94,6 +110,14 @@ class Run:
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad weight system in {path}: {exc}")
 
+    def load_admissible(self, path, n=None, flag="--n"):
+        """A weight system in the admissible cone, of rank n when n is given."""
+        A = self.load_weights(path)
+        if n is not None and A.n != n:
+            raise InputError(f"the weight system has n={A.n} but {flag} gives n={n}")
+        weights.require_cone_membership(A)
+        return A
+
     def load_point(self, path):
         data = self.load_json(path)
         try:
@@ -111,22 +135,28 @@ class Run:
             "version": __version__,
         }
 
+    def emit(self, payload, text_lines):
+        """Print the result with the manifest; returns exit code 0."""
+        if self.fmt == "json":
+            out = {"result": payload, "manifest": self.manifest()}
+            json.dump(out, sys.stdout, indent=2, sort_keys=True)
+            sys.stdout.write("\n")
+        else:
+            for line in text_lines:
+                print(line)
+            print("# manifest " + json.dumps(self.manifest(), sort_keys=True))
+        return 0
 
-def _emit(run, payload, fmt, text_lines):
-    if fmt == "json":
-        out = {"result": payload, "manifest": run.manifest()}
-        json.dump(out, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-    else:
-        for line in text_lines:
-            print(line)
-        print("# manifest " + json.dumps(run.manifest(), sort_keys=True))
+    def report(self, verdicts, payload, text_lines):
+        """Record the verdicts, print the result and return 0 if every
+        verdict holds, else 1."""
+        self.verdicts.update(verdicts)
+        self.emit(payload, text_lines)
+        return 0 if all(verdicts.values()) else 1
 
-
-def _poly_payload(polys, fmt):
-    if fmt == "json":
-        return [p.to_json() for p in polys]
-    return [str(p) for p in polys]
+    def verdict(self, key, ok, label):
+        """A single verdict printed as ``label=true`` or ``label=false``."""
+        return self.report({key: ok}, ok, [f"{label}={str(ok).lower()}"])
 
 
 def _rel_from_json(entry, n, d):
@@ -149,85 +179,87 @@ def _rel_from_json(entry, n, d):
     return ideals.GradedPolynomial(terms)
 
 
-def _guard_size(what, size):
-    max_dim = _max_dim()
-    if size > max_dim:
-        raise InputError(f"{what} {size} exceeds PBWDEGEN_MAX_DIM={max_dim}")
+# -- action handlers ---------------------------------------------------------
 
 
-def _guard_component(n, d, mu):
-    _guard_size("component dimension", len(ideals.component_monomials(n, d, mu)))
+def weights_check(run, args):
+    A = run.load_weights(args.weights)
+    member = weights.check_cone_membership(A)
+    info = {"n": A.n, "member": member, "interior": False}
+    lines = [f"member={str(member).lower()}"]
+    if member:
+        sig = weights.face_signature(A)
+        info["interior"] = weights.is_interior(A)
+        info["tight_a"] = sorted(sig.tight_a)
+        info["tight_b"] = sorted(list(p) for p in sig.tight_b)
+        lines.append(f"interior={str(info['interior']).lower()}")
+    return run.report({"member": member}, info, lines)
 
 
-# -- subcommand handlers -----------------------------------------------------
-
-
-def cmd_weights(run, args):
-    if args.action == "check":
-        A = run.load_weights(args.weights)
-        member = weights.check_cone_membership(A)
-        info = {"n": A.n, "member": member, "interior": False}
-        if member:
-            sig = weights.face_signature(A)
-            info["interior"] = weights.is_interior(A)
-            info["tight_a"] = sorted(sig.tight_a)
-            info["tight_b"] = sorted(list(p) for p in sig.tight_b)
-        run.verdicts["member"] = member
-        lines = [f"member={str(member).lower()}"]
-        if member:
-            lines.append(f"interior={str(info['interior']).lower()}")
-        _emit(run, info, args.format, lines)
-        return 0 if member else 1
+def _weights_rank(args):
     if args.n < 2:
         raise InputError(f"weights {args.action} needs --n >= 2")
-    if args.action == "canonical":
-        out = [
-            {"label": label, "weights": A.to_json()}
-            for label, A in weights.canonical_weight_systems(args.n)
-        ]
-        _emit(run, out, args.format, [e["label"] for e in out])
-        return 0
-    pts = weights.random_cone_points(args.n, args.count, seed=args.seed)
-    out = [A.to_json() for A in pts]
-    _emit(run, out, args.format, [json.dumps(e, sort_keys=True) for e in out])
-    return 0
+    return args.n
 
 
-def cmd_degrees(run, args):
-    A = run.load_weights(args.weights)
-    d = _parse_sizes(args.d, A.n)
-    run.params["d"] = list(d)
-    _require_cone(A)
-    out = degrees.grading_vector(A, d).to_json()
-    _emit(run, out, args.format, [f"{k} {v}" for k, v in out.items()])
-    return 0
+def weights_canonical(run, args):
+    n = _weights_rank(args)
+    # 2^(n-2) + 3 systems; past the bit length of the bound the power is
+    # known to exceed it and is not built
+    max_dim = _max_dim()
+    if n - 2 >= max_dim.bit_length():
+        raise InputError(f"2^{n - 2}+3 weight systems exceed PBWDEGEN_MAX_DIM={max_dim}")
+    _guard_size("canonical weight systems", 2 ** (n - 2) + 3)
+    out = [
+        {"label": label, "weights": A.to_json()}
+        for label, A in weights.canonical_weight_systems(n)
+    ]
+    return run.emit(out, [e["label"] for e in out])
 
 
-def cmd_fflv(run, args):
-    lam = _parse_lam(args.lam)
-    run.params["lam"] = list(lam.coeffs)
-    if args.action == "dim":
-        dim = fflv.weyl_dim(lam)
-        _emit(run, dim, args.format, [str(dim)])
-        return 0
+def weights_random(run, args):
+    n = _weights_rank(args)
+    _guard_size("--count", args.count)
+    out = [A.to_json() for A in weights.random_cone_points(n, args.count, seed=args.seed)]
+    return run.emit(out, [json.dumps(e, sort_keys=True) for e in out])
+
+
+def degrees_grading(run, args):
+    A = run.load_admissible(args.weights)
+    out = degrees.grading_vector(A, run.sizes(A.n, args.d)).to_json()
+    return run.emit(out, [f"{k} {v}" for k, v in out.items()])
+
+
+def fflv_dim(run, args):
+    dim = fflv.weyl_dim(run.lam(args.lam))
+    return run.emit(dim, [str(dim)])
+
+
+def _enumerable_lam(run, args):
+    """--lam, refused before any enumeration when its Weyl dimension is
+    too large."""
+    lam = run.lam(args.lam)
     _guard_size("Weyl dimension", fflv.weyl_dim(lam))
-    patterns = fflv.enumerate_patterns(lam)
-    if args.action == "count":
-        _emit(run, len(patterns), args.format, [str(len(patterns))])
-        return 0
-    out = [T.to_json() for T in patterns]
-    _emit(run, out, args.format, [json.dumps(e, sort_keys=True) for e in out])
-    return 0
+    return lam
 
 
-def cmd_tableaux(run, args):
-    lam = _parse_lam(args.lam)
-    run.params["lam"] = list(lam.coeffs)
-    _guard_size("Weyl dimension", fflv.weyl_dim(lam))
-    if args.action == "count":
-        count = len(tableaux.enumerate_ssyt(lam))
-        _emit(run, count, args.format, [str(count)])
-        return 0
+def fflv_count(run, args):
+    count = len(fflv.enumerate_patterns(_enumerable_lam(run, args)))
+    return run.emit(count, [str(count)])
+
+
+def fflv_patterns(run, args):
+    out = [T.to_json() for T in fflv.enumerate_patterns(_enumerable_lam(run, args))]
+    return run.emit(out, [json.dumps(e, sort_keys=True) for e in out])
+
+
+def tableaux_count(run, args):
+    count = len(tableaux.enumerate_ssyt(_enumerable_lam(run, args)))
+    return run.emit(count, [str(count)])
+
+
+def tableaux_roundtrip(run, args):
+    lam = _enumerable_lam(run, args)
     ok = all(
         tableaux.tau(tableaux.zeta(T, lam)) == T
         for T in fflv.enumerate_patterns(lam)
@@ -235,278 +267,225 @@ def cmd_tableaux(run, args):
         tableaux.zeta(tableaux.tau(Y), lam) == Y
         for Y in tableaux.enumerate_ssyt(lam)
     )
-    run.verdicts["roundtrip"] = ok
-    _emit(run, ok, args.format, [f"roundtrip={str(ok).lower()}"])
-    return 0 if ok else 1
+    return run.verdict("roundtrip", ok, "roundtrip")
 
 
-def cmd_ideal(run, args):
-    n = args.n
-    d = _parse_sizes(args.d, n)
-    run.params["n"] = n
-    run.params["d"] = list(d)
-    gens = ideals.plucker_relations(n, d)
-    if args.action == "gen":
-        _emit(
-            run,
-            _poly_payload(gens, "json"),
-            args.format,
-            _poly_payload(gens, "text"),
-        )
-        return 0
+def ideal_gen(run, args):
+    gens = ideals.plucker_relations(*run.rank_and_sizes(args))
+    return run.emit([p.to_json() for p in gens], [str(p) for p in gens])
+
+
+def _component(run, args):
+    """--n, --d, --mu and --weights of one ideal component, checked."""
+    n, d = run.rank_and_sizes(args)
     mu = _parse_ints(args.mu, "--mu")
     if len(mu) != len(d):
         raise InputError("--mu must have one entry per size in --d")
     run.params["mu"] = list(mu)
     _guard_component(n, d, mu)
-    A = run.load_weights(args.weights)
-    _check_n(A, n, "--n")
-    _require_cone(A)
-    if args.action == "initial":
-        g = degrees.grading_vector(A, d)
-        cb = ideals.initial_component(gens, n, d, mu, g)
-        polys = cb.row_polynomials()
-        payload = {"rank": cb.rank, "rows": _poly_payload(polys, "json")}
-        _emit(
-            run,
-            payload,
-            args.format,
-            [f"rank={cb.rank}"] + _poly_payload(polys, "text"),
-        )
-        return 0
-    if args.action == "check-quadratic":
-        ok = ideals.quadratic_generation_check(A, n, d, mu)
-        run.verdicts["quadratic"] = ok
-        _emit(run, ok, args.format, [f"quadratic={str(ok).lower()}"])
-        return 0 if ok else 1
-    B = run.load_weights(args.weights_b)
-    _check_n(B, n, "--n")
+    return n, d, mu, run.load_admissible(args.weights, n)
+
+
+def ideal_initial(run, args):
+    n, d, mu, A = _component(run, args)
+    gens = ideals.plucker_relations(n, d)
+    cb = ideals.initial_component(gens, n, d, mu, degrees.grading_vector(A, d))
+    polys = cb.row_polynomials()
+    payload = {"rank": cb.rank, "rows": [p.to_json() for p in polys]}
+    return run.emit(payload, [f"rank={cb.rank}"] + [str(p) for p in polys])
+
+
+def ideal_check_quadratic(run, args):
+    n, d, mu, A = _component(run, args)
+    ok = ideals.quadratic_generation_check(A, n, d, mu)
+    return run.verdict("quadratic", ok, "quadratic")
+
+
+def ideal_check_face_degeneration(run, args):
+    n, d, mu, A = _component(run, args)
+    B = run.load_admissible(args.weights_b, n)
     try:
         ok = ideals.face_degeneration_check(A, B, n, d, mu)
     except ValueError as exc:
         raise InputError(str(exc))
-    run.verdicts["face_degeneration"] = ok
-    _emit(run, ok, args.format, [f"face-degeneration={str(ok).lower()}"])
-    return 0 if ok else 1
+    return run.verdict("face_degeneration", ok, "face-degeneration")
 
 
-def cmd_rep(run, args):
-    A = run.load_weights(args.weights) if args.weights else None
-    if A is not None:
-        _require_cone(A)
-    if args.action == "psi-check":
-        n = args.n
-        d = _parse_sizes(args.d, n)
-        run.params["n"] = n
-        run.params["d"] = list(d)
-        if A is not None:
-            _check_n(A, n, "--n")
-        if args.relations:
-            data = run.load_json(args.relations)
-            try:
-                rels = [_rel_from_json(e, n, d) for e in data]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise InputError(f"bad relation in {args.relations}: {exc!r}")
-        else:
-            rels = ideals.plucker_relations(n, d)
-        ok = representations.psi_substitution_check(rels, n, d, A)
-        run.verdicts["psi"] = ok
-        _emit(run, ok, args.format, [f"psi={str(ok).lower()}"])
-        return 0 if ok else 1
-    lam = _parse_lam(args.lam)
-    run.params["lam"] = list(lam.coeffs)
-    if A is not None:
-        _check_n(A, lam.n, "--lam")
-    if args.action == "dim":
-        max_dim = _max_dim()
-        try:
-            dim = representations.cyclic_module_dim(A, lam, max_dim=max_dim)
-        except RuntimeError:
-            raise InputError(
-                f"cyclic module dimension exceeds PBWDEGEN_MAX_DIM={max_dim}"
-            )
-        _emit(run, dim, args.format, [str(dim)])
-        return 0
-    if A is None:
-        raise InputError("this action needs --weights")
-    if args.action == "fflv-check":
-        ok = representations.fflv_basis_check(A, lam)
-        run.verdicts["fflv_basis"] = ok
-        _emit(run, ok, args.format, [f"fflv-basis={str(ok).lower()}"])
-        return 0 if ok else 1
+def _module(run, args):
+    """The weight system (None without --weights) and --lam of a module."""
+    lam = run.lam(args.lam)
+    if args.weights is None:
+        return None, lam
+    return run.load_admissible(args.weights, lam.n, "--lam"), lam
+
+
+def rep_dim(run, args):
+    A, lam = _module(run, args)
+    max_dim = _max_dim()
     try:
-        ok = representations.annihilator_monomial_check(A, lam)
-    except weights.NotInConeError as exc:
-        raise InputError(str(exc))
-    run.verdicts["annihilator"] = ok
-    _emit(run, ok, args.format, [f"annihilator-monomial={str(ok).lower()}"])
-    return 0 if ok else 1
+        dim = representations.cyclic_module_dim(A, lam, max_dim=max_dim)
+    except RuntimeError:
+        raise InputError(f"cyclic module dimension exceeds PBWDEGEN_MAX_DIM={max_dim}")
+    return run.emit(dim, [str(dim)])
 
 
-def cmd_trop(run, args):
-    if args.action == "map":
-        A = run.load_weights(args.weights)
-        _require_cone(A)
-        out = tropical.map_h(A).to_json()
-        _emit(run, out, args.format, [f"{k} {v}" for k, v in sorted(out["s"].items())])
-        return 0
+def rep_fflv_check(run, args):
+    ok = representations.fflv_basis_check(*_module(run, args))
+    return run.verdict("fflv_basis", ok, "fflv-basis")
+
+
+def rep_annihilator_check(run, args):
+    ok = representations.annihilator_monomial_check(*_module(run, args))
+    return run.verdict("annihilator", ok, "annihilator-monomial")
+
+
+def rep_psi_check(run, args):
+    n, d = run.rank_and_sizes(args)
+    A = None if args.weights is None else run.load_admissible(args.weights, n)
+    if args.relations is None:
+        rels = ideals.plucker_relations(n, d)
+    else:
+        data = run.load_json(args.relations)
+        try:
+            rels = [_rel_from_json(e, n, d) for e in data]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"bad relation in {args.relations}: {exc!r}")
+    ok = representations.psi_substitution_check(rels, n, d, A)
+    return run.verdict("psi", ok, "psi")
+
+
+def trop_map(run, args):
+    out = tropical.map_h(run.load_admissible(args.weights)).to_json()
+    return run.emit(out, [f"{k} {v}" for k, v in sorted(out["s"].items())])
+
+
+def trop_check(run, args):
     point = run.load_point(args.point)
-    if args.action == "check":
-        ok, violations = tropical.cone_C_membership(point)
-        run.verdicts["cone_C"] = ok
-        payload = {"in_cone": ok, "violations": violations}
-        lines = [f"in-cone={str(ok).lower()}"] + violations
-        if ok and args.degree_bound is not None:
-            d = tuple(range(1, point.n)) if args.d is None else _parse_sizes(args.d, point.n)
-            run.params["degree_bound"] = args.degree_bound
-            for mu in ideals.multidegrees_up_to(d, args.degree_bound):
-                _guard_component(point.n, d, mu)
-            no_mono = tropical.in_trop_necessary_check(point, d, args.degree_bound)
-            run.verdicts["bounded_no_monomial"] = no_mono
-            payload["no_monomial_up_to_bound"] = no_mono
-            if no_mono:
-                lines.append(f"no monomial found up to degree {args.degree_bound}")
-            else:
-                lines.append(f"monomial found at degree <= {args.degree_bound}")
-            ok = ok and no_mono
-        _emit(run, payload, args.format, lines)
-        return 0 if ok else 1
+    ok, violations = tropical.cone_C_membership(point)
+    verdicts = {"cone_C": ok}
+    payload = {"in_cone": ok, "violations": violations}
+    lines = [f"in-cone={str(ok).lower()}"] + violations
+    bound = args.degree_bound
+    if ok and bound is not None:
+        d = tuple(range(1, point.n)) if args.d is None else _parse_sizes(args.d, point.n)
+        run.params["degree_bound"] = bound
+        for mu in ideals.multidegrees_up_to(d, bound):
+            _guard_component(point.n, d, mu)
+        no_mono = tropical.in_trop_necessary_check(point, d, bound)
+        verdicts["bounded_no_monomial"] = payload["no_monomial_up_to_bound"] = no_mono
+        if no_mono:
+            lines.append(f"no monomial found up to degree {bound}")
+        else:
+            lines.append(f"monomial found at degree <= {bound}")
+    return run.report(verdicts, payload, lines)
+
+
+def trop_witness(run, args):
+    point = run.load_point(args.point)
     try:
         w = tropical.maximality_witness(point)
     except ValueError as exc:
         raise InputError(str(exc))
     if w is None:
-        _emit(run, None, args.format, ["no violated inequality"])
-    else:
-        _emit(run, w.to_json(), args.format, [str(w)])
-    return 0
+        return run.emit(None, ["no violated inequality"])
+    return run.emit(w.to_json(), [str(w)])
 
 
-def cmd_suite(run, args):
-    if args.n is not None and args.n < 2:
-        raise InputError(f"suite --n must be at least 2, got {args.n}")
+def suite_run(run, args):
+    # checked here rather than by catching run_suite's ValueError, which
+    # would also turn a ValueError raised inside a check into exit 2
+    if args.n is not None and args.n < suite.MIN_CAP:
+        raise InputError(f"suite --n must be at least {suite.MIN_CAP}, got {args.n}")
     results = suite.run_suite(cap=args.n)
-    lines = []
-    all_ok = True
-    for name, ok, detail in results:
-        run.verdicts[name] = ok
-        all_ok = all_ok and ok
-        lines.append(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
-    payload = [
-        {"check": name, "ok": ok, "detail": detail} for name, ok, detail in results
-    ]
-    _emit(run, payload, args.format, lines)
-    return 0 if all_ok else 1
+    lines = [f"{'PASS' if ok else 'FAIL'}  {name}: {detail}" for name, ok, detail in results]
+    payload = [{"check": name, "ok": ok, "detail": detail} for name, ok, detail in results]
+    return run.report({name: ok for name, ok, _ in results}, payload, lines)
 
 
-# -- argument parsing --------------------------------------------------------
+# -- the action table and argument parsing -----------------------------------
+
+COMMANDS = {
+    "weights": "cone membership and reference systems",
+    "degrees": "grading vector of a weight system",
+    "fflv": "pattern polytope enumeration",
+    "tableaux": "PBW semistandard tableaux",
+    "ideal": "Pluecker ideal components",
+    "rep": "degenerate representation checks",
+    "trop": "tropical cone and certificates",
+    "suite": "run the full verification battery; --n caps the rank used by the checks",
+}
+
+COMPONENT = ("n", "d", "mu", "weights")
+
+# (command, action) -> (handler, required flags, {optional flag: default}).
+# A command without actions has the action None.
+ACTIONS = {
+    ("weights", "check"): (weights_check, ("weights",), {}),
+    ("weights", "canonical"): (weights_canonical, (), {"n": 3}),
+    ("weights", "random"): (weights_random, (), {"n": 3, "count": 10, "seed": 0}),
+    ("degrees", None): (degrees_grading, ("weights", "d"), {}),
+    ("fflv", "count"): (fflv_count, ("lam",), {}),
+    ("fflv", "patterns"): (fflv_patterns, ("lam",), {}),
+    ("fflv", "dim"): (fflv_dim, ("lam",), {}),
+    ("tableaux", "count"): (tableaux_count, ("lam",), {}),
+    ("tableaux", "roundtrip"): (tableaux_roundtrip, ("lam",), {}),
+    ("ideal", "gen"): (ideal_gen, ("n", "d"), {}),
+    ("ideal", "initial"): (ideal_initial, COMPONENT, {}),
+    ("ideal", "check-quadratic"): (ideal_check_quadratic, COMPONENT, {}),
+    ("ideal", "check-face-degeneration"): (
+        ideal_check_face_degeneration, COMPONENT + ("weights-b",), {}
+    ),
+    ("rep", "dim"): (rep_dim, ("lam",), {"weights": None}),
+    ("rep", "fflv-check"): (rep_fflv_check, ("lam", "weights"), {}),
+    ("rep", "annihilator-check"): (rep_annihilator_check, ("lam", "weights"), {}),
+    ("rep", "psi-check"): (rep_psi_check, ("n", "d"), {"weights": None, "relations": None}),
+    ("trop", "map"): (trop_map, ("weights",), {}),
+    ("trop", "check"): (trop_check, ("point",), {"d": None, "degree-bound": None}),
+    ("trop", "witness"): (trop_witness, ("point",), {}),
+    ("suite", None): (suite_run, (), {"n": None}),
+}
+
+INT_FLAGS = ("n", "count", "seed", "degree-bound")
 
 
 def build_parser():
+    """One subparser per action, holding exactly that action's flags."""
     parser = argparse.ArgumentParser(
         prog="pbwdegen",
         description="Weighted PBW degenerations of type-A flag varieties.",
     )
     parser.add_argument("--format", choices=("json", "text"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("weights", help="cone membership and reference systems")
-    p.add_argument("action", choices=("check", "canonical", "random"))
-    p.add_argument("--weights", "--file", dest="weights")
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--count", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_weights)
-
-    p = sub.add_parser("degrees", help="grading vector of a weight system")
-    p.add_argument("--weights", required=True)
-    p.add_argument("--d", required=True)
-    p.set_defaults(func=cmd_degrees)
-
-    p = sub.add_parser("fflv", help="pattern polytope enumeration")
-    p.add_argument("action", choices=("count", "patterns", "dim"))
-    p.add_argument("--lam", required=True)
-    p.set_defaults(func=cmd_fflv)
-
-    p = sub.add_parser("tableaux", help="PBW semistandard tableaux")
-    p.add_argument("action", choices=("count", "roundtrip"))
-    p.add_argument("--lam", required=True)
-    p.set_defaults(func=cmd_tableaux)
-
-    p = sub.add_parser("ideal", help="Pluecker ideal components")
-    p.add_argument(
-        "action",
-        choices=("gen", "initial", "check-quadratic", "check-face-degeneration"),
-    )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", required=True)
-    p.add_argument("--mu")
-    p.add_argument("--weights")
-    p.add_argument("--weights-b")
-    p.set_defaults(func=cmd_ideal)
-
-    p = sub.add_parser("rep", help="degenerate representation checks")
-    p.add_argument(
-        "action", choices=("dim", "fflv-check", "annihilator-check", "psi-check")
-    )
-    p.add_argument("--lam")
-    p.add_argument("--weights")
-    p.add_argument("--n", type=int)
-    p.add_argument("--d")
-    p.add_argument("--relations")
-    p.set_defaults(func=cmd_rep)
-
-    p = sub.add_parser("trop", help="tropical cone and certificates")
-    p.add_argument("action", choices=("map", "check", "witness"))
-    p.add_argument("--weights")
-    p.add_argument("--point")
-    p.add_argument("--d")
-    p.add_argument("--degree-bound", type=int)
-    p.set_defaults(func=cmd_trop)
-
-    p = sub.add_parser("suite", help="run the full verification battery")
-    p.add_argument("--n", type=int, default=None, help="cap the rank used by the checks")
-    p.set_defaults(func=cmd_suite)
-
+    commands = {name: sub.add_parser(name, help=h, description=h) for name, h in COMMANDS.items()}
+    actions = {}
+    for (command, action), (_, required, optional) in ACTIONS.items():
+        p = commands[command]
+        if action is not None:
+            if command not in actions:
+                actions[command] = p.add_subparsers(dest="action", required=True)
+            p = actions[command].add_parser(action)
+        for flag in required + tuple(optional):
+            names = [f"--{flag}"]
+            if (command, flag) == ("weights", "weights"):
+                names.append("--file")
+            kind = int if flag in INT_FLAGS else str
+            need = "required" if flag in required else None
+            p.add_argument(*names, type=kind, default=optional.get(flag), help=need)
+        p.set_defaults(key=(command, action))
     return parser
-
-
-def _validate(args):
-    if args.command == "weights" and args.action == "check" and not args.weights:
-        raise InputError("weights check needs --weights")
-    if args.command == "ideal" and args.action != "gen" and not args.mu:
-        raise InputError(f"ideal {args.action} needs --mu")
-    if args.command == "ideal" and args.action in (
-        "initial",
-        "check-quadratic",
-        "check-face-degeneration",
-    ):
-        if not args.weights:
-            raise InputError(f"ideal {args.action} needs --weights")
-        if args.action == "check-face-degeneration" and not args.weights_b:
-            raise InputError("check-face-degeneration needs --weights-b")
-    if args.command == "rep":
-        if args.action == "psi-check":
-            if args.n is None or not args.d:
-                raise InputError("rep psi-check needs --n and --d")
-        elif not args.lam:
-            raise InputError(f"rep {args.action} needs --lam")
-    if args.command == "trop":
-        if args.action == "map" and not args.weights:
-            raise InputError("trop map needs --weights")
-        if args.action in ("check", "witness") and not args.point:
-            raise InputError(f"trop {args.action} needs --point")
 
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    run = Run(["pbwdegen"] + argv)
+    args = build_parser().parse_args(argv)
+    handler, required, _ = ACTIONS[args.key]
+    run = Run(["pbwdegen"] + argv, args.format)
     try:
-        _validate(args)
-        return args.func(run, args)
-    except InputError as exc:
+        for flag in required:
+            if getattr(args, flag.replace("-", "_")) is None:
+                raise InputError(f"{' '.join(filter(None, args.key))} needs --{flag}")
+        return handler(run, args)
+    except (InputError, weights.NotInConeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

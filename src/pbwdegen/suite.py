@@ -2,7 +2,8 @@
 
 Each check returns (ok, detail). The scales are fixed so the whole
 battery runs in minutes with exact arithmetic; an optional cap on n
-shrinks the battery further. The CLI and the test suite both drive the
+shrinks the battery further; below MIN_CAP some check would run no case,
+so such caps are refused. The CLI and the test suite both drive the
 same functions.
 """
 
@@ -11,6 +12,9 @@ import time
 
 from . import degrees, fflv, ideals, representations, tableaux, tropical, weights
 from .fflv import DominantWeight
+
+# the least cap at which every check still runs at least one case
+MIN_CAP = 3
 
 
 def _dominant_weights(n, total):
@@ -151,8 +155,6 @@ def check_classical_recovery(cap=None):
 
 def check_quadratic_generation(cap=None):
     """Initial parts of the quadratic relations generate in degree 3, n=3."""
-    if cap is not None and cap < 3:
-        return True, "skipped below n=3"
     n, d = 3, (1, 2)
     for label, A in weights.canonical_weight_systems(n):
         for mu in ideals.multidegrees_up_to(d, 3):
@@ -165,8 +167,6 @@ def check_quadratic_generation(cap=None):
 
 def check_face_degeneration(cap=None):
     """Degenerating along a larger face lands on that face's ideal, n=3."""
-    if cap is not None and cap < 3:
-        return True, "skipped below n=3"
     n, d = 3, (1, 2)
     systems = {
         "zero": weights.zero_weight_system(n),
@@ -231,8 +231,6 @@ def check_representation_dimensions(cap=None):
 
 def check_monomial_annihilator(cap=None):
     """The annihilator of the cyclic vector is monomial for interior A, n=3."""
-    if cap is not None and cap < 3:
-        return True, "skipped below n=3"
     n = 3
     A = weights.toric_weight_system(n)
     lams = [
@@ -302,8 +300,6 @@ def check_psi_substitution(cap=None):
         d = tuple(range(1, n))
         if not representations.psi_substitution_check(ideals.plucker_relations(n, d), n, d):
             return False, f"classical relation survives, n={n}"
-    if cap is not None and cap < 3:
-        return True, "classical substitutions vanish"
     n, d = 3, (1, 2)
     for label, A in weights.canonical_weight_systems(n):
         g = degrees.grading_vector(A, d)
@@ -332,4 +328,6 @@ CHECKS = [
 
 def run_suite(cap=None):
     """Run every check; returns a list of (name, ok, detail)."""
+    if cap is not None and cap < MIN_CAP:
+        raise ValueError(f"cap must be at least {MIN_CAP}, got {cap}")
     return [(name,) + func(cap) for name, func in CHECKS]

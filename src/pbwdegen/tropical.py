@@ -9,7 +9,6 @@ relation whose initial part is a single monomial, certifying that the
 point leaves the tropical variety.
 """
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -73,11 +72,6 @@ class TropicalPoint:
             s[elems] = json_rational(val, f"s[{key!r}]")
         return cls(n, s)
 
-    @classmethod
-    def load(cls, path):
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
-
 
 def point_from_triangle(n, values):
     """Point with s_I summing the given pair values over the complement
@@ -108,6 +102,30 @@ def _prefix(m):
     return tuple(range(1, m + 1))
 
 
+def _inequalities(point):
+    """The inequalities [iv] and [v] on a normalized point, in order: for
+    each one its label, whether it holds, and the index pairs (a, b),
+    (c, d), (e, f) of the relation X_a X_b - X_c X_d - X_e X_f whose
+    initial part is a single monomial when it fails."""
+    n, s, p = point.n, point.s, _prefix
+    for i in range(1, n - 1):
+        a, b, c = p(i - 1) + (i + 1,), p(i) + (i + 2,), p(i - 1) + (i + 2,)
+        yield f"[iv] i={i}", s[a] + s[b] >= s[c], (
+            (b, a),
+            (p(i) + (i + 1,), c),
+            (p(i - 1) + (i + 1, i + 2), p(i)),
+        )
+    for i in range(1, n - 1):
+        for j in range(i + 2, n):
+            a, b = p(i - 1) + (j,), p(i) + (j + 1,)
+            c, e = p(i - 1) + (j + 1,), p(i) + (j,)
+            yield f"[v] i={i} j={j}", s[a] + s[b] >= s[c] + s[e], (
+                (p(i - 1) + (i + 1, j + 1), e),
+                (p(i - 1) + (i + 1, j), b),
+                (p(i - 1) + (j, j + 1), p(i) + (i + 1,)),
+            )
+
+
 def cone_C_membership(point):
     """Evaluate the cone conditions [i]-[v]; returns (verdict, violations).
 
@@ -136,16 +154,7 @@ def cone_C_membership(point):
         )
         if point.s[elems] != total:
             violations.append(f"[iii] I={','.join(map(str, elems))}")
-    for i in range(1, n - 1):
-        lhs = point.s[_prefix(i - 1) + (i + 1,)] + point.s[_prefix(i) + (i + 2,)]
-        if lhs < point.s[_prefix(i - 1) + (i + 2,)]:
-            violations.append(f"[iv] i={i}")
-    for i in range(1, n - 1):
-        for j in range(i + 2, n):
-            lhs = point.s[_prefix(i - 1) + (j,)] + point.s[_prefix(i) + (j + 1,)]
-            rhs = point.s[_prefix(i - 1) + (j + 1,)] + point.s[_prefix(i) + (j,)]
-            if lhs < rhs:
-                violations.append(f"[v] i={i} j={j}")
+    violations += [label for label, holds, _ in _inequalities(point) if not holds]
     return not violations, violations
 
 
@@ -197,26 +206,9 @@ def maximality_witness(point):
     linear = [v for v in violations if v.startswith(("[i]", "[ii]", "[iii]"))]
     if linear:
         raise ValueError(f"conditions [i]-[iii] must hold first: {linear}")
-    for i in range(1, n - 1):
-        lhs = point.s[_prefix(i - 1) + (i + 1,)] + point.s[_prefix(i) + (i + 2,)]
-        if lhs < point.s[_prefix(i - 1) + (i + 2,)]:
-            return _quad(
-                n,
-                (_prefix(i) + (i + 2,), _prefix(i - 1) + (i + 1,)),
-                (_prefix(i) + (i + 1,), _prefix(i - 1) + (i + 2,)),
-                (_prefix(i - 1) + (i + 1, i + 2), _prefix(i)),
-            )
-    for i in range(1, n - 1):
-        for j in range(i + 2, n):
-            lhs = point.s[_prefix(i - 1) + (j,)] + point.s[_prefix(i) + (j + 1,)]
-            rhs = point.s[_prefix(i - 1) + (j + 1,)] + point.s[_prefix(i) + (j,)]
-            if lhs < rhs:
-                return _quad(
-                    n,
-                    (_prefix(i - 1) + (i + 1, j + 1), _prefix(i) + (j,)),
-                    (_prefix(i - 1) + (i + 1, j), _prefix(i) + (j + 1,)),
-                    (_prefix(i - 1) + (j, j + 1), _prefix(i) + (i + 1,)),
-                )
+    for _, holds, pairs in _inequalities(point):
+        if not holds:
+            return _quad(n, *pairs)
     return None
 
 

@@ -11,7 +11,6 @@ the system; everything downstream (module structures, initial ideals)
 only depends on that face.
 """
 
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -118,19 +117,6 @@ class WeightSystem(Triangle):
                 raise ValueError(f"key {key!r} lies outside the triangle for n={n}")
             a[(i, j)] = json_int(val, f"a[{key!r}]")
         return cls.from_map(n, a)
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
-
-    def to_text(self):
-        """Triangle rendering with one row per difference j - i."""
-        lines = []
-        for diff in range(1, self.n):
-            row = [self.a(i, i + diff) for i in range(1, self.n - diff + 1)]
-            lines.append(" " * (2 * (diff - 1)) + "   ".join(str(v) for v in row))
-        return "\n".join(lines)
 
 
 def zero_weight_system(n):

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -205,18 +206,19 @@ def test_max_dim_guard_module_closure(capsys, monkeypatch):
 
 
 def test_suite_capped(capsys):
-    assert cli.main(["suite", "--n", "2"]) == 0
+    assert cli.main(["suite", "--n", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
     passes = [l for l in lines if l.startswith("PASS")]
     assert len(passes) == 13
+    assert not any("skipped" in l for l in lines)
 
 
-@pytest.mark.parametrize("cap", ["0", "1", "-3"])
-def test_suite_cap_below_two_exits_two(cap, capsys):
+@pytest.mark.parametrize("cap", ["0", "1", "-3", "2"])
+def test_suite_cap_below_minimum_exits_two(cap, capsys):
     assert cli.main(["suite", "--n", cap]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "suite --n must be at least 2" in captured.err
+    assert "suite --n must be at least 3" in captured.err
 
 
 def test_unknown_action_exits_two(capsys):
@@ -264,6 +266,34 @@ def test_enumeration_size_guard_bound_is_inclusive(argv, capsys, monkeypatch):
     assert cli.main(argv + ["--lam", "1,1"]) == 2
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("built past the size guard")
+
+
+@pytest.mark.parametrize("argv, builder", [
+    (["weights", "canonical", "--n", "40"], "canonical_weight_systems"),
+    (["weights", "canonical", "--n", "1000000000"], "canonical_weight_systems"),
+    (["weights", "random", "--count", "101"], "random_cone_points"),
+])
+def test_weights_size_guard(argv, builder, capsys, monkeypatch):
+    monkeypatch.setattr(cli.weights, builder, _refuse)
+    monkeypatch.setenv("PBWDEGEN_MAX_DIM", "100")
+    assert cli.main(argv) == 2
+    assert "PBWDEGEN_MAX_DIM" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, size", [
+    (["weights", "canonical", "--n", "4"], 7),  # 2^(4-2) + 3 systems
+    (["weights", "random", "--count", "5"], 5),
+])
+def test_weights_size_guard_bound_is_inclusive(argv, size, capsys, monkeypatch):
+    monkeypatch.setenv("PBWDEGEN_MAX_DIM", str(size))
+    assert cli.main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == size + 1  # and the manifest
+    monkeypatch.setenv("PBWDEGEN_MAX_DIM", str(size - 1))
+    assert cli.main(argv) == 2
+
+
 @pytest.mark.parametrize("relations", [
     [[{"coeff": "1"}]],  # no monomial
     [[{"monomial": [[[1], 1], [[2, 3], 1]]}]],  # no coefficient
@@ -301,3 +331,60 @@ def test_trop_check_non_rational_point_exits_two(value, tmp_path, capsys):
     path = _write(tmp_path, "pt.json", data)
     assert cli.main(["trop", "check", "--point", path]) == 2
     assert "bad tropical point" in capsys.readouterr().err
+
+
+def _argv(key, skip=None):
+    """A command line giving every required flag of an action but `skip`."""
+    argv = [part for part in key if part is not None]
+    for flag in cli.ACTIONS[key][1]:
+        if flag != skip:
+            argv += [f"--{flag}", "3" if flag in cli.INT_FLAGS else "x"]
+    return argv
+
+
+def _case(key, flag):
+    return pytest.param(key, flag, id=" ".join(filter(None, key)) + f" --{flag}")
+
+
+@pytest.mark.parametrize("key, flag", [
+    _case(key, flag) for key, (_, required, _) in cli.ACTIONS.items() for flag in required
+])
+def test_each_required_flag_is_checked(key, flag, capsys):
+    assert cli.main(_argv(key, skip=flag)) == 2
+    err = capsys.readouterr().err
+    assert f"needs --{flag}" in err
+    assert "Traceback" not in err
+
+
+def _foreign_flags():
+    """(action, flag) for every flag that only sibling actions take, such
+    as ideal gen --mu, rep dim --relations and trop map --point."""
+    flags = {key: set(req) | set(opt) for key, (_, req, opt) in cli.ACTIONS.items()}
+    return sorted(
+        {(key, f) for key in flags for other in flags if other[0] == key[0]
+         for f in flags[other] - flags[key]},
+        key=str,
+    )
+
+
+@pytest.mark.parametrize("key, flag", [_case(key, flag) for key, flag in _foreign_flags()])
+def test_flag_of_a_sibling_action_exits_two(key, flag, capsys):
+    argv = _argv(key) + [f"--{flag}", "3" if flag in cli.INT_FLAGS else "r.json"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_readme_command_lines_parse():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = [
+        line.split("#")[0]
+        for line in readme.read_text().splitlines()
+        if line.startswith("pbwdegen ")
+    ]
+    assert len(lines) >= 10
+    for line in lines:
+        args = cli.build_parser().parse_args(shlex.split(line)[1:])
+        for flag in cli.ACTIONS[args.key][1]:
+            assert getattr(args, flag.replace("-", "_")) is not None, (line, flag)
