@@ -217,8 +217,14 @@ def weights_canonical(run, args):
     return run.emit(out, [e["label"] for e in out])
 
 
+# above this rank admissible triangles are too rare to sample (none in 100 s at n=7)
+RANDOM_MAX_N = 6
+
+
 def weights_random(run, args):
     n = _weights_rank(args)
+    if n > RANDOM_MAX_N:
+        raise InputError(f"weights random needs --n <= {RANDOM_MAX_N}, got {n}")
     _guard_size("--count", args.count)
     out = [A.to_json() for A in weights.random_cone_points(n, args.count, seed=args.seed)]
     return run.emit(out, [json.dumps(e, sort_keys=True) for e in out])
@@ -361,13 +367,13 @@ def trop_map(run, args):
 
 def trop_check(run, args):
     point = run.load_point(args.point)
+    d = tuple(range(1, point.n)) if args.d is None else _parse_sizes(args.d, point.n)
     ok, violations = tropical.cone_C_membership(point)
     verdicts = {"cone_C": ok}
     payload = {"in_cone": ok, "violations": violations}
     lines = [f"in-cone={str(ok).lower()}"] + violations
     bound = args.degree_bound
     if ok and bound is not None:
-        d = tuple(range(1, point.n)) if args.d is None else _parse_sizes(args.d, point.n)
         run.params["degree_bound"] = bound
         for mu in ideals.multidegrees_up_to(d, bound):
             _guard_component(point.n, d, mu)

@@ -104,18 +104,6 @@ def is_pbw_ssyt(Y):
     )
 
 
-def order_preceq(x, y, n):
-    """Two-column order: x precedes y iff |x| >= |y| and the two-column
-    tableau (x | y) is PBW semistandard."""
-    x, y = frozenset(x), frozenset(y)
-    for s in (x, y):
-        if not s or len(s) >= n or any(not 1 <= v <= n for v in s):
-            raise ValueError("arguments must be proper nonempty subsets of [1, n]")
-    if len(x) < len(y):
-        return False
-    return _adjacent_ok(pbw_column(n, x), pbw_column(n, y))
-
-
 def _column_heights(lam):
     heights = []
     for i in range(lam.n - 1, 0, -1):

@@ -14,6 +14,8 @@ only depends on that face.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import chain, combinations, islice
 
 
 def triangle_pairs(n):
@@ -139,19 +141,35 @@ def ineq_b_indices(n):
     return [(i, j) for i in range(1, n - 1) for j in range(i + 2, n)]
 
 
-def _slack_a(A, i):
-    return A.a(i, i + 1) + A.a(i + 1, i + 2) - A.a(i, i + 2)
+def _cone_rows(n):
+    """The defining inequalities as entry positions: (a) at each i of
+    ineq_a_indices as (p, q, r), slack e[p] + e[q] - e[r], and (b) at each
+    (i, j) of ineq_b_indices as (p, q, r, s), slack e[p] + e[q] - e[r] - e[s]."""
+    pos = {pair: k for k, pair in enumerate(triangle_pairs(n))}
+    rows_a = [(pos[i, i + 1], pos[i + 1, i + 2], pos[i, i + 2]) for i in ineq_a_indices(n)]
+    rows_b = [(pos[i, j], pos[i + 1, j + 1], pos[i, j + 1], pos[i + 1, j])
+              for i, j in ineq_b_indices(n)]
+    return rows_a, rows_b
 
 
-def _slack_b(A, i, j):
-    return A.a(i, j) + A.a(i + 1, j + 1) - A.a(i, j + 1) - A.a(i + 1, j)
+def _slacks(e, rows_a, rows_b):
+    """The slack of every inequality at the entries e, (a) first."""
+    for p, q, r in rows_a:
+        yield e[p] + e[q] - e[r]
+    for p, q, r, s in rows_b:
+        yield e[p] + e[q] - e[r] - e[s]
+
+
+def _in_cone(e, rows):
+    for slack in _slacks(e, *rows):
+        if slack < 0:
+            return False
+    return True
 
 
 def check_cone_membership(A):
     """True iff every defining inequality (a), (b) holds."""
-    if any(_slack_a(A, i) < 0 for i in ineq_a_indices(A.n)):
-        return False
-    return all(_slack_b(A, i, j) >= 0 for i, j in ineq_b_indices(A.n))
+    return _in_cone(A.entries, _cone_rows(A.n))
 
 
 def derived_inequalities_hold(A):
@@ -163,19 +181,10 @@ def derived_inequalities_hold(A):
     Every admissible weight system satisfies these, each being a sum of
     defining inequalities.
     """
-    n = A.n
-    for i in range(1, n - 1):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n + 1):
-                if A.a(i, j) + A.a(j, k) < A.a(i, k):
-                    return False
-    for i in range(1, n):
-        for k in range(i + 1, n):
-            for j in range(k + 1, n):
-                for l in range(j + 1, n + 1):
-                    if A.a(i, j) + A.a(k, l) < A.a(i, l) + A.a(k, j):
-                        return False
-    return True
+    a, labels = A.a, range(1, A.n + 1)
+    if any(a(i, j) + a(j, k) < a(i, k) for i, j, k in combinations(labels, 3)):
+        return False
+    return all(a(i, j) + a(k, l) >= a(i, l) + a(k, j) for i, k, j, l in combinations(labels, 4))
 
 
 @dataclass(frozen=True)
@@ -195,8 +204,9 @@ def require_cone_membership(A):
 
 def face_signature(A):
     require_cone_membership(A)
-    tight_a = frozenset(i for i in ineq_a_indices(A.n) if _slack_a(A, i) == 0)
-    tight_b = frozenset(p for p in ineq_b_indices(A.n) if _slack_b(A, *p) == 0)
+    slacks = list(_slacks(A.entries, *_cone_rows(A.n)))  # the n-2 of (a) first
+    tight_a = frozenset(i for i, s in zip(ineq_a_indices(A.n), slacks) if s == 0)
+    tight_b = frozenset(p for p, s in zip(ineq_b_indices(A.n), slacks[A.n - 2:]) if s == 0)
     return FaceSignature(A.n, tight_a, tight_b)
 
 
@@ -224,12 +234,9 @@ def _pbw_locus_representative(n, tight):
 
     With every (b) an equality one has a_{i,j} = u_i (column independent);
     inequality (a) at position i then reads u_{i+1} >= 0 and is tight iff
-    u_{i+1} = 0.
+    u_{i+1} = 0. The first row keeps u_1 = 1.
     """
-    u = {1: 1}
-    for m in range(2, n):
-        u[m] = 0 if (m - 1) in tight else 1
-    return WeightSystem.from_function(n, lambda i, j: u[i])
+    return WeightSystem.from_function(n, lambda i, j: 0 if i - 1 in tight else 1)
 
 
 def canonical_weight_systems(n):
@@ -241,10 +248,8 @@ def canonical_weight_systems(n):
         ("toric", toric_weight_system(n)),
     ]
     positions = ineq_a_indices(n)
-    subsets = [[]]
-    for i in positions:
-        subsets += [s + [i] for s in subsets]
-    for subset in sorted(subsets, key=lambda s: (len(s), s)):
+    by_size = (combinations(positions, size) for size in range(len(positions) + 1))
+    for subset in chain.from_iterable(by_size):
         tight = frozenset(subset)
         A = _pbw_locus_representative(n, tight)
         sig = face_signature(A)
@@ -256,13 +261,20 @@ def canonical_weight_systems(n):
 
 
 def random_cone_points(n, count, bound=3, seed=0):
-    """Rejection-sample admissible integer triangles with entries in
-    [-bound, bound]."""
-    rng = random.Random(seed)
-    pairs = triangle_pairs(n)
+    """The first count admissible triangles among uniform integer triangles
+    with entries in [-bound, bound] drawn from random.Random(seed). Each
+    entry is drawn as randint(-bound, bound) draws it in CPython 3.10-3.12:
+    getrandbits of the bit length of 2*bound+1, redrawn above 2*bound."""
+    if count > 0 and bound < 0:
+        raise ValueError(f"empty range [{-bound}, {bound}]")
+    top = 2 * bound
+    draw = partial(random.Random(seed).getrandbits, (top + 1).bit_length())
+    entries = (r - bound for r in iter(draw, None) if r <= top)  # endless
+    size = len(triangle_pairs(n))
+    rows = _cone_rows(n)
     found = []
     while len(found) < count:
-        A = WeightSystem(n, tuple(rng.randint(-bound, bound) for _ in pairs))
-        if check_cone_membership(A):
-            found.append(A)
+        e = tuple(islice(entries, size))
+        if _in_cone(e, rows):
+            found.append(WeightSystem(n, e))
     return found

@@ -179,6 +179,21 @@ def test_trop_check_bad_sizes_exit_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("d, code", [("0", 2), ("x", 2), ("1,3", 2), ("2,1", 2), ("1,2", 0)])
+def test_trop_check_parses_d_without_degree_bound(d, code, tmp_path, capsys):
+    good = _write(tmp_path, "pt.json", map_h(abelian_weight_system(3)).to_json())
+    assert cli.main(["trop", "check", "--point", good, "--d", d]) == code
+    assert ("error:" in capsys.readouterr().err) == (code == 2)
+
+
+def test_trop_check_parses_d_outside_the_cone(tmp_path, capsys):
+    bad = point_from_triangle(3, {(1, 2): 0, (2, 3): 0, (1, 3): 1})
+    path = _write(tmp_path, "bad.json", bad.to_json())
+    assert cli.main(["trop", "check", "--point", path]) == 1
+    capsys.readouterr()
+    assert cli.main(["trop", "check", "--point", path, "--d", "0"]) == 2
+
+
 def test_tableaux_roundtrip(capsys):
     assert cli.main(["tableaux", "roundtrip", "--lam", "1,1"]) == 0
     assert "roundtrip=true" in capsys.readouterr().out
@@ -280,6 +295,19 @@ def test_weights_size_guard(argv, builder, capsys, monkeypatch):
     monkeypatch.setenv("PBWDEGEN_MAX_DIM", "100")
     assert cli.main(argv) == 2
     assert "PBWDEGEN_MAX_DIM" in capsys.readouterr().err
+
+
+def test_weights_random_refuses_large_n(capsys, monkeypatch):
+    monkeypatch.setattr(cli.weights, "random_cone_points", _refuse)
+    assert cli.main(["weights", "random", "--n", str(cli.RANDOM_MAX_N + 1), "--count", "1"]) == 2
+    assert f"--n <= {cli.RANDOM_MAX_N}" in capsys.readouterr().err
+
+
+def test_weights_random_n_bound_is_inclusive(capsys):
+    argv = ["--format", "json", "weights", "random", "--n", str(cli.RANDOM_MAX_N), "--count", "1"]
+    assert cli.main(argv) == 0
+    [point] = json.loads(capsys.readouterr().out)["result"]
+    assert point["n"] == cli.RANDOM_MAX_N
 
 
 @pytest.mark.parametrize("argv, size", [

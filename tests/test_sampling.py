@@ -1,0 +1,88 @@
+"""The table-driven cone predicate and sampler against the reference
+definitions of ``tests/reference_sampling.py``."""
+
+import random
+
+import pytest
+
+import reference_sampling as ref
+from pbwdegen.weights import (
+    NotInConeError,
+    WeightSystem,
+    canonical_weight_systems,
+    check_cone_membership,
+    face_signature,
+    is_interior,
+    random_cone_points,
+    triangle_pairs,
+)
+
+
+def _entries(points):
+    return [A.entries for A in points]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("bound", [0, 1, 2, 3, 4])
+def test_sampler_matches_reference(n, bound):
+    for seed in (0, 1, 2):
+        assert _entries(random_cone_points(n, 5, bound, seed)) == _entries(
+            ref.random_cone_points(n, 5, bound, seed)
+        )
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 3, 4])
+def test_sampler_matches_reference_n6(bound):
+    want = ref.random_cone_points(6, 1, bound, seed=0)
+    assert _entries(random_cone_points(6, 1, bound, seed=0)) == _entries(want)
+
+
+def test_sampler_matches_reference_on_the_battery_draws():
+    for n in (3, 4, 5):
+        got = random_cone_points(n, 50, bound=3, seed=10 + n)
+        assert _entries(got) == _entries(ref.random_cone_points(n, 50, bound=3, seed=10 + n))
+        assert all(type(A) is WeightSystem for A in got)
+
+
+def test_negative_bound_raises_like_randint():
+    for sample in (random_cone_points, ref.random_cone_points):
+        with pytest.raises(ValueError):
+            sample(3, 1, bound=-1)
+        assert sample(3, 0, bound=-1) == []  # nothing drawn, nothing refused
+
+
+def _triangles():
+    """Random triangles in and out of the cone, the n=2 triangles (no
+    inequalities), every canonical system and sums of two of them."""
+    rng = random.Random(7)
+    out = [WeightSystem(2, (v,)) for v in range(-2, 3)]
+    for n in range(2, 7):
+        canonical = [A for _, A in canonical_weight_systems(n)]
+        out += canonical
+        for _ in range(40):
+            A, B = rng.choice(canonical), rng.choice(canonical)
+            out.append(WeightSystem(n, tuple(x + y for x, y in zip(A.entries, B.entries))))
+        size = len(triangle_pairs(n))
+        out += [WeightSystem(n, tuple(rng.randint(-3, 3) for _ in range(size))) for _ in range(300)]
+    for n in (3, 4, 5):
+        out += ref.random_cone_points(n, 20, bound=1, seed=n)  # mostly on faces
+        out += ref.random_cone_points(n, 20, bound=3, seed=n)
+    return out
+
+
+def test_cone_predicate_matches_reference():
+    inside = outside = 0
+    for A in _triangles():
+        want = ref.face_signature(A)
+        assert check_cone_membership(A) == (want is not None)
+        if want is None:
+            outside += 1
+            with pytest.raises(NotInConeError):
+                face_signature(A)
+            with pytest.raises(NotInConeError):
+                is_interior(A)
+        else:
+            inside += 1
+            assert face_signature(A) == want
+            assert is_interior(A) == (not want.tight_a and not want.tight_b)
+    assert inside > 300 and outside > 300

