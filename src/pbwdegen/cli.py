@@ -242,8 +242,8 @@ def fflv_dim(run, args):
 
 
 def _enumerable_lam(run, args):
-    """--lam, refused before any enumeration when its Weyl dimension is
-    too large."""
+    """--lam, refused before any enumeration or module closure when its
+    Weyl dimension is too large."""
     lam = run.lam(args.lam)
     _guard_size("Weyl dimension", fflv.weyl_dim(lam))
     return lam
@@ -319,7 +319,7 @@ def ideal_check_face_degeneration(run, args):
 
 def _module(run, args):
     """The weight system (None without --weights) and --lam of a module."""
-    lam = run.lam(args.lam)
+    lam = _enumerable_lam(run, args)
     if args.weights is None:
         return None, lam
     return run.load_admissible(args.weights, lam.n, "--lam"), lam

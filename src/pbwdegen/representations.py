@@ -10,10 +10,9 @@ the polynomial coordinates of nilpotent exponentials are rational
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 
 from .degrees import PlueckerIndex, all_indices, degree_s
-from .fflv import TrianglePattern, cell_bound, enumerate_patterns
+from .fflv import enumerate_patterns
 from .ideals import GradedPolynomial
 from .linalg import Echelon
 from .weights import NotInConeError, is_interior, triangle_pairs, zero_weight_system
@@ -90,65 +89,6 @@ def wedge_maps(A, n, sizes):
     return maps
 
 
-def verify_lie_structure(A):
-    """Antisymmetry and Jacobi for the graded bracket, plus the commutator
-    identity on every fundamental module."""
-    n = A.n
-    gens = triangle_pairs(n)
-
-    def combo_bracket(combo, y):
-        out = {}
-        for x, c in combo.items():
-            for root, c2 in graded_bracket(A, x, y).items():
-                out[root] = out.get(root, 0) + c * c2
-        return {r: c for r, c in out.items() if c}
-
-    for x in gens:
-        for y in gens:
-            lhs = graded_bracket(A, x, y)
-            rhs = {r: -c for r, c in graded_bracket(A, y, x).items()}
-            if lhs != rhs:
-                return False
-    for x in gens:
-        for y in gens:
-            for z in gens:
-                total = {}
-                for term in (
-                    combo_bracket(graded_bracket(A, x, y), z),
-                    combo_bracket(graded_bracket(A, y, z), x),
-                    combo_bracket(graded_bracket(A, z, x), y),
-                ):
-                    for r, c in term.items():
-                        total[r] = total.get(r, 0) + c
-                if any(total.values()):
-                    return False
-
-    for k in range(1, n):
-        maps = wedge_maps(A, n, (k,))
-        for x in gens:
-            for y in gens:
-                comm = {}
-                for col in maps[y]:
-                    mid, s1 = maps[y][col]
-                    if mid in maps[x]:
-                        row, s2 = maps[x][mid]
-                        comm[(col, row)] = comm.get((col, row), 0) + s1 * s2
-                for col in maps[x]:
-                    mid, s1 = maps[x][col]
-                    if mid in maps[y]:
-                        row, s2 = maps[y][mid]
-                        comm[(col, row)] = comm.get((col, row), 0) - s1 * s2
-                expected = {}
-                for root, c in graded_bracket(A, x, y).items():
-                    for col, (row, sign) in maps[root].items():
-                        expected[(col, row)] = expected.get((col, row), 0) + c * sign
-                comm = {k2: v for k2, v in comm.items() if v}
-                expected = {k2: v for k2, v in expected.items() if v}
-                if comm != expected:
-                    return False
-    return True
-
-
 # -- tensor products ---------------------------------------------------------
 
 
@@ -212,17 +152,71 @@ def lie_generators(A, n):
     ]
 
 
+def is_commutative(A, n):
+    """True iff no graded bracket survives, so that :func:`lie_generators`
+    keeps every pair, as for the abelian system and every interior one."""
+    return len(lie_generators(A, n)) == len(triangle_pairs(n))
+
+
+def essential_closure(A, lam, max_dim=100000):
+    """Essential exponents of the cyclic module of a commutative graded
+    algebra, and how many candidates had a nonzero dependent image.
+
+    Without brackets the f^T v span the module, and the exponents whose
+    vector is new, taken degree by degree and in ascending tuple order
+    within a degree, are closed under division: the essential monomials of
+    Feigin-Fourier-Littelmann. A candidate T = S + e_x is made once, from
+    S = T - e_t with t the last nonzero position of T, and kept only if
+    every T - e_y is essential. Its vector is f_x applied to the raw image
+    of S, held for the previous degree only, and T is essential iff that
+    vector enlarges the span. Exponents are indexed by :func:`triangle_pairs`.
+    """
+    pairs = triangle_pairs(lam.n)
+    maps = wedge_maps(A, lam.n, lam.column_sizes())
+    ech = Echelon()
+    top = highest_weight_tensor(lam)
+    ech.insert(top)
+    layer = {(0,) * len(pairs): top}  # essential exponent -> its raw image
+    essential = set(layer)
+    dependent = 0
+    while layer:
+        candidates = {}
+        for S in layer:
+            support = [y for y, e in enumerate(S) if e]
+            for x in range(support[-1] if support else 0, len(pairs)):
+                T = S[:x] + (S[x] + 1,) + S[x + 1 :]
+                if all(T[:y] + (T[y] - 1,) + T[y + 1 :] in layer for y in support):
+                    candidates[T] = (S, x)
+        nxt = {}
+        for T in sorted(candidates):
+            S, x = candidates[T]
+            img = apply_generator(maps, layer[S], pairs[x])
+            if not img:
+                continue
+            if ech.insert(img) is None:
+                dependent += 1
+                continue
+            if ech.rank > max_dim:
+                raise RuntimeError("cyclic closure exceeded the size bound")
+            nxt[T] = img
+        essential.update(nxt)
+        layer = nxt
+    return essential, dependent
+
+
 def cyclic_module_dim(A, lam, max_dim=100000):
     """Dimension of the cyclic submodule generated by the highest weight
     tensor under the degenerate action.
 
-    Only the :func:`lie_generators` are applied: since x(yv) - y(xv) =
+    A commutative algebra is closed by :func:`essential_closure`. Otherwise
+    only the :func:`lie_generators` are applied: since x(yv) - y(xv) =
     [x, y]v, a span closed under a generating set is closed under the whole
-    algebra. That holds because the action is a representation of the
-    graded bracket, which is what :func:`verify_lie_structure` checks. The
+    algebra, the action being a representation of the graded bracket. That
     closure extends from the stored echelon rows, which span the same space
     as the images they came from and are sparser.
     """
+    if is_commutative(A, lam.n):
+        return len(essential_closure(A, lam, max_dim)[0])
     gens = lie_generators(A, lam.n)
     maps = wedge_maps(A, lam.n, lam.column_sizes())
     ech = Echelon()
@@ -243,8 +237,12 @@ def cyclic_module_dim(A, lam, max_dim=100000):
 
 def fflv_basis_check(A, lam):
     """The pattern monomials applied to the highest weight tensor are
-    linearly independent and span the cyclic module."""
+    linearly independent and span the cyclic module. For a commutative
+    algebra this is checked as the stronger statement that the patterns
+    are exactly the essential exponents."""
     patterns = enumerate_patterns(lam)
+    if is_commutative(A, lam.n):
+        return essential_closure(A, lam)[0] == {T.entries for T in patterns}
     maps = wedge_maps(A, lam.n, lam.column_sizes())
     ech = Echelon()
     for T in patterns:
@@ -255,21 +253,19 @@ def fflv_basis_check(A, lam):
 
 
 def annihilator_monomial_check(A, lam):
-    """For interior weight systems the annihilator is monomial: a bounded
-    exponent triangle kills the cyclic vector iff it is not a pattern."""
+    """For interior weight systems the annihilator of the cyclic vector is
+    the monomial ideal of the non-patterns.
+
+    Interior systems are commutative. The check is that the essential
+    exponents are the patterns and that every other candidate of
+    :func:`essential_closure` has a zero image. That suffices: a
+    non-pattern T has a minimal divisor U that is not essential, U is a
+    candidate, and f^T v = f^(T-U) f^U v = 0.
+    """
     if not is_interior(A):
         raise NotInConeError("monomial annihilator requires an interior weight system")
-    n = lam.n
-    pairs = triangle_pairs(n)
-    bounds = [cell_bound(lam, i, j) for i, j in pairs]
-    inside = {T.entries for T in enumerate_patterns(lam)}
-    maps = wedge_maps(A, lam.n, lam.column_sizes())
-    for entries in product(*[range(b + 1) for b in bounds]):
-        S = TrianglePattern(n, entries)
-        vec = apply_pattern_monomial(maps, highest_weight_tensor(lam), S)
-        if (entries in inside) != bool(vec):
-            return False
-    return True
+    essential, dependent = essential_closure(A, lam)
+    return not dependent and essential == {T.entries for T in enumerate_patterns(lam)}
 
 
 # -- exponential coordinates and the substitution oracle ---------------------

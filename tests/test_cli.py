@@ -220,6 +220,35 @@ def test_max_dim_guard_module_closure(capsys, monkeypatch):
     assert "PBWDEGEN_MAX_DIM" in capsys.readouterr().err
 
 
+def test_max_dim_guard_essential_closure(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("PBWDEGEN_MAX_DIM", "3")
+    path = _write(tmp_path, "toric3.json", toric_weight_system(3).to_json())
+    assert cli.main(["rep", "dim", "--lam", "1,1", "--weights", path]) == 2
+    assert "PBWDEGEN_MAX_DIM" in capsys.readouterr().err
+
+
+def test_annihilator_check_costs_one_module(tmp_path, capsys):
+    # the exponent box of (2,1,1,2) holds 302,400 triangles; the module 6,125
+    path = _write(tmp_path, "toric5.json", toric_weight_system(5).to_json())
+    assert cli.main(["rep", "annihilator-check", "--lam", "2,1,1,2", "--weights", path]) == 0
+    assert "annihilator-monomial=true" in capsys.readouterr().out
+
+
+def test_annihilator_check_off_the_interior_exits_two(tmp_path, capsys):
+    path = _write(tmp_path, "ab5.json", abelian_weight_system(5).to_json())
+    assert cli.main(["rep", "annihilator-check", "--lam", "2,1,1,2", "--weights", path]) == 2
+    assert "interior" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("action", ["fflv-check", "annihilator-check"])
+def test_module_checks_guard_the_weyl_dimension(action, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli.representations, "essential_closure", _refuse)
+    monkeypatch.setenv("PBWDEGEN_MAX_DIM", "6124")  # the dimension of (2,1,1,2)
+    path = _write(tmp_path, "toric5.json", toric_weight_system(5).to_json())
+    assert cli.main(["rep", action, "--lam", "2,1,1,2", "--weights", path]) == 2
+    assert "PBWDEGEN_MAX_DIM" in capsys.readouterr().err
+
+
 def test_suite_capped(capsys):
     assert cli.main(["suite", "--n", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from pbwdegen import linalg, representations
 from pbwdegen.fflv import DominantWeight, enumerate_patterns, weyl_dim
 from pbwdegen.ideals import GradedPolynomial, initial_part, plucker_relations
 from pbwdegen.degrees import grading_vector
@@ -13,13 +14,13 @@ from pbwdegen.representations import (
     classical_action,
     cyclic_module_dim,
     degenerate_action,
+    essential_closure,
     exp_coordinates,
     fflv_basis_check,
     graded_bracket,
     highest_weight_tensor,
     lie_generators,
     psi_substitution_check,
-    verify_lie_structure,
 )
 from pbwdegen.weights import (
     NotInConeError,
@@ -32,7 +33,9 @@ from pbwdegen.weights import (
     toric_weight_system,
     zero_weight_system,
 )
+from lie_structure import verify_lie_structure
 from reference_closure import cyclic_module_dim as reference_cyclic_module_dim
+from reference_closure import essential_exponents
 from reference_substitution import exp_coordinates as reference_exp_coordinates
 from reference_substitution import psi_substitution_check as reference_psi_check
 
@@ -97,8 +100,10 @@ def test_cyclic_dimensions_classical_limit():
 
 
 def test_cyclic_dimension_cap():
-    with pytest.raises(RuntimeError):
-        cyclic_module_dim(zero_weight_system(3), DominantWeight(3, (1, 1)), max_dim=3)
+    # the generator-only closure and the essential one
+    for make in (zero_weight_system, toric_weight_system):
+        with pytest.raises(RuntimeError):
+            cyclic_module_dim(make(3), DominantWeight(3, (1, 1)), max_dim=3)
 
 
 def test_fflv_basis_small():
@@ -249,8 +254,9 @@ def test_module_dimension_is_weyl_dimension(inputs):
 
 
 def test_lie_generators():
-    # verify_lie_structure is the precondition of the generator-only
-    # closure, so it is asserted for every system whose set is checked
+    # verify_lie_structure (tests/lie_structure.py) is the precondition of
+    # the generator-only closure, so it is asserted for every system whose
+    # set is checked
     for n in (2, 3, 4, 5):
         simple = [(i, i + 1) for i in range(1, n)]
         every = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
@@ -309,3 +315,58 @@ def test_closure_matches_reference_random_points():
 def test_classical_closure_n5_frontier():
     lam = DominantWeight(5, (1, 1, 1, 2))
     assert cyclic_module_dim(None, lam) == weyl_dim(lam) == 2520
+
+
+@pytest.mark.parametrize("label, coeffs, dependent", [
+    ("abelian", (1, 1, 1, 1), 153),
+    ("toric", (1, 1, 1, 1), 0),
+    ("pbw-locus-none", (1, 1, 1, 1), 153),
+    ("abelian", (2, 1, 1, 2), 625),
+    ("toric", (2, 1, 1, 2), 0),
+    ("pbw-locus-none", (2, 1, 1, 2), 625),
+    ("toric", (1, 1, 1, 1, 1), 0),
+])
+def test_essential_set_is_patterns(label, coeffs, dependent):
+    # the abelian and pbw-locus-none modules have nonzero dependent
+    # candidates, so their annihilators are not monomial
+    lam = DominantWeight(len(coeffs) + 1, coeffs)
+    A = dict(canonical_weight_systems(lam.n))[label]
+    assert essential_closure(A, lam) == ({T.entries for T in enumerate_patterns(lam)}, dependent)
+
+
+def test_essential_order_is_part_of_the_statement():
+    lam = DominantWeight(5, (1, 1, 1, 1))
+    A = abelian_weight_system(5)
+    ascending = essential_exponents(A, lam)
+    descending = essential_exponents(A, lam, descending=True)
+    assert ascending == essential_closure(A, lam)[0]
+    assert len(descending) == len(ascending) and descending != ascending
+
+
+def test_interior_closure_inserts_only_basis_vectors(monkeypatch):
+    calls = []
+    insert = linalg.Echelon.insert
+    monkeypatch.setattr(linalg.Echelon, "insert", lambda ech, vec: calls.append(1) or insert(ech, vec))
+    for n, coeffs in ((4, (1, 1, 1)), (5, (1, 1, 1, 1))):
+        lam = DominantWeight(n, coeffs)
+        toric = toric_weight_system(n)
+        points = [toric] + [
+            WeightSystem.from_function(n, lambda i, j: toric.a(i, j) + B.a(i, j))
+            for B in random_cone_points(n, 2, seed=n + 80)
+        ]
+        for A in points:
+            assert is_interior(A)
+            del calls[:]
+            assert cyclic_module_dim(A, lam) == len(calls) == weyl_dim(lam)
+
+
+def test_essential_path_dispatch(monkeypatch):
+    closed = []
+    real = representations.essential_closure
+    monkeypatch.setattr(representations, "essential_closure",
+                        lambda A, *rest: closed.append(A) or real(A, *rest))
+    systems = dict(canonical_weight_systems(4))
+    lam = DominantWeight(4, (1, 1, 1))
+    for A in (None, systems["classical"], systems["pbw-locus-1"], systems["abelian"]):
+        assert cyclic_module_dim(A, lam) == 64
+    assert closed == [systems["abelian"]]
