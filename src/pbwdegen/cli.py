@@ -167,7 +167,7 @@ def _rel_from_json(entry, n, d):
     for item in entry:
         mono = []
         for e, x in item["monomial"]:
-            elems = degrees.PlueckerIndex(n, tuple(e)).elems
+            elems = degrees.check_index(n, e)
             if len(elems) not in d:
                 raise ValueError(f"variable {list(elems)} has a size outside --d")
             if weights.json_int(x, "an exponent") < 1:
@@ -287,6 +287,8 @@ def _component(run, args):
     mu = _parse_ints(args.mu, "--mu")
     if len(mu) != len(d):
         raise InputError("--mu must have one entry per size in --d")
+    if any(m < 0 for m in mu):
+        raise InputError("--mu entries must be nonnegative")
     run.params["mu"] = list(mu)
     _guard_component(n, d, mu)
     return n, d, mu, run.load_admissible(args.weights, n)
@@ -366,13 +368,16 @@ def trop_map(run, args):
 
 
 def trop_check(run, args):
+    bound = args.degree_bound
+    # below degree 2 no component holds a relation, so nothing would be checked
+    if bound is not None and bound < 2:
+        raise InputError(f"--degree-bound must be at least 2, got {bound}")
     point = run.load_point(args.point)
     d = tuple(range(1, point.n)) if args.d is None else _parse_sizes(args.d, point.n)
     ok, violations = tropical.cone_C_membership(point)
     verdicts = {"cone_C": ok}
     payload = {"in_cone": ok, "violations": violations}
     lines = [f"in-cone={str(ok).lower()}"] + violations
-    bound = args.degree_bound
     if ok and bound is not None:
         run.params["degree_bound"] = bound
         for mu in ideals.multidegrees_up_to(d, bound):

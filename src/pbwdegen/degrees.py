@@ -1,6 +1,8 @@
 """Closed-form degrees of Pluecker coordinates and grading vectors.
 
-The degree of the coordinate indexed by I of size k pairs the ascending
+A Pluecker coordinate, equally a wedge basis vector, is keyed by its
+index: a strictly increasing proper nonempty tuple within [1, n]. The
+degree of the coordinate indexed by I of size k pairs the ascending
 complement {1..k} \\ I against the descending complement I \\ {1..k} and
 sums the corresponding weight entries. Specializing to fundamental
 columns this also produces the 0/1 triangle pattern supported on the
@@ -14,57 +16,17 @@ from .fflv import TrianglePattern
 from .weights import require_cone_membership
 
 
-@dataclass(frozen=True)
-class PlueckerIndex:
-    """Strictly increasing proper nonempty tuple within [1, n]."""
-
-    n: int
-    elems: tuple
-
-    def __post_init__(self):
-        elems = self.elems
-        if not elems or len(elems) >= self.n:
-            raise ValueError("index must be nonempty and proper")
-        if any(not 1 <= v <= self.n for v in elems):
-            raise ValueError("entries out of range")
-        if any(a >= b for a, b in zip(elems, elems[1:])):
-            raise ValueError("entries must be strictly increasing")
-
-    @property
-    def size(self):
-        return len(self.elems)
-
-    def label(self):
-        return ",".join(str(v) for v in self.elems)
-
-
-def all_indices(n, k):
-    """All Pluecker indices of size k, lexicographically."""
-    return [PlueckerIndex(n, c) for c in combinations(range(1, n + 1), k)]
-
-
-def complement_pairs(elems):
-    """Positional pairing of {1..k} \\ I (ascending) with I \\ {1..k}
-    (descending), for the index I with entries elems and k = |I|."""
-    base = set(range(1, len(elems) + 1))
-    ps = sorted(base.difference(elems))
-    qs = sorted(set(elems) - base, reverse=True)
-    return list(zip(ps, qs))
-
-
-def triangle_degree(T, I):
-    """Sum of the entries of the triangle T over the complement pairs of I.
-
-    For an admissible weight system this is the degree s_I; the cone is
-    not checked here, so callers check it once per triangle.
-    """
-    return sum(T.a(p, q) for p, q in complement_pairs(I.elems))
-
-
-def degree_s(A, I):
-    """Degree of the Pluecker coordinate X_I under weight system A."""
-    require_cone_membership(A)
-    return triangle_degree(A, I)
+def check_index(n, elems):
+    """elems as a tuple; ValueError unless it is a strictly increasing
+    proper nonempty tuple within [1, n]."""
+    elems = tuple(elems)
+    if not elems or len(elems) >= n:
+        raise ValueError("index must be nonempty and proper")
+    if any(not 1 <= v <= n for v in elems):
+        raise ValueError("entries out of range")
+    if any(a >= b for a, b in zip(elems, elems[1:])):
+        raise ValueError("entries must be strictly increasing")
+    return elems
 
 
 def check_sizes(n, d):
@@ -76,44 +38,65 @@ def check_sizes(n, d):
     return d
 
 
+def all_indices(n, sizes):
+    """All Pluecker indices of the given sizes, size by size and
+    lexicographically within a size."""
+    return [I for k in sizes for I in combinations(range(1, n + 1), k)]
+
+
+def index_label(I):
+    """The comma-joined entries of I, as in JSON keys and printed names."""
+    return ",".join(map(str, I))
+
+
+def complement_pairs(I):
+    """Positional pairing of {1..k} \\ I (ascending) with I \\ {1..k}
+    (descending), for the index I with k = |I|."""
+    base = set(range(1, len(I) + 1))
+    ps = sorted(base.difference(I))
+    qs = sorted(set(I) - base, reverse=True)
+    return list(zip(ps, qs))
+
+
+def degree_table(T, indices):
+    """{I: s_I} over the given indices, s_I summing the entries of the
+    triangle T over the complement pairs of I.
+
+    For an admissible weight system these are the degrees of the Pluecker
+    coordinates; the cone is not checked here, so callers check it once
+    per triangle.
+    """
+    return {I: sum(T.a(p, q) for p, q in complement_pairs(I)) for I in indices}
+
+
+def degree_s(A, I):
+    """Degree of the Pluecker coordinate X_I under weight system A."""
+    require_cone_membership(A)
+    return degree_table(A, (I,))[I]
+
+
 @dataclass(frozen=True)
 class GradingVector:
-    """Degrees for every index of each size in d; ``by_elems``, derived
-    from ``s`` and not a field, keys them by the index's elems tuple."""
+    """Degrees s keyed by index, for every index of each size in d."""
 
     n: int
     d: tuple
     s: dict
 
-    def __post_init__(self):
-        object.__setattr__(self, "s", dict(self.s))
-        object.__setattr__(self, "by_elems", {I.elems: v for I, v in self.s.items()})
-
-    def grade(self, I):
-        return self.s[I]
-
     def to_json(self):
         out = {}
         for I, val in self.s.items():
-            out[I.label()] = val if isinstance(val, int) else str(val)
+            out[index_label(I)] = val if isinstance(val, int) else str(val)
         return dict(sorted(out.items()))
 
 
 def grading_vector(A, d):
     d = check_sizes(A.n, d)
     require_cone_membership(A)
-    s = {}
-    for k in d:
-        for I in all_indices(A.n, k):
-            s[I] = triangle_degree(A, I)
-    return GradingVector(A.n, d, s)
+    return GradingVector(A.n, d, degree_table(A, all_indices(A.n, d)))
 
 
-def zero_grading(n, d):
-    return GradingVector(n, tuple(d), {I: 0 for k in d for I in all_indices(n, k)})
-
-
-def fundamental_pattern(I):
+def fundamental_pattern(n, I):
     """0/1 triangle supported on the complement pairs of I; its support is
     an antichain located in rows <= k and columns > k."""
-    return TrianglePattern.from_map(I.n, {pair: 1 for pair in complement_pairs(I.elems)})
+    return TrianglePattern.from_map(n, {pair: 1 for pair in complement_pairs(I)})

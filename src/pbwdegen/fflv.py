@@ -32,10 +32,6 @@ class DominantWeight:
     def fundamental(cls, n, k):
         return cls(n, tuple(1 if t == k else 0 for t in range(1, n)))
 
-    @classmethod
-    def zero(cls, n):
-        return cls(n, (0,) * (n - 1))
-
     def a(self, i):
         return self.coeffs[i - 1]
 
@@ -65,17 +61,8 @@ class TrianglePattern(Triangle):
     def from_map(cls, n, t):
         return cls(n, tuple(t.get(p, 0) for p in triangle_pairs(n)))
 
-    @classmethod
-    def zero(cls, n):
-        return cls(n, (0,) * (n * (n - 1) // 2))
-
     def support(self):
         return [p for p, v in zip(triangle_pairs(self.n), self.entries) if v]
-
-    def __add__(self, other):
-        if self.n != other.n:
-            raise ValueError("mismatched n")
-        return TrianglePattern(self.n, tuple(x + y for x, y in zip(self.entries, other.entries)))
 
     def to_json(self):
         return {

@@ -14,9 +14,9 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import lcm
 
-from .degrees import all_indices, grading_vector, zero_grading
+from .degrees import all_indices, grading_vector, index_label
 from .linalg import Echelon, canonical_rows
-from .weights import face_contains, face_signature
+from .weights import face_contains, face_signature, zero_weight_system
 
 
 def _sort_sign(seq):
@@ -57,14 +57,14 @@ def mono_multidegree(m, d):
 
 
 def mono_grade(m, g):
-    by_elems = g.by_elems
-    return sum(e * by_elems[elems] for elems, e in m)
+    s = g.s
+    return sum(e * s[elems] for elems, e in m)
 
 
 def mono_str(m):
     parts = []
     for elems, e in m:
-        name = "X_{%s}" % ",".join(str(v) for v in elems)
+        name = "X_{%s}" % index_label(elems)
         parts.append(name if e == 1 else f"{name}^{e}")
     return "*".join(parts) if parts else "1"
 
@@ -83,7 +83,7 @@ class GradedPolynomial:
 
     @classmethod
     def variable(cls, I):
-        return cls({((I.elems, 1),): Fraction(1)})
+        return cls({((I, 1),): Fraction(1)})
 
     def __bool__(self):
         return bool(self.terms)
@@ -231,7 +231,7 @@ def component_monomials(n, d, mu):
     multidegree mu (aligned with d)."""
     factor_lists = []
     for k, count in zip(d, mu):
-        variables = [I.elems for I in all_indices(n, k)]
+        variables = all_indices(n, (k,))
         factor_lists.append(
             [tuple(c) for c in combinations_with_replacement(variables, count)]
         )
@@ -390,8 +390,9 @@ def face_degeneration_check(A, B, n, d, mu):
 
 def classical_component(n, d, mu):
     """Component basis with the zero grading (classical recovery)."""
-    gens = plucker_relations(n, tuple(d))
-    return initial_component(gens, n, tuple(d), tuple(mu), zero_grading(n, d))
+    d = tuple(d)
+    g = grading_vector(zero_weight_system(n), d)
+    return initial_component(plucker_relations(n, d), n, d, tuple(mu), g)
 
 
 def multidegrees_up_to(d, bound):

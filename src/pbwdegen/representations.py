@@ -11,7 +11,7 @@ the polynomial coordinates of nilpotent exponentials are rational
 from fractions import Fraction
 from functools import lru_cache
 
-from .degrees import PlueckerIndex, all_indices, degree_s
+from .degrees import all_indices, degree_s
 from .fflv import enumerate_patterns
 from .ideals import GradedPolynomial
 from .linalg import Echelon
@@ -33,25 +33,7 @@ def classical_action(i, j, elems):
 
 @lru_cache(maxsize=None)
 def _coordinate_degree(A, elems):
-    return degree_s(A, PlueckerIndex(A.n, elems))
-
-
-def degenerate_action(A, i, j, elems):
-    """Classical action kept only when degrees match: s_I + a_{i,j} must
-    equal the degree of the image coordinate."""
-    res = classical_action(i, j, elems)
-    if res is None:
-        return None
-    new, sign = res
-    if _coordinate_degree(A, elems) + A.a(i, j) != _coordinate_degree(A, new):
-        return None
-    return new, sign
-
-
-def _action(A, i, j, elems):
-    if A is None:
-        return classical_action(i, j, elems)
-    return degenerate_action(A, i, j, elems)
+    return degree_s(A, elems)
 
 
 # -- Lie structure -----------------------------------------------------------
@@ -78,14 +60,20 @@ def graded_bracket(A, x, y):
 def wedge_maps(A, n, sizes):
     """Every generator as a partial map on the wedge bases of the given
     sizes, x -> {elems: (image, sign)}: the action table that one
-    computation builds once and then looks up."""
+    computation builds once and then looks up.
+
+    A=None gives the classical action. A weight system gives its graded
+    slice: f_x is kept on I only when s_I + a_x is the degree of the image.
+    """
+    indices = all_indices(n, sizes)
     maps = {x: {} for x in triangle_pairs(n)}
     for x, images in maps.items():
-        for k in sizes:
-            for I in all_indices(n, k):
-                res = _action(A, *x, I.elems)
-                if res is not None:
-                    images[I.elems] = res
+        for I in indices:
+            res = classical_action(*x, I)
+            if res is None:
+                continue
+            if A is None or _coordinate_degree(A, I) + A.a(*x) == _coordinate_degree(A, res[0]):
+                images[I] = res
     return maps
 
 
@@ -278,9 +266,10 @@ def exp_coordinates(n, k, A=None):
     wedge vector, as {elems: GradedPolynomial in the z_{i,j}}.
 
     The classical mode uses the full action, the degenerate mode (weight
-    system given) its graded slice; the exponential truncates because the
-    action is nilpotent.
+    system given) its graded slice, both read from :func:`wedge_maps`; the
+    exponential truncates because the action is nilpotent.
     """
+    maps = wedge_maps(A, n, (k,))
     start = tuple(range(1, k + 1))
     term = {start: GradedPolynomial({(): 1})}
     total = dict(term)
@@ -288,8 +277,8 @@ def exp_coordinates(n, k, A=None):
     while term:
         nxt = {}
         for elems, poly in term.items():
-            for pair in triangle_pairs(n):
-                res = _action(A, *pair, elems)
+            for pair, images in maps.items():
+                res = images.get(elems)
                 if res is None:
                     continue
                 new, sign = res

@@ -18,18 +18,10 @@ MIN_CAP = 3
 
 
 def _dominant_weights(n, total):
-    """All dominant weights for sl_n with coefficient sum <= total."""
-    out = []
-
-    def build(pos, left, acc):
-        if pos == n - 1:
-            out.append(DominantWeight(n, tuple(acc)))
-            return
-        for v in range(left + 1):
-            build(pos + 1, left - v, acc + [v])
-
-    build(0, total, [])
-    return out
+    """All dominant weights for sl_n with coefficient sum <= total: the
+    zero weight, then the multidegrees over the sizes 1..n-1."""
+    coeffs = [(0,) * (n - 1)] + ideals.multidegrees_up_to(range(1, n), total)
+    return [DominantWeight(n, c) for c in coeffs]
 
 
 def _weight_from_mu(n, d, mu):
@@ -189,16 +181,16 @@ def check_toric_detection(cap=None):
         A = weights.toric_weight_system(n)
         for k in range(1, n):
             coords = representations.exp_coordinates(n, k, A)
-            for I in degrees.all_indices(n, k):
-                poly = coords.get(I.elems, ideals.GradedPolynomial()).terms
+            for I in degrees.all_indices(n, (k,)):
+                poly = coords.get(I, ideals.GradedPolynomial()).terms
                 if len(poly) != 1:
-                    return False, f"C_{I.label()} is not a monomial, n={n}"
+                    return False, f"C_{degrees.index_label(I)} is not a monomial, n={n}"
                 (mono,) = poly
                 exps = {var[1:]: e for var, e in mono}
-                T = degrees.fundamental_pattern(I)
+                T = degrees.fundamental_pattern(n, I)
                 want = {c: T.a(*c) for c in T.support()}
                 if exps != want:
-                    return False, f"C_{I.label()} exponent mismatch, n={n}"
+                    return False, f"C_{degrees.index_label(I)} exponent mismatch, n={n}"
         d = tuple(range(1, n))
         gens = ideals.plucker_relations(n, d)
         g = degrees.grading_vector(A, d)

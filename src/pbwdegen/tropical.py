@@ -11,9 +11,8 @@ point leaves the tropical variety.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
-from .degrees import GradingVector, PlueckerIndex, complement_pairs, triangle_degree
+from .degrees import GradingVector, all_indices, degree_table, index_label
 from .ideals import (
     GradedPolynomial,
     contains_monomial,
@@ -25,13 +24,6 @@ from .linalg import Echelon
 from .weights import Triangle, json_int, json_rational, require_cone_membership, triangle_pairs
 
 
-def proper_subsets(n):
-    out = []
-    for k in range(1, n):
-        out.extend(combinations(range(1, n + 1), k))
-    return out
-
-
 @dataclass(frozen=True)
 class TropicalPoint:
     """Rational coordinates over all proper nonempty subsets of [1, n]."""
@@ -40,8 +32,7 @@ class TropicalPoint:
     s: dict
 
     def __post_init__(self):
-        expected = proper_subsets(self.n)
-        if set(self.s) != set(expected):
+        if set(self.s) != set(all_indices(self.n, range(1, self.n))):
             raise ValueError("need one coordinate per proper nonempty subset")
         object.__setattr__(
             self, "s", {k: Fraction(v) for k, v in self.s.items()}
@@ -52,10 +43,9 @@ class TropicalPoint:
 
     def to_json(self):
         out = {}
-        for elems in proper_subsets(self.n):
-            v = self.s[elems]
-            key = ",".join(str(x) for x in elems)
-            out[key] = int(v) if v.denominator == 1 else str(v)
+        for I in all_indices(self.n, range(1, self.n)):
+            v = self.s[I]
+            out[index_label(I)] = int(v) if v.denominator == 1 else str(v)
         return {"n": self.n, "s": out}
 
     @classmethod
@@ -64,6 +54,8 @@ class TropicalPoint:
         integer or a string such as "1/3"; floats and bools are refused,
         since they would be read as the binary float's exact value."""
         n = json_int(data["n"], "n")
+        if not isinstance(data["s"], dict):
+            raise TypeError("'s' must map \"i,j,...\" keys to rationals")
         s = {}
         for key, val in data["s"].items():
             elems = tuple(int(t) for t in key.split(","))
@@ -78,10 +70,7 @@ def point_from_triangle(n, values):
     pairs of I. No cone requirement; violating triangles give points
     satisfying [i]-[iii] but possibly not [iv]/[v]."""
     T = Triangle(n, tuple(values[pq] for pq in triangle_pairs(n)))
-    s = {}
-    for elems in proper_subsets(n):
-        s[elems] = triangle_degree(T, PlueckerIndex(n, elems))
-    return TropicalPoint(n, s)
+    return TropicalPoint(n, degree_table(T, all_indices(n, range(1, n))))
 
 
 def map_h(A):
@@ -147,23 +136,19 @@ def cone_C_membership(point):
             vals = {point.s[idx] for idx in idxs}
             if len(vals) > 1:
                 violations.append(f"[ii] i={i} j={j}")
-    for elems in proper_subsets(n):
-        pairs = complement_pairs(elems)
-        total = sum(
-            (point.s[_prefix(p - 1) + (q,)] for p, q in pairs), Fraction(0)
-        )
-        if point.s[elems] != total:
-            violations.append(f"[iii] I={','.join(map(str, elems))}")
+    # [iii]: s_I is the degree of I under the triangle whose entry at
+    # (p, q) is the coordinate of {1..p-1, q}
+    T = Triangle(n, tuple(point.s[_prefix(p - 1) + (q,)] for p, q in triangle_pairs(n)))
+    for I, total in degree_table(T, all_indices(n, range(1, n))).items():
+        if point.s[I] != total:
+            violations.append(f"[iii] I={index_label(I)}")
     violations += [label for label, holds, _ in _inequalities(point) if not holds]
     return not violations, violations
 
 
 def grading_from_point(point, d):
-    s = {}
-    for k in d:
-        for elems in combinations(range(1, point.n + 1), k):
-            s[PlueckerIndex(point.n, elems)] = point.s[elems]
-    return GradingVector(point.n, tuple(d), s)
+    """The coordinates of the point on the indices of the sizes d."""
+    return GradingVector(point.n, tuple(d), {I: point.s[I] for I in all_indices(point.n, d)})
 
 
 def in_trop_necessary_check(point, d, degree_bound):
@@ -186,12 +171,9 @@ def in_trop_necessary_check(point, d, degree_bound):
     return True
 
 
-def _quad(n, plus, minus1, minus2):
+def _quad(plus, minus1, minus2):
     """X_a X_b - X_c X_d - X_e X_f for the index pairs (a, b), (c, d), (e, f)."""
-
-    def x(elems):
-        return GradedPolynomial.variable(PlueckerIndex(n, elems))
-
+    x = GradedPolynomial.variable
     (a, b), (c, d), (e, f) = plus, minus1, minus2
     return x(a) * x(b) - x(c) * x(d) - x(e) * x(f)
 
@@ -200,7 +182,6 @@ def maximality_witness(point):
     """For a point failing [iv] or [v], the Pluecker relation whose
     initial part degenerates to a single monomial; None when no
     inequality fails."""
-    n = point.n
     point = normalize(point)
     ok, violations = cone_C_membership(point)
     linear = [v for v in violations if v.startswith(("[i]", "[ii]", "[iii]"))]
@@ -208,20 +189,16 @@ def maximality_witness(point):
         raise ValueError(f"conditions [i]-[iii] must hold first: {linear}")
     for _, holds, pairs in _inequalities(point):
         if not holds:
-            return _quad(n, *pairs)
+            return _quad(*pairs)
     return None
 
 
 def h_image_rank(n):
     """Rank of the degree map over the basis of weight triangles."""
-    coords = proper_subsets(n)
-    pos = {elems: idx for idx, elems in enumerate(coords)}
+    coords = all_indices(n, range(1, n))
+    size = len(triangle_pairs(n))
     ech = Echelon()
-    for pair in triangle_pairs(n):
-        vec = {}
-        for elems in coords:
-            count = complement_pairs(elems).count(pair)
-            if count:
-                vec[pos[elems]] = count
-        ech.insert(vec)
+    for t in range(size):
+        unit = Triangle(n, tuple(int(u == t) for u in range(size)))
+        ech.insert({pos: v for pos, v in enumerate(degree_table(unit, coords).values()) if v})
     return ech.rank

@@ -2,7 +2,7 @@
 
 This is the package's original ``plucker_relations``: every exchange
 relation is built as a ``GradedPolynomial`` with Fraction coefficients,
-through validated ``PlueckerIndex`` objects, then scaled to lead
+through indices validated by ``check_index``, then scaled to lead
 coefficient 1; no exchange data is skipped. The tests compare the
 integer builder of ``pbwdegen.ideals`` against it.
 """
@@ -10,7 +10,7 @@ integer builder of ``pbwdegen.ideals`` against it.
 from fractions import Fraction
 from itertools import combinations
 
-from pbwdegen.degrees import PlueckerIndex
+from pbwdegen.degrees import check_index
 from pbwdegen.ideals import GradedPolynomial, mono_mul
 
 
@@ -25,7 +25,7 @@ def normalize_index(n, seq):
         for b in range(a + 1, len(seq)):
             if seq[a] > seq[b]:
                 sign = -sign
-    return PlueckerIndex(n, tuple(sorted(seq))), sign
+    return check_index(n, sorted(seq)), sign
 
 
 def term_product(n, seq1, seq2):
@@ -34,7 +34,7 @@ def term_product(n, seq1, seq2):
     I2, s2 = normalize_index(n, seq2)
     if s1 == 0 or s2 == 0:
         return GradedPolynomial()
-    m = mono_mul(((I1.elems, 1),), ((I2.elems, 1),))
+    m = mono_mul(((I1, 1),), ((I2, 1),))
     return GradedPolynomial({m: Fraction(s1 * s2)})
 
 

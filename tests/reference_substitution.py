@@ -10,7 +10,8 @@ multiply. The tests compare the ``GradedPolynomial`` versions of
 
 from fractions import Fraction
 
-from pbwdegen.representations import classical_action, degenerate_action
+from pbwdegen.degrees import degree_s
+from pbwdegen.representations import classical_action
 from pbwdegen.weights import triangle_pairs
 
 
@@ -56,9 +57,14 @@ ZP_ONE = {(): Fraction(1)}
 
 
 def _action(A, i, j, elems):
-    if A is None:
-        return classical_action(i, j, elems)
-    return degenerate_action(A, i, j, elems)
+    """The classical action, kept under a weight system A only when
+    s_I + a_{i,j} is the degree of the image coordinate."""
+    res = classical_action(i, j, elems)
+    if res is None or A is None:
+        return res
+    if degree_s(A, elems) + A.a(i, j) != degree_s(A, res[0]):
+        return None
+    return res
 
 
 def exp_coordinates(n, k, A=None):

@@ -99,6 +99,19 @@ def test_weights_of_another_n_exit_two(argv, tmp_path, capsys):
     assert "n=4" in captured.err and "n=3" in captured.err
 
 
+@pytest.mark.parametrize("action", ["initial", "check-quadratic", "check-face-degeneration"])
+@pytest.mark.parametrize("mu", ["1,-1", "-1,2"])
+def test_negative_mu_exits_two(action, mu, tmp_path, capsys):
+    A = _write(tmp_path, "A.json", toric_weight_system(3).to_json())
+    argv = ["ideal", action, "--n", "3", "--d", "1,2", f"--mu={mu}", "--weights", A]
+    if action == "check-face-degeneration":
+        argv += ["--weights-b", A]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--mu entries must be nonnegative" in err
+    assert "Traceback" not in err
+
+
 def test_face_degeneration_weights_b_of_another_n_exit_two(tmp_path, capsys):
     A = _write(tmp_path, "zero3.json", zero_weight_system(3).to_json())
     B = _write(tmp_path, "toric4.json", toric_weight_system(4).to_json())
@@ -170,6 +183,48 @@ def test_trop_check_and_witness(tmp_path, capsys):
     assert "[iv] i=1" in capsys.readouterr().out
     assert cli.main(["trop", "witness", "--point", bad]) == 0
     assert "X_{" in capsys.readouterr().out
+
+
+def _failing_bounded_check(monkeypatch):
+    calls = []
+
+    def fail(point, d, bound):
+        calls.append(bound)
+        return False
+
+    monkeypatch.setattr(cli.tropical, "in_trop_necessary_check", fail)
+    return calls
+
+
+@pytest.mark.parametrize("bound", ["-1", "0", "1"])
+def test_trop_check_degree_bound_below_two_exits_two(bound, tmp_path, capsys, monkeypatch):
+    # no component of degree below 2 holds a relation: such a bound checks
+    # nothing, so it must not print a passing verdict
+    calls = _failing_bounded_check(monkeypatch)
+    good = _write(tmp_path, "pt.json", map_h(abelian_weight_system(3)).to_json())
+    assert cli.main(["trop", "check", "--point", good, "--degree-bound", bound]) == 2
+    captured = capsys.readouterr()
+    assert "--degree-bound must be at least 2" in captured.err
+    assert "no monomial" not in captured.out
+    assert calls == []
+
+
+def test_trop_check_degree_bound_two_runs_the_check(tmp_path, capsys, monkeypatch):
+    calls = _failing_bounded_check(monkeypatch)
+    good = _write(tmp_path, "pt.json", map_h(abelian_weight_system(3)).to_json())
+    assert cli.main(["trop", "check", "--point", good, "--degree-bound", "2"]) == 1
+    assert "monomial found at degree <= 2" in capsys.readouterr().out
+    assert calls == [2]
+
+
+@pytest.mark.parametrize("action", ["check", "witness"])
+@pytest.mark.parametrize("s", [[1, 2], "1,2", 3, None])
+def test_tropical_point_with_non_object_s_exits_two(action, s, tmp_path, capsys):
+    path = _write(tmp_path, "pt.json", {"n": 3, "s": s})
+    assert cli.main(["trop", action, "--point", path]) == 2
+    err = capsys.readouterr().err
+    assert "bad tropical point" in err
+    assert "Traceback" not in err
 
 
 def test_trop_check_bad_sizes_exit_two(tmp_path, capsys):

@@ -6,13 +6,13 @@ from hypothesis import strategies as st
 
 from pbwdegen.degrees import (
     GradingVector,
-    PlueckerIndex,
     all_indices,
+    check_index,
     complement_pairs,
     degree_s,
     fundamental_pattern,
     grading_vector,
-    zero_grading,
+    index_label,
 )
 from pbwdegen.tropical import cone_C_membership, map_h
 from pbwdegen.weights import (
@@ -21,6 +21,7 @@ from pbwdegen.weights import (
     abelian_weight_system,
     check_cone_membership,
     random_cone_points,
+    zero_weight_system,
 )
 
 
@@ -31,7 +32,7 @@ def oracle_min_cost(A, I):
     a_{i,j}. Processing states by increasing element sum makes the graph
     acyclic, so negative costs are fine.
     """
-    n, k = A.n, I.size
+    n, k = A.n, len(I)
     states = sorted(combinations(range(1, n + 1), k), key=lambda s: (sum(s), s))
     dist = {tuple(range(1, k + 1)): 0}
     for st in states:
@@ -45,16 +46,19 @@ def oracle_min_cost(A, I):
                 cost = dist[st] + A.a(i, j)
                 if new not in dist or cost < dist[new]:
                     dist[new] = cost
-    return dist[I.elems]
+    return dist[I]
 
 
 def test_index_validation():
-    with pytest.raises(ValueError):
-        PlueckerIndex(3, (1, 2, 3))  # not proper
-    with pytest.raises(ValueError):
-        PlueckerIndex(4, (2, 2))
-    with pytest.raises(ValueError):
-        PlueckerIndex(4, ())
+    assert check_index(4, [1, 3]) == (1, 3)
+    with pytest.raises(ValueError, match="nonempty and proper"):
+        check_index(3, (1, 2, 3))  # not proper
+    with pytest.raises(ValueError, match="strictly increasing"):
+        check_index(4, (2, 2))
+    with pytest.raises(ValueError, match="nonempty and proper"):
+        check_index(4, ())
+    with pytest.raises(ValueError, match="out of range"):
+        check_index(4, (0, 2))
 
 
 def test_complement_pairs_examples():
@@ -68,14 +72,14 @@ def test_degree_matches_shortest_path_oracle():
     for n in (3, 4):
         for A in random_cone_points(n, 8, seed=n + 20):
             for k in range(1, n):
-                for I in all_indices(n, k):
+                for I in all_indices(n, (k,)):
                     assert degree_s(A, I) == oracle_min_cost(A, I)
 
 
 def test_degree_requires_cone_membership():
     A = WeightSystem.from_map(3, {(1, 2): 0, (2, 3): 0, (1, 3): 5})
     with pytest.raises(NotInConeError):
-        degree_s(A, PlueckerIndex(3, (3,)))
+        degree_s(A, (3,))
     with pytest.raises(NotInConeError):
         grading_vector(A, (1, 2))
     with pytest.raises(NotInConeError):
@@ -106,7 +110,7 @@ def cone_points(draw):
 @given(cone_points())
 def test_degrees_on_random_cone_points(A):
     for k in range(1, A.n):
-        for I in all_indices(A.n, k):
+        for I in all_indices(A.n, (k,)):
             assert degree_s(A, I) == oracle_min_cost(A, I)
     assert cone_C_membership(map_h(A))[0]
 
@@ -114,12 +118,13 @@ def test_degrees_on_random_cone_points(A):
 def test_abelian_grading_n3():
     g = grading_vector(abelian_weight_system(3), (1, 2))
     want = {"1": 0, "2": 1, "3": 1, "1,2": 0, "1,3": 1, "2,3": 1}
-    assert {I.label(): v for I, v in g.s.items()} == want
+    assert {index_label(I): v for I, v in g.s.items()} == want
     assert g.to_json() == dict(sorted(want.items()))
 
 
 def test_zero_grading():
-    g = zero_grading(4, (2,))
+    g = grading_vector(zero_weight_system(4), (2,))
+    assert list(g.s) == all_indices(4, (2,))
     assert all(v == 0 for v in g.s.values())
     assert isinstance(g, GradingVector)
 
@@ -138,17 +143,16 @@ def test_fundamental_patterns_exhaust_the_fundamental_polytope():
     from pbwdegen.fflv import DominantWeight, enumerate_patterns
 
     for n, k in [(3, 1), (3, 2), (4, 2), (4, 3)]:
-        images = {fundamental_pattern(I).entries for I in all_indices(n, k)}
+        images = {fundamental_pattern(n, I).entries for I in all_indices(n, (k,))}
         target = {
             T.entries for T in enumerate_patterns(DominantWeight.fundamental(n, k))
         }
-        assert len(images) == len(all_indices(n, k))  # injective
+        assert len(images) == len(all_indices(n, (k,)))  # injective
         assert images == target
 
 
 def test_fundamental_pattern_support():
-    I = PlueckerIndex(4, (3, 4))
-    T = fundamental_pattern(I)
+    T = fundamental_pattern(4, (3, 4))
     assert set(T.support()) == {(1, 4), (2, 3)}
     assert T.a(1, 4) == 1
-    assert fundamental_pattern(PlueckerIndex(4, (1, 2))).support() == []
+    assert fundamental_pattern(4, (1, 2)).support() == []

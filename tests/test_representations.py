@@ -13,7 +13,6 @@ from pbwdegen.representations import (
     annihilator_monomial_check,
     classical_action,
     cyclic_module_dim,
-    degenerate_action,
     essential_closure,
     exp_coordinates,
     fflv_basis_check,
@@ -21,6 +20,7 @@ from pbwdegen.representations import (
     highest_weight_tensor,
     lie_generators,
     psi_substitution_check,
+    wedge_maps,
 )
 from pbwdegen.weights import (
     NotInConeError,
@@ -49,11 +49,13 @@ def test_classical_action_signs():
 
 
 def test_degenerate_action_filters_by_degree():
-    A = abelian_weight_system(3)
-    # s_{13} = a_{2,3} = 1 and s_1 = 0, so f_{1,3} (degree 1) survives
-    assert degenerate_action(A, 1, 3, (1,)) == ((3,), 1)
+    maps = wedge_maps(abelian_weight_system(3), 3, (1,))
+    # s_3 = a_{1,3} = 1 and s_1 = 0, so f_{1,3} (degree 1) survives on e_1
+    assert maps[(1, 3)][(1,)] == ((3,), 1)
     # s_3 = 1 but s_2 + a_{2,3} = 2, so f_{2,3} dies on e_2
-    assert degenerate_action(A, 2, 3, (2,)) is None
+    assert (2,) not in maps[(2, 3)]
+    # the classical table keeps it
+    assert wedge_maps(None, 3, (1,))[(2, 3)][(2,)] == ((3,), 1)
 
 
 def test_graded_bracket():
