@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+from math import comb, prod
 
 from . import __version__, degrees, fflv, ideals, representations, suite, tableaux, tropical, weights
 
@@ -57,7 +58,9 @@ def _guard_size(what, size):
 
 
 def _guard_component(n, d, mu):
-    _guard_size("component dimension", len(ideals.component_monomials(n, d, mu)))
+    # the monomials of multidegree mu, counted without listing them
+    dim = prod(comb(comb(n, k) + m - 1, m) for k, m in zip(d, mu))
+    _guard_size("component dimension", dim)
 
 
 class Run:
@@ -380,8 +383,11 @@ def trop_check(run, args):
     lines = [f"in-cone={str(ok).lower()}"] + violations
     if ok and bound is not None:
         run.params["degree_bound"] = bound
-        for mu in ideals.multidegrees_up_to(d, bound):
-            _guard_component(point.n, d, mu)
+        # the components of degree 2 to bound together: the monomials of
+        # degree <= bound in N variables, less those of degree 0 and 1
+        N = sum(comb(point.n, k) for k in d)
+        _guard_size(f"components of degree 2 to {bound}, total dimension",
+                    comb(N + bound, bound) - 1 - N)
         no_mono = tropical.in_trop_necessary_check(point, d, bound)
         verdicts["bounded_no_monomial"] = payload["no_monomial_up_to_bound"] = no_mono
         if no_mono:

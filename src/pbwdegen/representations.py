@@ -15,7 +15,7 @@ from .degrees import all_indices, degree_s
 from .fflv import enumerate_patterns
 from .ideals import GradedPolynomial
 from .linalg import Echelon
-from .weights import NotInConeError, is_interior, triangle_pairs, zero_weight_system
+from .weights import NotInConeError, is_interior, triangle_pairs
 
 
 def classical_action(i, j, elems):
@@ -34,27 +34,6 @@ def classical_action(i, j, elems):
 @lru_cache(maxsize=None)
 def _coordinate_degree(A, elems):
     return degree_s(A, elems)
-
-
-# -- Lie structure -----------------------------------------------------------
-
-
-def graded_bracket(A, x, y):
-    """Bracket of two generators in the associated graded algebra, as a
-    dict root -> coefficient.
-
-    With the generators realized as matrix units (f_{i,j} maps e_i to
-    e_j), the surviving bracket is [f_{i,j}, f_{j,l}] = -f_{i,l}; the
-    degeneration keeps it only when the degrees add up.
-    """
-    if x == y:
-        return {}
-    (i, j), (k, l) = x, y
-    if i > k:
-        return {root: -c for root, c in graded_bracket(A, y, x).items()}
-    if j == k and A.a(i, j) + A.a(k, l) == A.a(i, l):
-        return {(i, l): -1}
-    return {}
 
 
 def wedge_maps(A, n, sizes):
@@ -111,53 +90,31 @@ def apply_generator(maps, state, x):
     return out
 
 
-def apply_pattern_monomial(maps, state, T):
-    """Apply the product of generators with exponents T, factors ordered
-    lexicographically by (i, j)."""
-    for pair in triangle_pairs(T.n):
-        for _ in range(T.a(*pair)):
-            state = apply_generator(maps, state, pair)
-            if not state:
-                return state
-    return state
-
-
-def lie_generators(A, n):
-    """The generators f_{i,l} that are not brackets in the graded algebra:
-    those with no j, i < j < l, for which [f_{i,j}, f_{j,l}] survives.
-
-    Together they generate the algebra (by induction on l - i). A=None
-    means the classical algebra, graded by the zero system, whose
-    generators are the simple roots; for interior systems no bracket
-    survives and every pair is kept.
-    """
-    if A is None:
-        A = zero_weight_system(n)
-    return [
-        (i, l)
-        for i, l in triangle_pairs(n)
-        if not any(graded_bracket(A, (i, j), (j, l)) for j in range(i + 1, l))
-    ]
-
-
-def is_commutative(A, n):
-    """True iff no graded bracket survives, so that :func:`lie_generators`
-    keeps every pair, as for the abelian system and every interior one."""
-    return len(lie_generators(A, n)) == len(triangle_pairs(n))
-
-
 def essential_closure(A, lam, max_dim=100000):
-    """Essential exponents of the cyclic module of a commutative graded
-    algebra, and how many candidates had a nonzero dependent image.
+    """Essential exponents of the cyclic module under the degenerate action
+    of A (the classical one for A=None), and how many candidates had a
+    nonzero dependent image.
 
-    Without brackets the f^T v span the module, and the exponents whose
-    vector is new, taken degree by degree and in ascending tuple order
-    within a degree, are closed under division: the essential monomials of
-    Feigin-Fourier-Littelmann. A candidate T = S + e_x is made once, from
-    S = T - e_t with t the last nonzero position of T, and kept only if
-    every T - e_y is essential. Its vector is f_x applied to the raw image
-    of S, held for the previous degree only, and T is essential iff that
-    vector enlarges the span. Exponents are indexed by :func:`triangle_pairs`.
+    Exponents are indexed by :func:`triangle_pairs`, and f^T v applies the
+    generators in that order, so f^T v = f_t f^(T - e_t) v with t the last
+    nonzero position of T. T is essential when f^T v is not in the span of
+    the f^S v of lower degree and of those of its own degree that precede
+    it in ascending tuple order: the essential monomials of
+    Feigin-Fourier-Littelmann, a basis of the module for every graded
+    algebra of the cone. The action represents the graded bracket, and a
+    graded bracket of two generators is zero or +-1 times one generator, so
+    reordering a product of generators only adds products of lower degree,
+    which the earlier degrees already span. Hence the ordered monomials of
+    degree <= k span everything that words of length <= k do. And if a
+    divisor U of T is not essential, f^U v is a combination of earlier
+    vectors; applying f^(T-U), again up to lower degree, and using that
+    tuple order is translation-invariant, f^T v is one too. So a candidate
+    with a non-essential divisor is dropped unseen.
+
+    The walk goes degree by degree. A candidate T = S + e_x is made once,
+    from S = T - e_t, and kept only if every T - e_y is essential. Its
+    vector is f_x applied to the raw image of S, held for the previous
+    degree only, and T is essential iff that vector enlarges the span.
     """
     pairs = triangle_pairs(lam.n)
     maps = wedge_maps(A, lam.n, lam.column_sizes())
@@ -194,50 +151,16 @@ def essential_closure(A, lam, max_dim=100000):
 
 def cyclic_module_dim(A, lam, max_dim=100000):
     """Dimension of the cyclic submodule generated by the highest weight
-    tensor under the degenerate action.
-
-    A commutative algebra is closed by :func:`essential_closure`. Otherwise
-    only the :func:`lie_generators` are applied: since x(yv) - y(xv) =
-    [x, y]v, a span closed under a generating set is closed under the whole
-    algebra, the action being a representation of the graded bracket. That
-    closure extends from the stored echelon rows, which span the same space
-    as the images they came from and are sparser.
-    """
-    if is_commutative(A, lam.n):
-        return len(essential_closure(A, lam, max_dim)[0])
-    gens = lie_generators(A, lam.n)
-    maps = wedge_maps(A, lam.n, lam.column_sizes())
-    ech = Echelon()
-    queue = [ech.rows[ech.insert(highest_weight_tensor(lam))]]
-    while queue:
-        vec = queue.pop()
-        for x in gens:
-            img = apply_generator(maps, vec, x)
-            if not img:
-                continue
-            pivot = ech.insert(img)
-            if pivot is not None:
-                if ech.rank > max_dim:
-                    raise RuntimeError("cyclic closure exceeded the size bound")
-                queue.append(ech.rows[pivot])
-    return ech.rank
+    tensor under the degenerate action (classical for A=None): the number
+    of essential exponents of :func:`essential_closure`."""
+    return len(essential_closure(A, lam, max_dim)[0])
 
 
 def fflv_basis_check(A, lam):
-    """The pattern monomials applied to the highest weight tensor are
-    linearly independent and span the cyclic module. For a commutative
-    algebra this is checked as the stronger statement that the patterns
-    are exactly the essential exponents."""
-    patterns = enumerate_patterns(lam)
-    if is_commutative(A, lam.n):
-        return essential_closure(A, lam)[0] == {T.entries for T in patterns}
-    maps = wedge_maps(A, lam.n, lam.column_sizes())
-    ech = Echelon()
-    for T in patterns:
-        vec = apply_pattern_monomial(maps, highest_weight_tensor(lam), T)
-        if not vec or ech.insert(vec) is None:
-            return False
-    return ech.rank == cyclic_module_dim(A, lam)
+    """The pattern monomials applied to the highest weight tensor form a
+    basis of the cyclic module, checked as the stronger statement that the
+    patterns are exactly the essential exponents."""
+    return essential_closure(A, lam)[0] == {T.entries for T in enumerate_patterns(lam)}
 
 
 def annihilator_monomial_check(A, lam):

@@ -1,12 +1,32 @@
 """Lie structure of the graded algebra, kept for the tests only.
 
-The generator-only closure of ``pbwdegen.representations.cyclic_module_dim``
-is valid because the degenerate action is a representation of the graded
-bracket; :func:`verify_lie_structure` checks that on explicit systems.
+The module closure ``pbwdegen.representations.essential_closure`` is valid
+because the degenerate action is a representation of the graded bracket,
+under which two generators bracket to zero or to +-1 times one generator:
+reordering a product of generators then only adds products of lower
+degree. :func:`verify_lie_structure` checks that on explicit systems.
 """
 
-from pbwdegen.representations import graded_bracket, wedge_maps
+from pbwdegen.representations import wedge_maps
 from pbwdegen.weights import triangle_pairs
+
+
+def graded_bracket(A, x, y):
+    """Bracket of two generators in the associated graded algebra, as a
+    dict root -> coefficient.
+
+    With the generators realized as matrix units (f_{i,j} maps e_i to
+    e_j), the surviving bracket is [f_{i,j}, f_{j,l}] = -f_{i,l}; the
+    degeneration keeps it only when the degrees add up.
+    """
+    if x == y:
+        return {}
+    (i, j), (k, l) = x, y
+    if i > k:
+        return {root: -c for root, c in graded_bracket(A, y, x).items()}
+    if j == k and A.a(i, j) + A.a(k, l) == A.a(i, l):
+        return {(i, l): -1}
+    return {}
 
 
 def verify_lie_structure(A):

@@ -2,21 +2,27 @@
 
 ``cyclic_module_dim`` is the package's original one: every generator
 f_{i,j} is applied to every raw image that enlarged the span, and every
-image is inserted. The tests compare the closures of
-``pbwdegen.representations`` against it. ``essential_exponents`` searches
-the essential exponents of a commutative algebra directly, applying each
-candidate monomial from the highest weight tensor, in either order.
+image is inserted. The tests compare ``pbwdegen.representations`` against
+it. ``essential_exponents`` searches the essential exponents directly,
+applying each candidate's ordered monomial to the highest weight tensor
+from scratch, in either order within a degree.
 """
 
 from pbwdegen.fflv import TrianglePattern
 from pbwdegen.linalg import Echelon
-from pbwdegen.representations import (
-    apply_generator,
-    apply_pattern_monomial,
-    highest_weight_tensor,
-    wedge_maps,
-)
+from pbwdegen.representations import apply_generator, highest_weight_tensor, wedge_maps
 from pbwdegen.weights import triangle_pairs
+
+
+def apply_pattern_monomial(maps, state, T):
+    """Apply the product of generators with exponents T, factors ordered
+    lexicographically by (i, j)."""
+    for pair in triangle_pairs(T.n):
+        for _ in range(T.a(*pair)):
+            state = apply_generator(maps, state, pair)
+            if not state:
+                return state
+    return state
 
 
 def cyclic_module_dim(A, lam, max_dim=100000):
@@ -43,8 +49,9 @@ def essential_exponents(A, lam, descending=False):
     """Exponents T whose f^T v is independent of the vectors before it,
     taken degree by degree and within a degree in ascending (or
     descending) tuple order. Only exponents whose divisors one degree down
-    are all essential are tried, which for a commutative algebra loses
-    none."""
+    are all essential are tried. Both orders are translation-invariant, so
+    by the argument of ``pbwdegen.representations.essential_closure`` this
+    loses none in any graded algebra of the cone."""
     n = lam.n
     size = len(triangle_pairs(n))
     maps = wedge_maps(A, n, lam.column_sizes())

@@ -260,13 +260,40 @@ def test_rep_psi_check(capsys):
 
 
 def test_max_dim_guard(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("PBWDEGEN_MAX_DIM", "2")
     path = _write(tmp_path, "ab.json", abelian_weight_system(3).to_json())
-    rc = cli.main(
-        ["ideal", "initial", "--n", "3", "--d", "1,2", "--mu", "1,1", "--weights", path]
-    )
-    assert rc == 2
+    argv = ["ideal", "initial", "--n", "3", "--d", "1,2", "--mu", "1,1", "--weights", path]
+    monkeypatch.setenv("PBWDEGEN_MAX_DIM", "2")
+    assert cli.main(argv) == 2
     assert "PBWDEGEN_MAX_DIM" in capsys.readouterr().err
+    # the bound is inclusive: the component has 3 x 3 monomials
+    monkeypatch.setenv("PBWDEGEN_MAX_DIM", "9")
+    assert cli.main(argv) == 0
+    monkeypatch.setenv("PBWDEGEN_MAX_DIM", "8")
+    assert cli.main(argv) == 2
+
+
+def test_component_guard_lists_no_monomials(tmp_path, capsys, monkeypatch):
+    # C(20,3) variables in degree 7: 657,800 monomials, refused unlisted
+    monkeypatch.setattr(cli.ideals, "component_monomials", _refuse)
+    path = _write(tmp_path, "zero6.json", zero_weight_system(6).to_json())
+    argv = ["ideal", "initial", "--n", "6", "--d", "3", "--mu", "7", "--weights", path]
+    assert cli.main(argv) == 2
+    assert "component dimension 657800" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bound, max_dim, code", [
+    ("8", "100000", 2),  # 319,755 monomials in degrees 2 to 8
+    ("6", "38745", 1),  # 38,745 in degrees 2 to 6
+    ("6", "38744", 2),
+])
+def test_trop_check_guards_the_whole_degree_bound(bound, max_dim, code, tmp_path, capsys,
+                                                  monkeypatch):
+    calls = _failing_bounded_check(monkeypatch)
+    monkeypatch.setenv("PBWDEGEN_MAX_DIM", max_dim)
+    good = _write(tmp_path, "pt.json", map_h(toric_weight_system(4)).to_json())
+    assert cli.main(["trop", "check", "--point", good, "--degree-bound", bound]) == code
+    assert ("PBWDEGEN_MAX_DIM" in capsys.readouterr().err) == (code == 2)
+    assert calls == ([] if code == 2 else [int(bound)])
 
 
 def test_max_dim_guard_module_closure(capsys, monkeypatch):

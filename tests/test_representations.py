@@ -16,9 +16,7 @@ from pbwdegen.representations import (
     essential_closure,
     exp_coordinates,
     fflv_basis_check,
-    graded_bracket,
     highest_weight_tensor,
-    lie_generators,
     psi_substitution_check,
     wedge_maps,
 )
@@ -33,7 +31,7 @@ from pbwdegen.weights import (
     toric_weight_system,
     zero_weight_system,
 )
-from lie_structure import verify_lie_structure
+from lie_structure import graded_bracket, verify_lie_structure
 from reference_closure import cyclic_module_dim as reference_cyclic_module_dim
 from reference_closure import essential_exponents
 from reference_substitution import exp_coordinates as reference_exp_coordinates
@@ -102,7 +100,7 @@ def test_cyclic_dimensions_classical_limit():
 
 
 def test_cyclic_dimension_cap():
-    # the generator-only closure and the essential one
+    # a noncommutative algebra and a commutative one
     for make in (zero_weight_system, toric_weight_system):
         with pytest.raises(RuntimeError):
             cyclic_module_dim(make(3), DominantWeight(3, (1, 1)), max_dim=3)
@@ -257,16 +255,10 @@ def test_module_dimension_is_weyl_dimension(inputs):
 
 def test_lie_generators():
     # verify_lie_structure (tests/lie_structure.py) is the precondition of
-    # the generator-only closure, so it is asserted for every system whose
-    # set is checked
+    # the essential-monomial closure: the action must represent the graded
+    # bracket for reordering to cost only lower degrees
     for n in (2, 3, 4, 5):
-        simple = [(i, i + 1) for i in range(1, n)]
-        every = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
-        assert lie_generators(None, n) == simple
         systems = dict(canonical_weight_systems(n))
-        assert lie_generators(systems["classical"], n) == simple
-        for label in ("abelian", "toric"):
-            assert lie_generators(systems[label], n) == every
         for A in systems.values():
             assert verify_lie_structure(A)
         # toric plus a seeded cone point lies in the interior
@@ -274,12 +266,7 @@ def test_lie_generators():
         for B in random_cone_points(n, 3, seed=n + 80):
             A = WeightSystem.from_function(n, lambda i, j: toric.a(i, j) + B.a(i, j))
             assert is_interior(A)
-            assert lie_generators(A, n) == every
             assert verify_lie_structure(A)
-        if n >= 4:
-            A = systems["pbw-locus-1"]
-            gens = lie_generators(A, n)
-            assert set(simple) < set(gens) < set(every)
 
 
 def _small_weights(n, total):
@@ -327,12 +314,17 @@ def test_classical_closure_n5_frontier():
     ("toric", (2, 1, 1, 2), 0),
     ("pbw-locus-none", (2, 1, 1, 2), 625),
     ("toric", (1, 1, 1, 1, 1), 0),
+    (None, (1, 1, 1, 1), 195),
+    ("classical", (1, 1, 1, 1), 195),
+    ("pbw-locus-1", (1, 1, 1, 1), 166),
+    ("pbw-locus-123", (1, 1, 1, 1), 195),
 ])
 def test_essential_set_is_patterns(label, coeffs, dependent):
     # the abelian and pbw-locus-none modules have nonzero dependent
-    # candidates, so their annihilators are not monomial
+    # candidates, so their annihilators are not monomial; from the label
+    # None (the classical action) on, the algebras are noncommutative
     lam = DominantWeight(len(coeffs) + 1, coeffs)
-    A = dict(canonical_weight_systems(lam.n))[label]
+    A = None if label is None else dict(canonical_weight_systems(lam.n))[label]
     assert essential_closure(A, lam) == ({T.entries for T in enumerate_patterns(lam)}, dependent)
 
 
@@ -343,6 +335,15 @@ def test_essential_order_is_part_of_the_statement():
     descending = essential_exponents(A, lam, descending=True)
     assert ascending == essential_closure(A, lam)[0]
     assert len(descending) == len(ascending) and descending != ascending
+
+
+@pytest.mark.parametrize("label", ["classical", "pbw-locus-12"])
+def test_essential_closure_matches_reference_noncommutative(label):
+    # the reference applies every candidate's ordered monomial from the
+    # highest weight tensor; the closure reuses the image one degree down
+    lam = DominantWeight(5, (1, 1, 1, 1))
+    A = dict(canonical_weight_systems(5))[label]
+    assert essential_exponents(A, lam) == essential_closure(A, lam)[0]
 
 
 def test_interior_closure_inserts_only_basis_vectors(monkeypatch):
@@ -363,6 +364,7 @@ def test_interior_closure_inserts_only_basis_vectors(monkeypatch):
 
 
 def test_essential_path_dispatch(monkeypatch):
+    # one closure for every algebra, commutative or not
     closed = []
     real = representations.essential_closure
     monkeypatch.setattr(representations, "essential_closure",
@@ -370,5 +372,6 @@ def test_essential_path_dispatch(monkeypatch):
     systems = dict(canonical_weight_systems(4))
     lam = DominantWeight(4, (1, 1, 1))
     for A in (None, systems["classical"], systems["pbw-locus-1"], systems["abelian"]):
+        del closed[:]
         assert cyclic_module_dim(A, lam) == 64
-    assert closed == [systems["abelian"]]
+        assert closed == [A]
