@@ -51,11 +51,11 @@ def index_label(I):
 
 def complement_pairs(I):
     """Positional pairing of {1..k} \\ I (ascending) with I \\ {1..k}
-    (descending), for the index I with k = |I|."""
-    base = set(range(1, len(I) + 1))
-    ps = sorted(base.difference(I))
-    qs = sorted(set(I) - base, reverse=True)
-    return list(zip(ps, qs))
+    (descending), for the sorted index I with k = |I|: I \\ {1..k} is the
+    tail of I with as many entries as {1..k} \\ I."""
+    k = len(I)
+    ps = [p for p in range(1, k + 1) if p not in I]
+    return list(zip(ps, reversed(I[k - len(ps):])))
 
 
 def degree_table(T, indices):
@@ -66,7 +66,7 @@ def degree_table(T, indices):
     coordinates; the cone is not checked here, so callers check it once
     per triangle.
     """
-    return {I: sum(T.a(p, q) for p, q in complement_pairs(I)) for I in indices}
+    return {I: sum([T.a(p, q) for p, q in complement_pairs(I)]) for I in indices}
 
 
 def degree_s(A, I):

@@ -11,6 +11,8 @@ independent oracle.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from math import inf
 
 from .weights import Triangle, triangle_pairs
 
@@ -85,14 +87,6 @@ class DyckPath:
             if (i2, j2) not in ((i + 1, j), (i, j + 1)):
                 raise ValueError("invalid step")
 
-    @property
-    def start_row(self):
-        return self.steps[0][0]
-
-    @property
-    def end_row(self):
-        return self.steps[-1][0]
-
 
 @lru_cache(maxsize=None)
 def dyck_paths(n):
@@ -119,7 +113,7 @@ def dyck_paths(n):
 
 def path_bound(lam, path):
     """Upper bound a_{i_1} + ... + a_{i_N} for the path under weight lam."""
-    return sum(lam.a(i) for i in range(path.start_row, path.end_row + 1))
+    return sum(lam.a(i) for i in range(path.steps[0][0], path.steps[-1][0] + 1))
 
 
 def path_sum(T, path):
@@ -127,9 +121,24 @@ def path_sum(T, path):
 
 
 def is_fflv_pattern(T, lam):
+    """True iff every Dyck path sum of T is within its bound under lam.
+
+    One sweep over the rows, not one sum per path: best[j] is the largest
+    a_1 + ... + a_{s-1} plus the sum of T along a path from some (s, s+1)
+    to (i, j), so the paths ending in (i, i+1) hold iff best[i+1] <=
+    a_1 + ... + a_i.
+    """
     if T.n != lam.n:
         raise ValueError("mismatched n")
-    return all(path_sum(T, p) <= path_bound(lam, p) for p in dyck_paths(lam.n))
+    prefix = list(accumulate(lam.coeffs, initial=0))
+    best, entries = [-inf] * (lam.n + 1), iter(T.entries)
+    for i in range(1, lam.n):
+        cur = prefix[i - 1]  # a path may start at (i, i+1)
+        for j in range(i + 1, lam.n + 1):
+            cur = best[j] = max(cur, best[j]) + next(entries)
+        if best[i + 1] > prefix[i]:
+            return False
+    return True
 
 
 def cell_bound(lam, i, j):
@@ -140,42 +149,46 @@ def cell_bound(lam, i, j):
 def enumerate_patterns(lam):
     """All integer points of the FFLV polytope, in lexicographic order.
 
-    Backtracks over cells in pair order. Every cell lies on its hook
-    path, and path sums grow with the cell's value, so the values that
-    keep every path through the cell within its bound are exactly
-    0..limit, where limit is the least slack (bound minus partial sum)
-    of those paths, capped by the hook bound.
+    Backtracks over cells in pair order with the slack (bound minus
+    partial sum) of every Dyck path in a bit field of one int g, topped
+    by a guard bit above the largest bound. A cell's mask has a 1 at the
+    foot of the field of every path through it, so g - v*mask lowers all
+    their slacks at once. A cell takes 0, 1, ... up to its hook bound and
+    stops at the first value that clears a guard; that value is one past
+    a slack, so no field ever borrows from the next.
     """
     n = lam.n
     pairs = triangle_pairs(n)
     paths = dyck_paths(n)
-    slack = [path_bound(lam, p) for p in paths]
+    bounds = [path_bound(lam, p) for p in paths]
+    width = max(bounds).bit_length() + 1
     position = {pair: pos for pos, pair in enumerate(pairs)}
-    cell_paths = [[] for _ in pairs]
-    for idx, p in enumerate(paths):
+    masks = [0] * len(pairs)
+    guard = slack = 0
+    for idx, (p, bound) in enumerate(zip(paths, bounds)):
+        guard |= 1 << (idx * width + width - 1)
+        slack |= bound << (idx * width)
         for step in p.steps:
-            cell_paths[position[step]].append(idx)
+            masks[position[step]] |= 1 << (idx * width)
     maxima = [cell_bound(lam, i, j) for i, j in pairs]
     values = [0] * len(pairs)
     last = len(pairs) - 1
     out = []
 
-    def assign(pos):
-        through = cell_paths[pos]
-        limit = min(maxima[pos], min(map(slack.__getitem__, through)))
-        if pos == last:
-            head = tuple(values[:last])
-            out.extend(TrianglePattern(n, head + (v,)) for v in range(limit + 1))
-            return
-        for v in range(limit + 1):
-            values[pos] = v
-            assign(pos + 1)
-            for idx in through:
-                slack[idx] -= 1
-        for idx in through:
-            slack[idx] += limit + 1
+    def assign(pos, g):
+        mask = masks[pos]
+        head = tuple(values[:last]) if pos == last else None
+        for v in range(maxima[pos] + 1):
+            if g & guard != guard:
+                return
+            if head is None:
+                values[pos] = v
+                assign(pos + 1, g)
+            else:
+                out.append(TrianglePattern(n, head + (v,)))
+            g -= mask
 
-    assign(0)
+    assign(0, slack | guard)
     return out
 
 

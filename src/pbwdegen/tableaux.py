@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .fflv import DominantWeight, TrianglePattern, is_fflv_pattern
-from .weights import triangle_pairs
+from .weights import json_int, triangle_pairs
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,9 @@ class PBWTableau:
 
     @classmethod
     def from_json(cls, data):
-        return cls(int(data["n"]), tuple(tuple(c) for c in data["columns"]))
+        """Parse {"n": n, "columns": [[entry, ...], ...]} of JSON integers."""
+        n = json_int(data["n"], "n")
+        return cls(n, tuple(tuple(json_int(v, "entry") for v in c) for c in data["columns"]))
 
 
 def empty_tableau(n):
@@ -58,17 +60,10 @@ def empty_tableau(n):
 def pbw_column(n, content):
     """The unique PBW arrangement of a content set: small entries sit on
     their own row, large entries fill the free rows in decreasing order."""
-    content = sorted(set(content))
+    content = set(content)
     h = len(content)
-    col = [None] * h
-    for v in content:
-        if v <= h:
-            col[v - 1] = v
-    big = sorted((v for v in content if v > h), reverse=True)
-    free = iter(i for i in range(h) if col[i] is None)
-    for v in big:
-        col[next(free)] = v
-    return tuple(col)
+    big = iter(sorted((v for v in content if v > h), reverse=True))
+    return tuple(i if i in content else next(big) for i in range(1, h + 1))
 
 
 def _column_is_pbw(col):
@@ -105,10 +100,7 @@ def is_pbw_ssyt(Y):
 
 
 def _column_heights(lam):
-    heights = []
-    for i in range(lam.n - 1, 0, -1):
-        heights.extend([i] * lam.a(i))
-    return heights
+    return [i for i in range(lam.n - 1, 0, -1) for _ in range(lam.a(i))]
 
 
 def enumerate_ssyt(lam):

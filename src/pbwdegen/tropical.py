@@ -80,8 +80,11 @@ def map_h(A):
 
 
 def normalize(point):
-    """Shift each cardinality so that the leading subsets (1..k) sit at 0."""
+    """Shift each cardinality so that the leading subsets (1..k) sit at 0;
+    a point already so, as every image of map_h is, is returned as is."""
     shifts = {k: point.s[tuple(range(1, k + 1))] for k in range(1, point.n)}
+    if not any(shifts.values()):
+        return point
     return TropicalPoint(
         point.n, {elems: v - shifts[len(elems)] for elems, v in point.s.items()}
     )
@@ -182,7 +185,7 @@ def maximality_witness(point):
     """For a point failing [iv] or [v], the Pluecker relation whose
     initial part degenerates to a single monomial; None when no
     inequality fails."""
-    point = normalize(point)
+    point = normalize(point)  # so cone_C_membership builds no second point
     ok, violations = cone_C_membership(point)
     linear = [v for v in violations if v.startswith(("[i]", "[ii]", "[iii]"))]
     if linear:

@@ -33,6 +33,24 @@ def test_enumerators_match_reference(lam):
     assert enumerate_ssyt(lam) == reference_ssyt(lam)
 
 
+# Weights whose largest Dyck path bound, the total a_1 + ... + a_{n-1}, is
+# 2^k - 1 or 2^k, so the enumerator's slack fields are exactly full or one
+# bit wider; all-zero weights and n=2 are among EQUIVALENCE_CASES.
+BOUNDARY_CASES = [
+    lam
+    for t in (1, 2, 3, 4, 7, 8, 15, 16)
+    for lam in (DominantWeight(2, (t,)), DominantWeight(3, (t // 2, t - t // 2)),
+                DominantWeight(4, (t - 1, 0, 1)), DominantWeight(5, (t - 1, 0, 0, 1)))
+]
+
+
+@pytest.mark.parametrize(
+    "lam", BOUNDARY_CASES, ids=lambda lam: f"n{lam.n}-" + ",".join(map(str, lam.coeffs))
+)
+def test_packed_slack_fields_match_reference(lam):
+    assert enumerate_patterns(lam) == reference_patterns(lam)
+
+
 @st.composite
 def small_weights(draw):
     """Dominant weights, n = 2..5, with Weyl dimension at most 2,000: the

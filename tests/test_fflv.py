@@ -1,6 +1,8 @@
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pbwdegen.fflv import (
     DominantWeight,
@@ -71,6 +73,38 @@ def test_membership_respects_path_bounds():
     too_big = TrianglePattern.from_map(3, {(1, 3): 3})
     assert is_fflv_pattern(ok, lam)
     assert not is_fflv_pattern(too_big, lam)
+
+
+@st.composite
+def triangles_and_weights(draw):
+    """A weight and a triangle of 0s and 1s with at most one spike, which
+    may lie near the bounds or far above every one of them."""
+    n = draw(st.integers(2, 6))
+    lam = DominantWeight(n, tuple(draw(st.lists(st.integers(0, 3), min_size=n - 1, max_size=n - 1))))
+    size = n * (n - 1) // 2
+    entries = draw(st.lists(st.integers(0, 1), min_size=size, max_size=size))
+    spike = draw(st.one_of(st.none(), st.integers(0, lam.total() + 2), st.integers(0, 2**70)))
+    if spike is not None:
+        entries[draw(st.integers(0, size - 1))] = spike
+    return TrianglePattern(n, tuple(entries)), lam
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(triangles_and_weights())
+def test_membership_is_the_path_definition(case):
+    T, lam = case
+    want = all(path_sum(T, p) <= path_bound(lam, p) for p in dyck_paths(lam.n))
+    assert is_fflv_pattern(T, lam) == want
+
+
+def test_membership_sums_along_the_long_path():
+    # each entry alone fits its hook, their sum breaks the path bound only
+    # on the long path of n=4: a_1 + a_2 + a_3 = 2
+    lam = DominantWeight(4, (1, 0, 1))
+    on_path = TrianglePattern.from_map(4, {(1, 2): 1, (3, 4): 1, (1, 4): 1})
+    assert not is_fflv_pattern(on_path, lam)
+    assert is_fflv_pattern(TrianglePattern.from_map(4, {(1, 2): 1, (3, 4): 1}), lam)
+    assert not is_fflv_pattern(TrianglePattern.from_map(4, {(2, 3): 2**64}), lam)
 
 
 def test_pattern_entries_must_be_nonnegative():

@@ -87,6 +87,22 @@ def test_witness_is_monomial_after_degeneration():
     assert maximality_witness(map_h(abelian_weight_system(3))) is None
 
 
+def test_witness_builds_one_normalized_point(monkeypatch):
+    # a shifted point is rebuilt once, a normalized one not at all
+    base = point_from_triangle(3, {(1, 2): 0, (2, 3): 0, (1, 3): 1})
+    shifted = TropicalPoint(3, {e: v + len(e) for e, v in base.s.items()})
+    made = []
+
+    class Counted(TropicalPoint):
+        def __post_init__(self):
+            made.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(tropical, "TropicalPoint", Counted)
+    assert maximality_witness(base) == maximality_witness(shifted) is not None
+    assert len(made) == 1 and made[0].s == base.s
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_witnesses_are_relations_with_monomial_initial_parts(n):
     # seeded triangles satisfy [i]-[iii]; each one outside C gets a witness
