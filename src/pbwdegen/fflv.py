@@ -88,7 +88,7 @@ class DyckPath:
                 raise ValueError("invalid step")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def dyck_paths(n):
     """All Dyck paths for a given n, lexicographically ordered."""
     if n < 2:

@@ -112,10 +112,12 @@ class GradedPolynomial:
         return GradedPolynomial({mono_mul(t, m): c * v for t, v in self.terms.items()})
 
     def __mul__(self, other):
-        out = GradedPolynomial()
+        out = {}
         for m, c in other.terms.items():
-            out = out + self.mul_monomial(m, c)
-        return out
+            for t, v in self.terms.items():
+                prod = mono_mul(t, m)
+                out[prod] = out.get(prod, 0) + v * c
+        return GradedPolynomial(out)
 
     def multidegree(self, d):
         degs = {mono_multidegree(m, d) for m in self.terms}
@@ -172,7 +174,7 @@ def _exchange_terms(i_tuple, j_tuple, k, signs):
     return rel
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def plucker_relations(n, d):
     """Generating set of the multihomogeneous Pluecker ideal.
 
@@ -225,7 +227,7 @@ def initial_part(f, g):
 # -- graded components -------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def component_monomials(n, d, mu):
     """Ordered monomial basis of the coordinate-ring component of
     multidegree mu (aligned with d)."""
@@ -262,16 +264,35 @@ def _spanning_rows(gens, n, d, mu):
     return basis, rows
 
 
-@lru_cache(maxsize=None)
+def _echelon(rows):
+    ech = Echelon()
+    for row in rows:
+        ech.insert(row)
+    return ech
+
+
+@lru_cache(maxsize=256)
 def _canonical_rows_cache(n, d, mu):
-    return _spanning_rows(plucker_relations(n, d), n, d, mu)
+    """Monomial basis of the Pluecker ideal's component of multidegree mu
+    and an echelon basis of the component in column order, reduced once
+    for every grading: independent primitive integer rows, by pivot."""
+    basis, rows = _spanning_rows(plucker_relations(n, d), n, d, mu)
+    ech = _echelon(rows)
+    return basis, tuple(ech.rows[pivot] for pivot in sorted(ech.rows))
 
 
 def _ideal_rows(gens, n, d, mu):
-    # the Pluecker ideal, recognized by value, has its rows cached per mu
+    """Monomial basis and integer rows spanning the ideal component; the
+    Pluecker ideal, recognized by value, has an echelon basis cached per mu."""
     if tuple(gens) == plucker_relations(n, d):
         return _canonical_rows_cache(n, d, mu)
     return _spanning_rows(gens, n, d, mu)
+
+
+def _column_grades(monomials, g):
+    """Grade of every monomial under g, read off its degree table."""
+    s = g.s
+    return [sum([s[elems] * e for elems, e in m]) for m in monomials]
 
 
 class ComponentBasis:
@@ -299,10 +320,7 @@ class ComponentBasis:
 def component_basis(gens, n, d, mu):
     """Row-reduced basis of the ideal component of multidegree mu."""
     basis, rows = _ideal_rows(gens, n, d, mu)
-    ech = Echelon()
-    for row in rows:
-        ech.insert(row)
-    return ComponentBasis(mu, basis, ech.reduced_rows())
+    return ComponentBasis(mu, basis, _echelon(rows).reduced_rows())
 
 
 def _initial_rows(rows, grades):
@@ -310,30 +328,33 @@ def _initial_rows(rows, grades):
     column grades.
 
     Columns are relabeled by their position in (grade, column) order, so
-    the pivot of each stored echelon row is its least (grade, column)
-    entry and the row's initial part, its entries of least grade,
-    contains that pivot. The pivots are distinct, so the dim V initial
-    parts are linearly independent; they lie in in(V), and dim in(V) =
-    dim V, so they span it. A second reduction in column order
-    canonicalizes.
+    the pivot of each echelon row of V is its least (grade, column) entry
+    and the row's initial part, its entries of least grade, contains that
+    pivot. The initial parts lie in in(V). Each lies inside one grade
+    class, and distinct grade classes have disjoint column supports;
+    within a class the (grade, column) order is the column order. So the
+    pivot's column is also the least column of the initial part, and the
+    dim V initial parts, with distinct pivots, already form an echelon
+    basis in column order: they are independent, and dim in(V) = dim V,
+    so they span in(V). Their back-substitution is the RREF, which is
+    unique, so no second reduction is needed.
     """
     order = sorted(range(len(grades)), key=grades.__getitem__)  # stable: ties by column
     pos = {c: p for p, c in enumerate(order)}
-    ech = Echelon()
-    for row in rows:
-        ech.insert({pos[c]: v for c, v in row.items()})
+    ech = _echelon({pos[c]: v for c, v in row.items()} for row in rows)
     out = Echelon()
     for pivot, row in ech.rows.items():
         lowest = grades[order[pivot]]
-        out.insert({order[p]: v for p, v in row.items() if grades[order[p]] == lowest})
+        out.rows[order[pivot]] = {
+            order[p]: v for p, v in row.items() if grades[order[p]] == lowest
+        }
     return out.reduced_rows()
 
 
 def initial_component(gens, n, d, mu, g):
     """Basis of the initial-ideal component for grading g."""
     basis, rows = _ideal_rows(gens, n, d, mu)
-    grades = [mono_grade(m, g) for m in basis]
-    return ComponentBasis(mu, basis, _initial_rows(rows, grades))
+    return ComponentBasis(mu, basis, _initial_rows(rows, _column_grades(basis, g)))
 
 
 def contains_monomial(cb):
@@ -382,7 +403,7 @@ def face_degeneration_check(A, B, n, d, mu):
     gA = grading_vector(A, d)
     gB = grading_vector(B, d)
     ideal_A = initial_component(gens, n, d, mu, gA)
-    grades_B = [mono_grade(m, gB) for m in ideal_A.monomials]
+    grades_B = _column_grades(ideal_A.monomials, gB)
     lhs = canonical_rows(_initial_rows(ideal_A.rows, grades_B))
     rhs = initial_component(gens, n, d, mu, gB).span_key()
     return lhs == rhs

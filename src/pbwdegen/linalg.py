@@ -9,7 +9,10 @@ Rows enter as integers on the hot paths (ideal components, module
 closures) and stay integers: each vector is copied to a primitive integer
 row, denominators cleared only if it has Fraction entries, and reduced
 fraction-free in the spirit of Bareiss (Math. Comp. 22, 1968). Fractions
-appear only in the pivot-1 rows of :meth:`Echelon.reduced_rows`.
+are built in one place, the pivot-1 rows of :meth:`Echelon.reduced_rows`,
+once per distinct (entry, pivot coefficient) pair of a call;
+:func:`canonical_rows` keeps those rows as sorted tuples and hashes no
+Fraction.
 """
 
 from fractions import Fraction
@@ -61,7 +64,9 @@ class Echelon:
     """Incremental echelon basis of sparse rational vectors.
 
     The pivot of a vector is its least column label. Stored rows are
-    primitive integer vectors with a positive pivot.
+    integer vectors with a positive pivot, keyed by pivot; :meth:`insert`
+    stores them primitive. A caller that already holds integer rows with
+    distinct pivots may put them into ``rows`` directly.
     """
 
     def __init__(self):
@@ -96,13 +101,26 @@ class Echelon:
             for col in [c for c in row if c in reduced]:
                 _eliminate(row, reduced[col], col)
             reduced[pivot] = row
+        fractions = {}  # pivot coefficient -> {entry: Fraction}; mostly +-1, +-2
         out = []
         for pivot in pivots:
             row = reduced[pivot]
-            out.append({c: Fraction(v, row[pivot]) for c, v in row.items()})
+            p = row[pivot]
+            memo = fractions.setdefault(p, {})
+            frac_row = {}
+            for c, v in row.items():
+                f = memo.get(v)
+                if f is None:
+                    f = memo[v] = Fraction(v, p)
+                frac_row[c] = f
+            out.append(frac_row)
         return out
 
 
 def canonical_rows(rows):
-    """Hashable canonical form of an RREF row list, for span comparison."""
-    return frozenset(tuple(sorted(row.items())) for row in rows)
+    """Hashable canonical form of RREF rows in pivot order, as
+    :meth:`Echelon.reduced_rows` returns them, for span comparison: each
+    row a tuple of its (column, entry) pairs sorted by column. RREF is
+    unique, so equal spans give equal forms; sorting the form leaves it
+    unchanged."""
+    return tuple(tuple(sorted(row.items())) for row in rows)

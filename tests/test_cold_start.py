@@ -41,3 +41,9 @@ def _package_caches():
 
 def test_benchmark_clears_every_lru_cache():
     assert _package_caches() == _listed_caches()
+
+
+def test_every_lru_cache_is_bounded():
+    for mod_name, func_name in _package_caches():
+        func = getattr(importlib.import_module(f"pbwdegen.{mod_name}"), func_name)
+        assert func.cache_parameters()["maxsize"] is not None, (mod_name, func_name)

@@ -1,6 +1,7 @@
 from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations, permutations
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -330,6 +331,30 @@ def test_polynomial_algebra():
     assert rel.canonical().terms[min(rel.terms)] == 1
 
 
+_variables = st.sampled_from([(1,), (2,), (1, 2), (1, 3), (2, 3)])
+_polys = st.dictionaries(
+    st.lists(st.tuples(_variables, st.integers(1, 2)), max_size=3).map(
+        lambda pairs: tuple(sorted(dict(pairs).items()))
+    ),
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2)),
+    max_size=4,
+).map(GradedPolynomial)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_polys, _polys)
+def test_product_is_the_sum_of_monomial_multiples(p, q):
+    """One accumulating product equals adding the multiples of p by the
+    terms of q one at a time, cancellations included."""
+    want = GradedPolynomial()
+    for m, c in q.terms.items():
+        want = want + p.mul_monomial(m, c)
+    got = p * q
+    assert got == want
+    assert all(type(c) is Fraction and c for c in got.terms.values())
+    assert (p + q) * (p - q) == p * p - q * q
+
+
 def test_multihomogeneity_error():
     x = GradedPolynomial.variable((1,))
     y = GradedPolynomial.variable((1, 2))
@@ -407,3 +432,52 @@ def test_fraction_generators_span_their_own_multiples():
         for m in component_monomials(n, d, (mu[0] - 1, mu[1] - 1)):
             ref.insert({col[t]: v for t, v in p.mul_monomial(m).terms.items()})
         assert cb.rows == ref.reduced_rows()
+
+
+def test_cached_echelon_rows_match_the_spanning_rows():
+    """The Pluecker component is reduced once and shared by every grading:
+    each grading's initial component, and the plain component, agree with
+    the Fraction references applied to the raw spanning rows. Every
+    canonical system at n=4 (degree <= 3) and n=5 (degree 2)."""
+    for n, degrees in [(4, (1, 2, 3)), (5, (2,))]:
+        d = tuple(range(1, n))
+        gens = plucker_relations(n, d)
+        gradings = [(label, grading_vector(A, d)) for label, A in canonical_weight_systems(n)]
+        for mu in [mu for mu in multidegrees_up_to(d, 3) if sum(mu) in degrees]:
+            basis, rows = ideals._spanning_rows(gens, n, d, mu)
+            ref = FractionEchelon()
+            for row in rows:
+                ref.insert(row)
+            plain = component_basis(gens, n, d, mu)
+            assert plain.monomials == basis
+            assert plain.rows == ref.reduced_rows(), mu
+            cached_basis, cached_rows = ideals._canonical_rows_cache(n, d, mu)
+            assert cached_basis == basis and len(cached_rows) == ref.rank
+            for label, g in gradings:
+                grades = [mono_grade(m, g) for m in basis]
+                got = initial_component(gens, n, d, mu, g)
+                assert got.rows == reference_initial_rows(rows, grades), (label, mu)
+
+
+_fractions = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4))
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(st.integers(0, 2**32), st.lists(_fractions, min_size=64, max_size=64))
+def test_span_key_ignores_generator_order_and_scale(seed, scales):
+    """The span key depends on the span only: shuffled, rescaled
+    generators give the same key, plainly and for a grading, and the key
+    is already in the sorted form the benchmark digests."""
+    n, d, mu = 4, (1, 2, 3), (1, 1, 1)
+    gens = plucker_relations(n, d)
+    assert len(gens) <= len(scales)
+    moved = [rel.scale(c) for rel, c in zip(gens, scales)]
+    Random(seed).shuffle(moved)
+    g = grading_vector(toric_weight_system(n), d)
+    for make in (
+        lambda gs: component_basis(gs, n, d, mu),
+        lambda gs: initial_component(gs, n, d, mu, g),
+    ):
+        key = make(gens).span_key()
+        assert make(moved).span_key() == key
+        assert list(key) == sorted(key)

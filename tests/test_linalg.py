@@ -74,3 +74,16 @@ def test_stored_rows_are_primitive_integers():
         {0: 1, 2: Fraction(-1, 2)},
         {1: 1, 2: Fraction(-3, 4)},
     ]
+
+
+def test_rows_put_in_directly_need_not_be_primitive():
+    """reduced_rows needs integer rows with distinct, positive pivots only;
+    the initial-ideal path stores initial parts of primitive rows as is."""
+    rows = {0: {0: 2, 1: 4, 3: 6}, 1: {1: 3, 3: -3}, 2: {2: 4, 3: 2}}
+    ech = Echelon()
+    ech.rows = {p: dict(row) for p, row in rows.items()}
+    ref = FractionEchelon()
+    for row in rows.values():
+        ref.insert(row)
+    assert ech.reduced_rows() == ref.reduced_rows()
+    assert ech.rows == rows
