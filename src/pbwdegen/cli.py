@@ -63,6 +63,16 @@ def _guard_component(n, d, mu):
     _guard_size("component dimension", dim)
 
 
+def _guard_relations(n, d):
+    # the exchanges plucker_relations examines: sizes p >= q, both index
+    # sets, and every block of k <= min(q, p - 1) entries of the second
+    exchanges = sum(
+        comb(n, p) * comb(n, q) * sum(comb(q, k) for k in range(1, min(q, p - 1) + 1))
+        for p in d for q in d if p >= q
+    )
+    _guard_size("Pluecker relation exchanges", exchanges)
+
+
 class Run:
     """Parses the shared flags and collects manifest data while an action
     executes."""
@@ -280,7 +290,9 @@ def tableaux_roundtrip(run, args):
 
 
 def ideal_gen(run, args):
-    gens = ideals.plucker_relations(*run.rank_and_sizes(args))
+    n, d = run.rank_and_sizes(args)
+    _guard_relations(n, d)
+    gens = ideals.plucker_relations(n, d)
     return run.emit([p.to_json() for p in gens], [str(p) for p in gens])
 
 
@@ -308,12 +320,14 @@ def ideal_initial(run, args):
 
 def ideal_check_quadratic(run, args):
     n, d, mu, A = _component(run, args)
+    _guard_relations(n, d)
     ok = ideals.quadratic_generation_check(A, n, d, mu)
     return run.verdict("quadratic", ok, "quadratic")
 
 
 def ideal_check_face_degeneration(run, args):
     n, d, mu, A = _component(run, args)
+    _guard_relations(n, d)
     B = run.load_admissible(args.weights_b, n)
     try:
         ok = ideals.face_degeneration_check(A, B, n, d, mu)
@@ -331,12 +345,7 @@ def _module(run, args):
 
 
 def rep_dim(run, args):
-    A, lam = _module(run, args)
-    max_dim = _max_dim()
-    try:
-        dim = representations.cyclic_module_dim(A, lam, max_dim=max_dim)
-    except RuntimeError:
-        raise InputError(f"cyclic module dimension exceeds PBWDEGEN_MAX_DIM={max_dim}")
+    dim = representations.cyclic_module_dim(*_module(run, args))
     return run.emit(dim, [str(dim)])
 
 
@@ -354,6 +363,7 @@ def rep_psi_check(run, args):
     n, d = run.rank_and_sizes(args)
     A = None if args.weights is None else run.load_admissible(args.weights, n)
     if args.relations is None:
+        _guard_relations(n, d)
         rels = ideals.plucker_relations(n, d)
     else:
         data = run.load_json(args.relations)
@@ -388,6 +398,7 @@ def trop_check(run, args):
         N = sum(comb(point.n, k) for k in d)
         _guard_size(f"components of degree 2 to {bound}, total dimension",
                     comb(N + bound, bound) - 1 - N)
+        _guard_relations(point.n, d)
         no_mono = tropical.in_trop_necessary_check(point, d, bound)
         verdicts["bounded_no_monomial"] = payload["no_monomial_up_to_bound"] = no_mono
         if no_mono:

@@ -1,11 +1,11 @@
-"""Classical and degenerate actions on fundamental modules and tensors.
+"""Classical and degenerate actions on wedge powers and their symmetric powers.
 
 The degenerate action is the graded slice of the classical one: a lowering
 generator survives on a wedge basis vector exactly when the coordinate
-degrees match up. Everything is exact on explicit bases: tensors have
-integer coefficients and act through per-computation action tables, and
-the polynomial coordinates of nilpotent exponentials are rational
-``ideals.GradedPolynomial``s.
+degrees match up. Everything is exact on explicit bases: module vectors
+have integer coefficients, generators act through per-computation action
+tables, and the polynomial coordinates of nilpotent exponentials are
+rational ``ideals.GradedPolynomial``s.
 """
 
 from fractions import Fraction
@@ -57,24 +57,17 @@ def wedge_maps(A, n, sizes):
     return maps
 
 
-# -- tensor products ---------------------------------------------------------
-
-
-def _tensor_factors(lam):
-    factors = []
-    for k in range(1, lam.n):
-        factors.extend([k] * lam.a(k))
-    return factors
+# -- the cyclic module in the symmetric power --------------------------------
 
 
 def highest_weight_tensor(lam):
-    key = tuple(tuple(range(1, k + 1)) for k in _tensor_factors(lam))
-    return {key: 1}
+    return {tuple(tuple(range(1, k + 1)) for k in range(1, lam.n) for _ in range(lam.a(k))): 1}
 
 
 def apply_generator(maps, state, x):
-    """Leibniz action of one generator across all tensor factors, looked
-    up in the action table of :func:`wedge_maps`; coefficients are ints."""
+    """Leibniz action of one generator across all factors, read from the
+    table of :func:`wedge_maps`, with int coefficients. An image is larger
+    than its factor (an i becomes a j > i), so it moves right in its block."""
     act = maps[x]
     out = {}
     for key, coeff in state.items():
@@ -82,7 +75,10 @@ def apply_generator(maps, state, x):
             if factor not in act:
                 continue
             new, sign = act[factor]
-            newkey = key[:t] + (new,) + key[t + 1 :]
+            u = t + 1
+            while u < len(key) and len(key[u]) == len(new) and key[u] < new:
+                u += 1
+            newkey = key[:t] + key[t + 1 : u] + (new,) + key[u:]
             val = out.get(newkey, 0) + coeff * sign
             if val:
                 out[newkey] = val
@@ -91,7 +87,7 @@ def apply_generator(maps, state, x):
     return out
 
 
-def essential_closure(A, lam, max_dim=100000):
+def essential_closure(A, lam):
     """Essential exponents of the cyclic module under the degenerate action
     of A (the classical one for A=None), and how many candidates had a
     nonzero dependent image.
@@ -111,6 +107,12 @@ def essential_closure(A, lam, max_dim=100000):
     vectors; applying f^(T-U), again up to lower degree, and using that
     tuple order is translation-invariant, f^T v is one too. So a candidate
     with a non-essential divisor is dropped unseen.
+
+    Vectors live in prod_k Sym^(a_k)(Lambda^k C^n): words sorted within
+    blocks of equal sizes, where e equal factors give e equal terms, the
+    derivation rule. Generators commute with permuting equal-size factors,
+    and symmetrization into the tensor product is injective over Q, so the
+    linear relations, essential set and dependent count match tensor words.
 
     The walk goes degree by degree. A candidate T = S + e_x is made once,
     from S = T - e_t, and kept only if every T - e_y is essential. Its
@@ -141,20 +143,17 @@ def essential_closure(A, lam, max_dim=100000):
                 continue
             if ech.insert(img) is None:
                 dependent += 1
-                continue
-            if ech.rank > max_dim:
-                raise RuntimeError("cyclic closure exceeded the size bound")
-            nxt[T] = img
+            else:
+                nxt[T] = img
         essential.update(nxt)
         layer = nxt
     return essential, dependent
 
 
-def cyclic_module_dim(A, lam, max_dim=100000):
-    """Dimension of the cyclic submodule generated by the highest weight
-    tensor under the degenerate action (classical for A=None): the number
-    of essential exponents of :func:`essential_closure`."""
-    return len(essential_closure(A, lam, max_dim)[0])
+def cyclic_module_dim(A, lam):
+    """Dimension of the cyclic module of v_lambda under the degenerate
+    action (classical for A=None): the size of :func:`essential_closure`."""
+    return len(essential_closure(A, lam)[0])
 
 
 def fflv_basis_check(A, lam):

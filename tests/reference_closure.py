@@ -6,12 +6,36 @@ image is inserted. The tests compare ``pbwdegen.representations`` against
 it. ``essential_exponents`` searches the essential exponents directly,
 applying each candidate's ordered monomial to the highest weight tensor
 from scratch, in either order within a degree.
+
+Both act through ``apply_generator``, the package's original action on
+words of the full tensor product, unsorted: a column size repeated m
+times gives up to m! words where the package's symmetric power has one
+monomial. So they stay independent of the package's own action.
 """
 
 from pbwdegen.fflv import TrianglePattern
 from pbwdegen.linalg import Echelon
-from pbwdegen.representations import apply_generator, highest_weight_tensor, wedge_maps
+from pbwdegen.representations import highest_weight_tensor, wedge_maps
 from pbwdegen.weights import triangle_pairs
+
+
+def apply_generator(maps, state, x):
+    """Leibniz action of one generator across all tensor factors, on words
+    of the full tensor product."""
+    act = maps[x]
+    out = {}
+    for key, coeff in state.items():
+        for t, factor in enumerate(key):
+            if factor not in act:
+                continue
+            new, sign = act[factor]
+            newkey = key[:t] + (new,) + key[t + 1 :]
+            val = out.get(newkey, 0) + coeff * sign
+            if val:
+                out[newkey] = val
+            else:
+                del out[newkey]
+    return out
 
 
 def apply_pattern_monomial(maps, state, T):

@@ -309,6 +309,40 @@ def test_max_dim_guard_essential_closure(tmp_path, capsys, monkeypatch):
     assert "PBWDEGEN_MAX_DIM" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    # n=12, d=(6): 924^2 index pairs, 62 blocks each, 52,934,112 exchanges
+    ["ideal", "gen", "--n", "12", "--d", "6"],
+    ["rep", "psi-check", "--n", "12", "--d", "6"],
+    ["ideal", "check-quadratic", "--n", "12", "--d", "6", "--mu", "1"],
+    ["ideal", "check-face-degeneration", "--n", "12", "--d", "6", "--mu", "1"],
+    # the n=8 full flag: 496,728 exchanges
+    ["trop", "check", "--degree-bound", "2"],
+])
+def test_relation_generation_is_guarded(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli.ideals, "plucker_relations", _refuse)
+    monkeypatch.setattr(cli.tropical, "plucker_relations", _refuse)
+    monkeypatch.delenv("PBWDEGEN_MAX_DIM", raising=False)
+    if argv[0] == "trop":
+        argv = argv + ["--point", _write(tmp_path, "pt.json", map_h(toric_weight_system(8)).to_json())]
+    elif argv[1].startswith("check"):
+        path = _write(tmp_path, "zero12.json", zero_weight_system(12).to_json())
+        argv = argv + ["--weights", path]
+        if argv[1] == "check-face-degeneration":
+            argv += ["--weights-b", path]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Pluecker relation exchanges" in err and "PBWDEGEN_MAX_DIM=100000" in err
+
+
+def test_relation_guard_bound_is_inclusive(capsys, monkeypatch):
+    argv = ["ideal", "gen", "--n", "4", "--d", "2"]  # 36 index pairs, 2 blocks each
+    monkeypatch.setenv("PBWDEGEN_MAX_DIM", "72")
+    assert cli.main(argv) == 0
+    monkeypatch.setenv("PBWDEGEN_MAX_DIM", "71")
+    assert cli.main(argv) == 2
+    assert "Pluecker relation exchanges 72 exceeds" in capsys.readouterr().err
+
+
 def test_annihilator_check_costs_one_module(tmp_path, capsys):
     # the exponent box of (2,1,1,2) holds 302,400 triangles; the module 6,125
     path = _write(tmp_path, "toric5.json", toric_weight_system(5).to_json())

@@ -11,6 +11,7 @@ from pbwdegen.ideals import GradedPolynomial, initial_part, plucker_relations
 from pbwdegen.degrees import grading_vector
 from pbwdegen.representations import (
     annihilator_monomial_check,
+    apply_generator,
     classical_action,
     cyclic_module_dim,
     essential_closure,
@@ -32,6 +33,7 @@ from pbwdegen.weights import (
     zero_weight_system,
 )
 from lie_structure import graded_bracket, verify_lie_structure
+from reference_closure import apply_generator as tensor_word_generator
 from reference_closure import cyclic_module_dim as reference_cyclic_module_dim
 from reference_closure import essential_exponents
 from reference_substitution import exp_coordinates as reference_exp_coordinates
@@ -99,13 +101,6 @@ def test_cyclic_dimensions_classical_limit():
     assert cyclic_module_dim(A, DominantWeight(3, (2, 0))) == 6
 
 
-def test_cyclic_dimension_cap():
-    # a noncommutative algebra and a commutative one
-    for make in (zero_weight_system, toric_weight_system):
-        with pytest.raises(RuntimeError):
-            cyclic_module_dim(make(3), DominantWeight(3, (1, 1)), max_dim=3)
-
-
 def test_fflv_basis_small():
     for _, A in canonical_weight_systems(3):
         for coeffs in ((1, 0), (1, 1)):
@@ -127,6 +122,13 @@ def test_highest_weight_tensor_shape():
     ((key, coeff),) = highest_weight_tensor(lam).items()
     assert key == ((1,), (1, 2, 3), (1, 2, 3))
     assert coeff == 1
+
+
+def test_equal_factors_collapse_with_the_derivation_coefficient():
+    # f_{1,2} on e_1 (x) e_1 gives e_2 (x) e_1 + e_1 (x) e_2 in the tensor
+    # product, and twice the monomial X_1 X_2 in the symmetric power
+    maps = wedge_maps(None, 2, (1,))
+    assert apply_generator(maps, {((1,), (1,)): 1}, (1, 2)) == {((1,), (2,)): 2}
 
 
 def test_exp_coordinates_classical_n3():
@@ -299,6 +301,32 @@ def test_closure_matches_reference_random_points():
             for coeffs in lams:
                 lam = DominantWeight(n, coeffs)
                 assert cyclic_module_dim(A, lam) == reference_cyclic_module_dim(A, lam)
+
+
+@pytest.mark.parametrize("coeffs, labels", [
+    ((2, 1, 2), None),
+    ((0, 3, 0), None),
+    ((2, 0, 2), None),
+    ((1, 2, 1), None),
+    ((2, 1, 1, 2), ("toric", "abelian")),
+])
+def test_symmetric_closure_matches_tensor_words(coeffs, labels, monkeypatch):
+    # the same walk over tensor words: every f^T v satisfies the same
+    # linear relations, so the essential set and the dependent count agree
+    lam = DominantWeight(len(coeffs) + 1, coeffs)
+    systems = dict(canonical_weight_systems(lam.n))
+    for A in _systems_and_classical(lam.n) if labels is None else [systems[l] for l in labels]:
+        symmetric = essential_closure(A, lam)
+        with monkeypatch.context() as m:
+            m.setattr(representations, "apply_generator", tensor_word_generator)
+            assert essential_closure(A, lam) == symmetric
+
+
+def test_classical_closure_n4_frontier():
+    # a column size three times over: the tensor words of (3,3,3) took
+    # about 35 s and 0.9 GiB
+    lam = DominantWeight(4, (3, 3, 3))
+    assert cyclic_module_dim(None, lam) == weyl_dim(lam) == 4096
 
 
 def test_classical_closure_n5_frontier():
