@@ -63,12 +63,13 @@ def _guard_component(n, d, mu):
     _guard_size("component dimension", dim)
 
 
-def _guard_relations(n, d):
-    # the exchanges plucker_relations examines: sizes p >= q, both index
-    # sets, and every block of k <= min(q, p - 1) entries of the second
+def _guard_relations(n, d, mu=None):
+    # the exchanges plucker_relations examines for the size pairs p >= q
+    # (with mu, those that fit mu): both index sets, and every block of
+    # k <= min(q, p - 1) entries of the second
     exchanges = sum(
         comb(n, p) * comb(n, q) * sum(comb(q, k) for k in range(1, min(q, p - 1) + 1))
-        for p in d for q in d if p >= q
+        for p, q in ideals.relation_pairs(d, mu)
     )
     _guard_size("Pluecker relation exchanges", exchanges)
 
@@ -263,7 +264,7 @@ def _enumerable_lam(run, args):
 
 
 def fflv_count(run, args):
-    count = len(fflv.enumerate_patterns(_enumerable_lam(run, args)))
+    count = fflv.count_patterns(_enumerable_lam(run, args))
     return run.emit(count, [str(count)])
 
 
@@ -273,19 +274,12 @@ def fflv_patterns(run, args):
 
 
 def tableaux_count(run, args):
-    count = len(tableaux.enumerate_ssyt(_enumerable_lam(run, args)))
+    count = tableaux.count_ssyt(_enumerable_lam(run, args))
     return run.emit(count, [str(count)])
 
 
 def tableaux_roundtrip(run, args):
-    lam = _enumerable_lam(run, args)
-    ok = all(
-        tableaux.tau(tableaux.zeta(T, lam)) == T
-        for T in fflv.enumerate_patterns(lam)
-    ) and all(
-        tableaux.zeta(tableaux.tau(Y), lam) == Y
-        for Y in tableaux.enumerate_ssyt(lam)
-    )
+    ok = tableaux.bijection_failure(_enumerable_lam(run, args)) is None
     return run.verdict("roundtrip", ok, "roundtrip")
 
 
@@ -311,8 +305,8 @@ def _component(run, args):
 
 def ideal_initial(run, args):
     n, d, mu, A = _component(run, args)
-    gens = ideals.plucker_relations(n, d)
-    cb = ideals.initial_component(gens, n, d, mu, degrees.grading_vector(A, d))
+    _guard_relations(n, d, mu)  # only the relations that fit mu are built
+    cb = ideals.plucker_initial_component(n, d, mu, degrees.grading_vector(A, d))
     polys = cb.row_polynomials()
     payload = {"rank": cb.rank, "rows": [p.to_json() for p in polys]}
     return run.emit(payload, [f"rank={cb.rank}"] + [str(p) for p in polys])

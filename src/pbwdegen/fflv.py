@@ -10,8 +10,8 @@ independent oracle.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import accumulate
+from functools import lru_cache, partial
+from itertools import accumulate, count
 from math import inf
 
 from .weights import Triangle, triangle_pairs
@@ -116,10 +116,6 @@ def path_bound(lam, path):
     return sum(lam.a(i) for i in range(path.steps[0][0], path.steps[-1][0] + 1))
 
 
-def path_sum(T, path):
-    return sum(T.a(i, j) for i, j in path.steps)
-
-
 def is_fflv_pattern(T, lam):
     """True iff every Dyck path sum of T is within its bound under lam.
 
@@ -146,8 +142,9 @@ def cell_bound(lam, i, j):
     return sum(lam.a(t) for t in range(i, j))
 
 
-def enumerate_patterns(lam):
-    """All integer points of the FFLV polytope, in lexicographic order.
+def _walk_patterns(lam, emit):
+    """Call emit with the entry tuple of every integer point of the FFLV
+    polytope, in lexicographic order.
 
     Backtracks over cells in pair order with the slack (bound minus
     partial sum) of every Dyck path in a bit field of one int g, topped
@@ -173,7 +170,6 @@ def enumerate_patterns(lam):
     maxima = [cell_bound(lam, i, j) for i, j in pairs]
     values = [0] * len(pairs)
     last = len(pairs) - 1
-    out = []
 
     def assign(pos, g):
         mask = masks[pos]
@@ -185,11 +181,43 @@ def enumerate_patterns(lam):
                 values[pos] = v
                 assign(pos + 1, g)
             else:
-                out.append(TrianglePattern(n, head + (v,)))
+                emit(head + (v,))
             g -= mask
 
     assign(0, slack | guard)
-    return out
+
+
+def _trusted_pattern(n, entries):
+    """TrianglePattern(n, entries) unchecked, for what _walk_patterns emits."""
+    T = object.__new__(TrianglePattern)
+    fields = T.__dict__  # frozen: setattr is refused, the dict is not
+    fields["n"], fields["entries"] = n, entries
+    return T
+
+
+def enumerate_patterns(lam):
+    """All integer points of the FFLV polytope, in lexicographic order,
+    built unchecked: the walk proves each a pattern, its entries come from
+    ranges starting at 0, and their number, the same for all, is checked
+    once on the first (the zero pattern)."""
+    entries = []
+    _walk_patterns(lam, entries.append)
+    TrianglePattern(lam.n, entries[0])
+    return [_trusted_pattern(lam.n, e) for e in entries]
+
+
+def pattern_entries(lam):
+    """The set of entry tuples of the patterns of lam; builds no pattern."""
+    entries = set()
+    _walk_patterns(lam, entries.add)
+    return entries
+
+
+def count_patterns(lam):
+    """The number of patterns of lam; builds none."""
+    tally = count()
+    _walk_patterns(lam, partial(next, tally))  # next(tally, entries) steps the tally
+    return next(tally)
 
 
 def weyl_dim(lam):
@@ -206,8 +234,6 @@ def minkowski_check(lam, mu):
     """True iff the pattern sets satisfy the Minkowski sum property."""
     if lam.n != mu.n:
         raise ValueError("mismatched n")
-    left = {T.entries for T in enumerate_patterns(lam)}
-    right = {T.entries for T in enumerate_patterns(mu)}
+    left, right = pattern_entries(lam), pattern_entries(mu)
     sums = {tuple(x + y for x, y in zip(a, b)) for a in left for b in right}
-    target = {T.entries for T in enumerate_patterns(lam + mu)}
-    return sums == target
+    return sums == pattern_entries(lam + mu)

@@ -174,43 +174,47 @@ def _exchange_terms(i_tuple, j_tuple, k, signs):
     return rel
 
 
-@lru_cache(maxsize=32)
-def plucker_relations(n, d):
-    """Generating set of the multihomogeneous Pluecker ideal.
+def relation_pairs(d, mu=None):
+    """The size pairs p >= q of d that Pluecker relations come from; with
+    mu, only those whose relations, of multidegree e_p + e_q, fit into mu."""
+    deg = dict(zip(d, (2,) * len(d) if mu is None else mu))  # 2 of each fits every pair
+    return [(p, q) for p in d for q in d if p >= q and deg[q] >= 1 and deg[p] >= 1 + (p == q)]
 
-    Runs over all size pairs p >= q in d, all exchange lengths k and all
-    placements of the exchanged block, except those that give zero;
+
+@lru_cache(maxsize=32)
+def plucker_relations(n, d, mu=None):
+    """Generating set of the multihomogeneous Pluecker ideal; with mu, only
+    its relations that fit into mu, all that reach that component.
+
+    Runs over the size pairs of relation_pairs, all exchange lengths k and
+    all placements of the exchanged block, except those that give zero;
     duplicates up to scalar are dropped and the result is
     deterministically ordered. Relations are built over the integers and
     scaled to lead coefficient 1; only the kept ones become Fraction
     polynomials. The result is cached, so it is a tuple: no caller can
     change it for the next one.
     """
-    d = tuple(d)
     kept = {}
     signs = {}  # few distinct sequences recur across the exchanges
-    for p in d:
-        for q in d:
-            if p < q:
-                continue
-            for i_set in combinations(range(1, n + 1), p):
-                for j_set in combinations(range(1, n + 1), q):
-                    # Swapping all of i (k = p = q) or a block already in
-                    # i only puts the factors back: X_i X_j - X_i X_j = 0.
-                    for k in range(1, min(q, p - 1) + 1):
-                        for block in combinations(j_set, k):
-                            if all(v in i_set for v in block):
-                                continue
-                            rest = tuple(v for v in j_set if v not in block)
-                            rel = _exchange_terms(i_set, block + rest, k, signs)
-                            if not rel:
-                                continue
-                            lead = rel[min(rel)]
-                            canon = {
-                                m: Fraction(c, lead) if c % lead else c // lead
-                                for m, c in rel.items()
-                            }
-                            kept.setdefault(tuple(sorted(canon.items())), canon)
+    for p, q in relation_pairs(tuple(d), mu):
+        for i_set in combinations(range(1, n + 1), p):
+            for j_set in combinations(range(1, n + 1), q):
+                # Swapping all of i (k = p = q) or a block already in
+                # i only puts the factors back: X_i X_j - X_i X_j = 0.
+                for k in range(1, min(q, p - 1) + 1):
+                    for block in combinations(j_set, k):
+                        if all(v in i_set for v in block):
+                            continue
+                        rest = tuple(v for v in j_set if v not in block)
+                        rel = _exchange_terms(i_set, block + rest, k, signs)
+                        if not rel:
+                            continue
+                        lead = rel[min(rel)]
+                        canon = {
+                            m: Fraction(c, lead) if c % lead else c // lead
+                            for m, c in rel.items()
+                        }
+                        kept.setdefault(tuple(sorted(canon.items())), canon)
     return tuple(GradedPolynomial(kept[key]) for key in sorted(kept))
 
 
@@ -354,6 +358,13 @@ def _initial_rows(rows, grades):
 def initial_component(gens, n, d, mu, g):
     """Basis of the initial-ideal component for grading g."""
     basis, rows = _ideal_rows(gens, n, d, mu)
+    return ComponentBasis(mu, basis, _initial_rows(rows, _column_grades(basis, g)))
+
+
+def plucker_initial_component(n, d, mu, g):
+    """initial_component of the Pluecker ideal, spanned by only the
+    relations that fit mu: no relation of another multidegree is built."""
+    basis, rows = _spanning_rows(plucker_relations(n, d, mu), n, d, mu)
     return ComponentBasis(mu, basis, _initial_rows(rows, _column_grades(basis, g)))
 
 

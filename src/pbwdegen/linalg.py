@@ -6,13 +6,13 @@ in the order of the labels; a caller that wants another column order
 relabels its columns by position in that order.
 
 Rows enter as integers on the hot paths (ideal components, module
-closures) and stay integers: each vector is copied to a primitive integer
-row, denominators cleared only if it has Fraction entries, and reduced
-fraction-free in the spirit of Bareiss (Math. Comp. 22, 1968). Fractions
-are built in one place, the pivot-1 rows of :meth:`Echelon.reduced_rows`,
-once per distinct (entry, pivot coefficient) pair of a call;
-:func:`canonical_rows` keeps those rows as sorted tuples and hashes no
-Fraction.
+closures) and stay integers: each vector becomes a primitive integer
+row, copied only when it changes, denominators cleared only if it has
+Fraction entries, and is reduced fraction-free in the spirit of Bareiss
+(Math. Comp. 22, 1968). Fractions are built in one place, the pivot-1
+rows of :meth:`Echelon.reduced_rows`, once per distinct (entry, pivot
+coefficient) pair of a call; :func:`canonical_rows` keeps those rows as
+sorted tuples and hashes no Fraction.
 """
 
 from fractions import Fraction
@@ -29,13 +29,13 @@ def _primitive(vec):
 
 
 def _integral(vec):
-    """A fresh primitive integer multiple of a rational vector."""
+    """A primitive integer multiple of a rational vector; vec itself if it is one."""
     try:
         g = gcd(*vec.values())  # TypeError unless every entry is an int
     except TypeError:
         den = lcm(*[v.denominator for v in vec.values()])
         return _primitive({c: v.numerator * (den // v.denominator) for c, v in vec.items()})
-    return dict(vec) if g == 1 else {c: v // g for c, v in vec.items()}
+    return vec if g == 1 else {c: v // g for c, v in vec.items()}
 
 
 def _eliminate(vec, row, col):
@@ -66,7 +66,9 @@ class Echelon:
     The pivot of a vector is its least column label. Stored rows are
     integer vectors with a positive pivot, keyed by pivot; :meth:`insert`
     stores them primitive. A caller that already holds integer rows with
-    distinct pivots may put them into ``rows`` directly.
+    distinct pivots may put them into ``rows`` directly. Stored rows are
+    never changed; a primitive integer row that needs no reduction is
+    stored as inserted, so a caller must not change it afterwards.
     """
 
     def __init__(self):
@@ -77,16 +79,18 @@ class Echelon:
         return len(self.rows)
 
     def insert(self, vec):
-        """Insert vec; return its pivot column, or None if dependent."""
-        vec = _integral(vec)
+        """Insert vec, left unchanged; return its pivot column, or None if dependent."""
+        new = _integral(vec)
         rows = self.rows
-        while vec:
-            pivot = min(vec)
+        while new:
+            pivot = min(new)
             row = rows.get(pivot)
             if row is None:
-                rows[pivot] = vec if vec[pivot] > 0 else {c: -v for c, v in vec.items()}
+                rows[pivot] = new if new[pivot] > 0 else {c: -v for c, v in new.items()}
                 return pivot
-            _eliminate(vec, row, pivot)
+            if new is vec:
+                new = dict(vec)
+            _eliminate(new, row, pivot)
         return None
 
     def reduced_rows(self):

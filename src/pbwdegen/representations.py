@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .degrees import all_indices, degree_s
-from .fflv import enumerate_patterns
+from .fflv import pattern_entries
 from .ideals import GradedPolynomial
 from .linalg import Echelon
 from .weights import NotInConeError, is_interior, triangle_pairs
@@ -160,7 +160,7 @@ def fflv_basis_check(A, lam):
     """The pattern monomials applied to the highest weight tensor form a
     basis of the cyclic module, checked as the stronger statement that the
     patterns are exactly the essential exponents."""
-    return essential_closure(A, lam)[0] == {T.entries for T in enumerate_patterns(lam)}
+    return essential_closure(A, lam)[0] == pattern_entries(lam)
 
 
 def annihilator_monomial_check(A, lam):
@@ -176,7 +176,7 @@ def annihilator_monomial_check(A, lam):
     if not is_interior(A):
         raise NotInConeError("monomial annihilator requires an interior weight system")
     essential, dependent = essential_closure(A, lam)
-    return not dependent and essential == {T.entries for T in enumerate_patterns(lam)}
+    return not dependent and essential == pattern_entries(lam)
 
 
 # -- exponential coordinates and the substitution oracle ---------------------

@@ -10,9 +10,10 @@ a time.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import partial
+from itertools import combinations, count
 
-from .fflv import DominantWeight, TrianglePattern, is_fflv_pattern
+from .fflv import DominantWeight, TrianglePattern, enumerate_patterns, is_fflv_pattern
 from .weights import json_int, triangle_pairs
 
 
@@ -28,14 +29,7 @@ class PBWTableau:
     columns: tuple  # tuple of tuples
 
     def __post_init__(self):
-        heights = list(map(len, self.columns))
-        if heights != sorted(heights, reverse=True):
-            raise ValueError("column heights must be non-increasing")
-        if heights and (heights[-1] < 1 or heights[0] > self.n - 1):
-            raise ValueError("column heights must lie in [1, n-1]")
-        for col in self.columns:
-            if min(col) < 1 or max(col) > self.n:
-                raise ValueError("entries out of range")
+        _check_shape(self.n, list(map(len, self.columns)), self.columns)
 
     def shape(self):
         coeffs = [0] * (self.n - 1)
@@ -53,8 +47,22 @@ class PBWTableau:
         return cls(n, tuple(tuple(json_int(v, "entry") for v in c) for c in data["columns"]))
 
 
-def empty_tableau(n):
-    return PBWTableau(n, ())
+def _check_shape(n, heights, columns):
+    """What a PBWTableau requires of its column heights and columns."""
+    if heights != sorted(heights, reverse=True):
+        raise ValueError("column heights must be non-increasing")
+    if heights and (heights[-1] < 1 or heights[0] > n - 1):
+        raise ValueError("column heights must lie in [1, n-1]")
+    if any(min(col) < 1 or max(col) > n for col in columns):
+        raise ValueError("entries out of range")
+
+
+def _trusted_tableau(n, columns):
+    """PBWTableau(n, columns) unchecked, for what _walk_ssyt emits."""
+    Y = object.__new__(PBWTableau)
+    fields = Y.__dict__  # frozen: setattr is refused, the dict is not
+    fields["n"], fields["columns"] = n, columns
+    return Y
 
 
 def pbw_column(n, content):
@@ -103,31 +111,35 @@ def _column_heights(lam):
     return [i for i in range(lam.n - 1, 0, -1) for _ in range(lam.a(i))]
 
 
-def enumerate_ssyt(lam):
-    """All PBW semistandard tableaux of the given shape, depth first over
-    column content sets in sorted order.
+def _walk_ssyt(lam, emit):
+    """Call emit with the column tuple of every PBW semistandard tableau
+    of the given shape, depth first over column content sets in sorted
+    order.
 
     The columns of each height are built once, and the columns that may
     stand right of a given column are found once per call; filtering
     keeps content order, so the output order is that of the content sets.
+    Every tableau draws its heights and columns from those checked here.
     """
     n = lam.n
     heights = _column_heights(lam)
-    if not heights:
-        return [empty_tableau(n)]
     columns = {
         h: [pbw_column(n, c) for c in combinations(range(1, n + 1), h)]
         for h in set(heights)
     }
+    _check_shape(n, heights, [col for cols in columns.values() for col in cols])
+    if not heights:
+        emit(())
+        return
     following = {}  # (left column, next height) -> columns allowed right of it
     last = len(heights) - 1
-    out = []
     cols = []
 
     def extend(depth, choices):
         if depth == last:
             head = tuple(cols)
-            out.extend(PBWTableau(n, head + (col,)) for col in choices)
+            for col in choices:
+                emit(head + (col,))
             return
         h = heights[depth + 1]
         for col in choices:
@@ -141,7 +153,21 @@ def enumerate_ssyt(lam):
             cols.pop()
 
     extend(0, columns[heights[0]])
-    return out
+
+
+def enumerate_ssyt(lam):
+    """All PBW semistandard tableaux of the given shape, built unchecked:
+    the walk checks their heights and columns once per call."""
+    tableaux = []
+    _walk_ssyt(lam, tableaux.append)
+    return [_trusted_tableau(lam.n, columns) for columns in tableaux]
+
+
+def count_ssyt(lam):
+    """The number of PBW semistandard tableaux of the shape; builds none."""
+    tally = count()
+    _walk_ssyt(lam, partial(next, tally))  # next(tally, columns) steps the tally
+    return next(tally)
 
 
 def tau(Y):
@@ -149,6 +175,11 @@ def tau(Y):
     below its own row, summed over columns."""
     if not is_pbw_tableau(Y):
         raise ValueError("not a PBW tableau")
+    return _tau(Y)
+
+
+def _tau(Y):
+    """tau of a tableau known to be PBW: zeta's result or an enumerated one."""
     position = {pair: pos for pos, pair in enumerate(triangle_pairs(Y.n))}
     entries = [0] * len(position)
     for col in Y.columns:
@@ -195,3 +226,16 @@ def zeta(T, lam):
     if not is_pbw_ssyt(Y):
         raise RuntimeError("zeta produced a tableau that is not PBW semistandard")
     return Y
+
+
+def bijection_failure(lam):
+    """None if tau and zeta invert each other on the patterns and the PBW
+    semistandard tableaux of lam, else the identity that fails. tau skips
+    its check: zeta checks what it returns, the walk what it emits."""
+    for T in enumerate_patterns(lam):
+        if _tau(zeta(T, lam)) != T:
+            return "tau(zeta(T)) != T"
+    for Y in enumerate_ssyt(lam):
+        if zeta(_tau(Y), lam) != Y:
+            return "zeta(tau(Y)) != Y"
+    return None

@@ -19,7 +19,6 @@ from pbwdegen.tableaux import (
     PBWTableau,
     _adjacent_ok,
     _column_heights,
-    empty_tableau,
     pbw_column,
 )
 from pbwdegen.weights import triangle_pairs
@@ -70,7 +69,7 @@ def reference_ssyt(lam):
     n = lam.n
     heights = _column_heights(lam)
     if not heights:
-        return [empty_tableau(n)]
+        return [PBWTableau(n, ())]
     contents = {
         h: [c for c in combinations(range(1, n + 1), h)] for h in set(heights)
     }

@@ -334,6 +334,40 @@ def test_relation_generation_is_guarded(argv, tmp_path, capsys, monkeypatch):
     assert "Pluecker relation exchanges" in err and "PBWDEGEN_MAX_DIM=100000" in err
 
 
+def test_ideal_initial_builds_only_the_relations_that_fit_mu(tmp_path, capsys, monkeypatch):
+    # n=12, d=(6): of the 52,934,112 exchanges, none fits mu=(1) and all fit
+    # mu=(2); the full generating set is never built
+    build = cli.ideals.plucker_relations
+
+    def fitting_only(n, d, mu=None):
+        assert mu is not None, "built every relation"
+        return build(n, d, mu)
+
+    monkeypatch.setattr(cli.ideals, "plucker_relations", fitting_only)
+    monkeypatch.setenv("PBWDEGEN_MAX_DIM", "500000")
+    path = _write(tmp_path, "zero12.json", zero_weight_system(12).to_json())
+    argv = ["ideal", "initial", "--n", "12", "--d", "6", "--weights", path]
+    assert cli.main(argv + ["--mu", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "rank=0"
+    # 427,350 monomials pass, the exchanges not, before any is built
+    monkeypatch.setattr(cli.ideals, "plucker_relations", _refuse)
+    assert cli.main(argv + ["--mu", "2"]) == 2
+    assert "Pluecker relation exchanges 52934112 exceeds" in capsys.readouterr().err
+
+
+def test_ideal_initial_at_n12_ends_quickly(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PBWDEGEN_MAX_DIM="1000")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    path = _write(tmp_path, "zero12.json", zero_weight_system(12).to_json())
+    proc = subprocess.run(
+        [sys.executable, "-m", "pbwdegen", "ideal", "initial", "--n", "12", "--d", "6",
+         "--mu", "1", "--weights", path],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert proc.returncode in (0, 2), proc.stderr
+
+
 def test_relation_guard_bound_is_inclusive(capsys, monkeypatch):
     argv = ["ideal", "gen", "--n", "4", "--d", "2"]  # 36 index pairs, 2 blocks each
     monkeypatch.setenv("PBWDEGEN_MAX_DIM", "72")
@@ -409,6 +443,9 @@ def test_enumeration_size_guard(argv, capsys, monkeypatch):
 
     monkeypatch.setattr(cli.fflv, "enumerate_patterns", refuse)
     monkeypatch.setattr(cli.tableaux, "enumerate_ssyt", refuse)
+    # the counts walk the search without building objects
+    monkeypatch.setattr(cli.fflv, "_walk_patterns", refuse)
+    monkeypatch.setattr(cli.tableaux, "_walk_ssyt", refuse)
     monkeypatch.setenv("PBWDEGEN_MAX_DIM", "100")
     assert cli.main(argv + ["--lam", "3,3,3,3,3"]) == 2
     assert "PBWDEGEN_MAX_DIM" in capsys.readouterr().err

@@ -4,8 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pbwdegen.fflv import DominantWeight, enumerate_patterns, weyl_dim
-from pbwdegen.tableaux import enumerate_ssyt, tau, zeta
+from pbwdegen import cli, representations, suite, tableaux as tableaux_module
+from pbwdegen.fflv import (
+    DominantWeight,
+    TrianglePattern,
+    enumerate_patterns,
+    minkowski_check,
+    weyl_dim,
+)
+from pbwdegen.tableaux import PBWTableau, enumerate_ssyt, tau, zeta
+from pbwdegen.weights import toric_weight_system
 from reference_enumeration import reference_patterns, reference_ssyt
 
 
@@ -28,9 +36,49 @@ EQUIVALENCE_CASES = (
     "lam", EQUIVALENCE_CASES, ids=lambda lam: f"n{lam.n}-" + ",".join(map(str, lam.coeffs))
 )
 def test_enumerators_match_reference(lam):
-    # same objects in the same order as the try-every-value references
-    assert enumerate_patterns(lam) == reference_patterns(lam)
-    assert enumerate_ssyt(lam) == reference_ssyt(lam)
+    # same objects in the same order as the try-every-value references;
+    # the enumerators build theirs unchecked, and rebuilding each through
+    # the validating constructor changes nothing
+    patterns, tableaux = enumerate_patterns(lam), enumerate_ssyt(lam)
+    assert patterns == reference_patterns(lam)
+    assert tableaux == reference_ssyt(lam)
+    assert [TrianglePattern(T.n, T.entries) for T in patterns] == patterns
+    assert [PBWTableau(Y.n, Y.columns) for Y in tableaux] == tableaux
+
+
+def test_enumerators_check_once_per_call(monkeypatch):
+    lam = DominantWeight(4, (1, 1, 1))
+    checks = []
+    post_init = TrianglePattern.__post_init__
+    monkeypatch.setattr(TrianglePattern, "__post_init__", lambda T: checks.append(T) or post_init(T))
+    assert len(enumerate_patterns(lam)) == 64 and len(checks) == 1
+    check_shape = tableaux_module._check_shape
+    monkeypatch.setattr(tableaux_module, "_check_shape",
+                        lambda *args: checks.append(args) or check_shape(*args))
+    assert len(enumerate_ssyt(lam)) == 64 and len(checks) == 2
+    # the one check still refuses what the constructor refuses
+    monkeypatch.setattr(tableaux_module, "_column_heights", lambda lam: [1, 2])
+    with pytest.raises(ValueError, match="non-increasing"):
+        enumerate_ssyt(lam)
+
+
+def test_counting_callers_build_no_objects(monkeypatch, capsys):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"built a {type(self).__name__}")
+
+    for cls in (TrianglePattern, PBWTableau):
+        monkeypatch.setattr(cls, "__init__", refuse)
+        monkeypatch.setattr(cls, "__post_init__", refuse)
+    assert suite.check_dimension_agreement()[0]
+    for argv in (["fflv", "count", "--lam", "1,1,1"], ["tableaux", "count", "--lam", "1,1,1"]):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "64"
+    lam = DominantWeight(3, (1, 1))
+    assert representations.fflv_basis_check(toric_weight_system(3), lam)
+    assert representations.annihilator_monomial_check(toric_weight_system(3), lam)
+    assert minkowski_check(DominantWeight.fundamental(4, 1), DominantWeight.fundamental(4, 2))
+    with pytest.raises(AssertionError, match="built a TrianglePattern"):
+        enumerate_patterns(lam)  # the patch is in force
 
 
 # Weights whose largest Dyck path bound, the total a_1 + ... + a_{n-1}, is

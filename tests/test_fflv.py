@@ -14,9 +14,13 @@ from pbwdegen.fflv import (
     is_fflv_pattern,
     minkowski_check,
     path_bound,
-    path_sum,
     weyl_dim,
 )
+
+
+def path_sum(T, path):
+    """The sum of T along a Dyck path: the left side of its inequality."""
+    return sum(T.a(i, j) for i, j in path.steps)
 
 
 def catalan(m):

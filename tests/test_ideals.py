@@ -25,8 +25,10 @@ from pbwdegen.ideals import (
     mono_grade,
     mono_str,
     multidegrees_up_to,
+    plucker_initial_component,
     plucker_relations,
     quadratic_generation_check,
+    relation_pairs,
 )
 from pbwdegen.weights import (
     abelian_weight_system,
@@ -141,6 +143,34 @@ def test_equal_generators_take_the_cached_rows():
     part = initial_component(rels[1:], n, d, mu, g)
     assert ideals._canonical_rows_cache.cache_info().hits == hits + 1
     assert part.rank <= len(want)
+
+
+def test_relation_pairs_that_fit_mu():
+    d = (1, 2, 3)
+    assert relation_pairs(d) == [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)]
+    # e_p + e_q <= mu: a pair of equal sizes needs that size twice
+    assert relation_pairs(d, (1, 1, 0)) == [(2, 1)]
+    assert relation_pairs(d, (0, 2, 1)) == [(2, 2), (3, 2)]
+    assert relation_pairs(d, (0, 1, 0)) == []
+    # with mu, plucker_relations keeps exactly the relations that fit mu
+    full = plucker_relations(4, d)
+    for mu in multidegrees_up_to(d, 3):
+        fit = [r for r in full if all(a <= b for a, b in zip(r.multidegree(d), mu))]
+        assert plucker_relations(4, d, mu) == tuple(fit), mu
+
+
+def test_initial_component_from_the_relations_that_fit_mu():
+    """Only relations of multidegree <= mu reach the component, so building
+    just those gives the component of the full generating set. Every
+    canonical system at n=4, every multidegree of degree <= 3."""
+    n, d = 4, (1, 2, 3)
+    gens = plucker_relations(n, d)
+    for _, A in canonical_weight_systems(n):
+        g = grading_vector(A, d)
+        for mu in multidegrees_up_to(d, 3):
+            fit = plucker_initial_component(n, d, mu, g)
+            full = initial_component(gens, n, d, mu, g)
+            assert (fit.monomials, fit.rows) == (full.monomials, full.rows), mu
 
 
 def test_grade_lookup_by_elems_is_not_a_field():

@@ -1,10 +1,11 @@
 import pytest
 
+from pbwdegen import tableaux
 from pbwdegen.fflv import DominantWeight, TrianglePattern, enumerate_patterns, weyl_dim
 from pbwdegen.tableaux import (
     PBWTableau,
     _adjacent_ok,
-    empty_tableau,
+    bijection_failure,
     enumerate_ssyt,
     is_pbw_ssyt,
     is_pbw_tableau,
@@ -70,6 +71,25 @@ def order_preceq(x, y, n):
     return _adjacent_ok(pbw_column(n, x), pbw_column(n, y))
 
 
+def test_tau_rejects_a_non_pbw_tableau():
+    # a valid tableau whose column (2, 4) puts the small entry 2 in row 1;
+    # the round trips skip tau's check, the public tau keeps it
+    Y = PBWTableau(4, ((2, 4),))
+    assert not is_pbw_tableau(Y)
+    with pytest.raises(ValueError, match="not a PBW tableau"):
+        tau(Y)
+
+
+def test_bijection_failure_names_the_identity_that_fails(monkeypatch):
+    lam = DominantWeight(3, (1, 1))
+    assert bijection_failure(lam) is None
+    zero = TrianglePattern(3, (0, 0, 0))
+    monkeypatch.setattr(tableaux, "_tau", lambda Y: zero)
+    assert bijection_failure(lam) == "tau(zeta(T)) != T"
+    monkeypatch.setattr(tableaux, "enumerate_patterns", lambda lam: [])
+    assert bijection_failure(lam) == "zeta(tau(Y)) != Y"
+
+
 def test_order_preceq():
     assert order_preceq({1, 3}, {3}, 3)
     assert not order_preceq({1, 2}, {3}, 3)
@@ -86,8 +106,8 @@ def test_enumeration_matches_dimension():
 
 def test_empty_shape():
     lam = DominantWeight(3, (0, 0))
-    assert enumerate_ssyt(lam) == [empty_tableau(3)]
-    assert tau(empty_tableau(3)) == TrianglePattern(3, (0, 0, 0))
+    assert enumerate_ssyt(lam) == [PBWTableau(3, ())]
+    assert tau(PBWTableau(3, ())) == TrianglePattern(3, (0, 0, 0))
 
 
 def test_zeta_example():
