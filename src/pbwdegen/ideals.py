@@ -181,6 +181,13 @@ def relation_pairs(d, mu=None):
     return [(p, q) for p in d for q in d if p >= q and deg[q] >= 1 and deg[p] >= 1 + (p == q)]
 
 
+class _Relations(tuple):
+    """The relations plucker_relations returns, marked with the ideal
+    (n, d) they generate; None when they are only those that fit a mu."""
+
+    ideal = None
+
+
 @lru_cache(maxsize=32)
 def plucker_relations(n, d, mu=None):
     """Generating set of the multihomogeneous Pluecker ideal; with mu, only
@@ -192,7 +199,8 @@ def plucker_relations(n, d, mu=None):
     deterministically ordered. Relations are built over the integers and
     scaled to lead coefficient 1; only the kept ones become Fraction
     polynomials. The result is cached, so it is a tuple: no caller can
-    change it for the next one.
+    change it for the next one. It is marked with the ideal it generates,
+    which _ideal_rows reads instead of building the relations to compare.
     """
     kept = {}
     signs = {}  # few distinct sequences recur across the exchanges
@@ -215,7 +223,10 @@ def plucker_relations(n, d, mu=None):
                             for m, c in rel.items()
                         }
                         kept.setdefault(tuple(sorted(canon.items())), canon)
-    return tuple(GradedPolynomial(kept[key]) for key in sorted(kept))
+    out = _Relations(GradedPolynomial(kept[key]) for key in sorted(kept))
+    if mu is None:
+        out.ideal = (n, tuple(d))
+    return out
 
 
 def initial_part(f, g):
@@ -287,8 +298,9 @@ def _canonical_rows_cache(n, d, mu):
 
 def _ideal_rows(gens, n, d, mu):
     """Monomial basis and integer rows spanning the ideal component; the
-    Pluecker ideal, recognized by value, has an echelon basis cached per mu."""
-    if tuple(gens) == plucker_relations(n, d):
+    Pluecker ideal, recognized by the mark plucker_relations puts on its
+    relations, has an echelon basis cached per mu."""
+    if getattr(gens, "ideal", None) == (n, d):
         return _canonical_rows_cache(n, d, mu)
     return _spanning_rows(gens, n, d, mu)
 

@@ -11,6 +11,7 @@ point leaves the tropical variety.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .degrees import GradingVector, all_indices, degree_table, index_label
 from .ideals import (
@@ -82,24 +83,39 @@ def map_h(A):
 def normalize(point):
     """Shift each cardinality so that the leading subsets (1..k) sit at 0;
     a point already so, as every image of map_h is, is returned as is."""
-    shifts = {k: point.s[tuple(range(1, k + 1))] for k in range(1, point.n)}
-    if not any(shifts.values()):
-        return point
-    return TropicalPoint(
-        point.n, {elems: v - shifts[len(elems)] for elems, v in point.s.items()}
-    )
+    s = _normalized(point.n, point.s)
+    return point if s is point.s else TropicalPoint(point.n, s)
 
 
 def _prefix(m):
     return tuple(range(1, m + 1))
 
 
-def _inequalities(point):
-    """The inequalities [iv] and [v] on a normalized point, in order: for
-    each one its label, whether it holds, and the index pairs (a, b),
-    (c, d), (e, f) of the relation X_a X_b - X_c X_d - X_e X_f whose
-    initial part is a single monomial when it fails."""
-    n, s, p = point.n, point.s, _prefix
+def _integer_multiple(point):
+    """D * s as ints, for D the lcm of the denominators of the point, 1
+    for every image of map_h. The conditions [i]-[v] are homogeneous
+    linear and an initial part depends only on the order of the grades,
+    so both read the same at D * s as at s."""
+    s = point.s
+    D = lcm(*[v.denominator for v in s.values()])
+    return {I: v.numerator * (D // v.denominator) for I, v in s.items()}
+
+
+def _normalized(n, t):
+    """t shifted on each cardinality so that the leading subsets (1..k)
+    sit at 0, as normalize shifts a point."""
+    shifts = {k: t[_prefix(k)] for k in range(1, n)}
+    if not any(shifts.values()):
+        return t
+    return {elems: v - shifts[len(elems)] for elems, v in t.items()}
+
+
+def _inequalities(n, s):
+    """The inequalities [iv] and [v] on normalized coordinates s, in
+    order: for each one its label, whether it holds, and the index pairs
+    (a, b), (c, d), (e, f) of the relation X_a X_b - X_c X_d - X_e X_f
+    whose initial part is a single monomial when it fails."""
+    p = _prefix
     for i in range(1, n - 1):
         a, b, c = p(i - 1) + (i + 1,), p(i) + (i + 2,), p(i - 1) + (i + 2,)
         yield f"[iv] i={i}", s[a] + s[b] >= s[c], (
@@ -118,34 +134,36 @@ def _inequalities(point):
             )
 
 
-def cone_C_membership(point):
-    """Evaluate the cone conditions [i]-[v]; returns (verdict, violations).
-
-    The point is normalized first, so [i] holds by construction and the
-    other conditions are evaluated on the normalized representative.
-    """
-    n = point.n
-    point = normalize(point)
-    violations = []
-    for k in range(1, n):
-        if point.s[_prefix(k)] != 0:
-            violations.append(f"[i] k={k}")
+def _violations(n, s):
+    """The conditions [i]-[v] that fail at normalized coordinates s."""
+    violations = [f"[i] k={k}" for k in range(1, n) if s[_prefix(k)] != 0]
     for i in range(1, n + 1):
         for j in range(i + 2, n + 1):
             idxs = [
                 _prefix(i - 1) + tuple(range(i + 1, k + 1)) + (j,)
                 for k in range(i, j)
             ]
-            vals = {point.s[idx] for idx in idxs}
+            vals = {s[idx] for idx in idxs}
             if len(vals) > 1:
                 violations.append(f"[ii] i={i} j={j}")
     # [iii]: s_I is the degree of I under the triangle whose entry at
     # (p, q) is the coordinate of {1..p-1, q}
-    T = Triangle(n, tuple(point.s[_prefix(p - 1) + (q,)] for p, q in triangle_pairs(n)))
+    T = Triangle(n, tuple(s[_prefix(p - 1) + (q,)] for p, q in triangle_pairs(n)))
     for I, total in degree_table(T, all_indices(n, range(1, n))).items():
-        if point.s[I] != total:
+        if s[I] != total:
             violations.append(f"[iii] I={index_label(I)}")
-    violations += [label for label, holds, _ in _inequalities(point) if not holds]
+    violations += [label for label, holds, _ in _inequalities(n, s) if not holds]
+    return violations
+
+
+def cone_C_membership(point):
+    """Evaluate the cone conditions [i]-[v]; returns (verdict, violations).
+
+    The point is normalized first, so [i] holds by construction and the
+    other conditions are evaluated on the normalized representative,
+    scaled to integers by _integer_multiple.
+    """
+    violations = _violations(point.n, _normalized(point.n, _integer_multiple(point)))
     return not violations, violations
 
 
@@ -159,11 +177,13 @@ def in_trop_necessary_check(point, d, degree_bound):
     total degree up to the bound contains a monomial.
 
     Bounded-degree only; a True verdict certifies nothing beyond the
-    inspected degrees.
+    inspected degrees. The grading is the integer multiple of the point,
+    which orders the monomials of a component as the point does.
     """
     n = point.n
     d = tuple(d)
-    g = grading_from_point(point, d)
+    t = _integer_multiple(point)
+    g = GradingVector(n, d, {I: t[I] for I in all_indices(n, d)})
     gens = plucker_relations(n, d)
     for mu in multidegrees_up_to(d, degree_bound):
         if sum(mu) < 2:
@@ -185,12 +205,11 @@ def maximality_witness(point):
     """For a point failing [iv] or [v], the Pluecker relation whose
     initial part degenerates to a single monomial; None when no
     inequality fails."""
-    point = normalize(point)  # so cone_C_membership builds no second point
-    ok, violations = cone_C_membership(point)
-    linear = [v for v in violations if v.startswith(("[i]", "[ii]", "[iii]"))]
+    s = _normalized(point.n, _integer_multiple(point))
+    linear = [v for v in _violations(point.n, s) if v.startswith(("[i]", "[ii]", "[iii]"))]
     if linear:
         raise ValueError(f"conditions [i]-[iii] must hold first: {linear}")
-    for _, holds, pairs in _inequalities(point):
+    for _, holds, pairs in _inequalities(point.n, s):
         if not holds:
             return _quad(*pairs)
     return None

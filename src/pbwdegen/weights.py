@@ -14,8 +14,7 @@ only depends on that face.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from itertools import chain, combinations, islice
+from itertools import chain, combinations
 
 
 def triangle_pairs(n):
@@ -160,16 +159,21 @@ def _slacks(e, rows_a, rows_b):
         yield e[p] + e[q] - e[r] - e[s]
 
 
-def _in_cone(e, rows):
-    for slack in _slacks(e, *rows):
-        if slack < 0:
+def _in_cone(r, rows_a, rows_b, shift=0):
+    """The cone test on r, each entry plus shift: (a) reads r_p + r_q -
+    r_r >= shift, and (b), where the shifts cancel, is unchanged."""
+    for p, q, t in rows_a:
+        if r[p] + r[q] - r[t] < shift:
+            return False
+    for p, q, t, u in rows_b:
+        if r[p] + r[q] < r[t] + r[u]:
             return False
     return True
 
 
 def check_cone_membership(A):
     """True iff every defining inequality (a), (b) holds."""
-    return _in_cone(A.entries, _cone_rows(A.n))
+    return _in_cone(A.entries, *_cone_rows(A.n))
 
 
 def derived_inequalities_hold(A):
@@ -260,21 +264,59 @@ def canonical_weight_systems(n):
     return out
 
 
+# Words of the Mersenne Twister taken per bulk draw of random_cone_points.
+_DRAW_WORDS = 4096
+
+
+def _accepted_draws(rng, top):
+    """Endless blocks of the draws in [0, top] that getrandbits(k), k the
+    bit length of top + 1, gives one at a time, those above top dropped.
+
+    getrandbits(32 * m) holds m consecutive 32-bit outputs, the first in
+    the lowest bits, and getrandbits(k) for k <= 32 is the top k bits of
+    one output. For k <= 8 that is the top byte of each output shifted,
+    so a byte table maps and drops the draws in C; wider draws are taken
+    one at a time.
+    """
+    k = (top + 1).bit_length()
+    m = _DRAW_WORDS
+    if k > 8:
+        while True:
+            yield [r for r in (rng.getrandbits(k) for _ in range(m)) if r <= top]
+    table = bytes(b >> (8 - k) for b in range(256))
+    rejects = bytes(b for b in range(256) if b >> (8 - k) > top)
+    while True:
+        words = rng.getrandbits(32 * m).to_bytes(4 * m, "little")
+        yield words[3::4].translate(table, rejects)
+
+
 def random_cone_points(n, count, bound=3, seed=0):
     """The first count admissible triangles among uniform integer triangles
     with entries in [-bound, bound] drawn from random.Random(seed). Each
     entry is drawn as randint(-bound, bound) draws it in CPython 3.10-3.12:
-    getrandbits of the bit length of 2*bound+1, redrawn above 2*bound."""
-    if count > 0 and bound < 0:
+    getrandbits of the bit length of 2*bound+1, redrawn above 2*bound.
+
+    The draws r = entry + bound are taken from the same stream in bulk,
+    and each candidate is tested for the cone on its draws.
+    """
+    if count <= 0:
+        return []
+    if bound < 0:
         raise ValueError(f"empty range [{-bound}, {bound}]")
-    top = 2 * bound
-    draw = partial(random.Random(seed).getrandbits, (top + 1).bit_length())
-    entries = (r - bound for r in iter(draw, None) if r <= top)  # endless
+    if n < 2:
+        raise ValueError("need n >= 2")
     size = len(triangle_pairs(n))
-    rows = _cone_rows(n)
+    rows_a, rows_b = _cone_rows(n)
     found = []
-    while len(found) < count:
-        e = tuple(islice(entries, size))
-        if _in_cone(e, rows):
-            found.append(WeightSystem(n, e))
-    return found
+    pending = None
+    for block in _accepted_draws(random.Random(seed), 2 * bound):
+        if pending:
+            block = pending + block
+        stop = len(block) - len(block) % size
+        for start in range(0, stop, size):
+            r = block[start:start + size]
+            if _in_cone(r, rows_a, rows_b, bound):
+                found.append(WeightSystem(n, tuple([x - bound for x in r])))
+                if len(found) == count:
+                    return found
+        pending = block[stop:]

@@ -129,7 +129,7 @@ def test_relations_vanish_on_flag_minors(case):
         assert total == 0
 
 
-def test_equal_generators_take_the_cached_rows():
+def test_marked_relations_take_the_cached_rows():
     n, d, mu = 4, (1, 2, 3), (1, 1, 1)
     rels = plucker_relations(n, d)
     copy = tuple(GradedPolynomial(dict(r.terms)) for r in rels)
@@ -137,12 +137,35 @@ def test_equal_generators_take_the_cached_rows():
     g = grading_vector(toric_weight_system(n), d)
     want = initial_component(rels, n, d, mu, g).span_key()
     hits = ideals._canonical_rows_cache.cache_info().hits
-    assert initial_component(copy, n, d, mu, g).span_key() == want
+    assert initial_component(rels, n, d, mu, g).span_key() == want
     assert ideals._canonical_rows_cache.cache_info().hits == hits + 1
-    # a proper subset of the relations is spanned afresh
+    # an unmarked copy and a proper subset are spanned afresh
+    assert initial_component(copy, n, d, mu, g).span_key() == want
     part = initial_component(rels[1:], n, d, mu, g)
     assert ideals._canonical_rows_cache.cache_info().hits == hits + 1
     assert part.rank <= len(want)
+    # only the full relation set of (n, d) carries the mark
+    assert rels.ideal == (n, d) and plucker_relations(n, d, mu).ideal is None
+
+
+def _refuse(*args):
+    raise AssertionError("built the Pluecker relations")
+
+
+def test_other_generators_do_not_build_the_relations(monkeypatch):
+    n, d, mu = 4, (2,), (2,)
+    rels = plucker_relations(n, d)
+    g = grading_vector(toric_weight_system(n), d)
+    want = component_basis(rels, n, d, mu).span_key()
+    want_initial = initial_component(rels, n, d, mu, g).span_key()
+    monkeypatch.setattr(ideals, "plucker_relations", _refuse)
+    copy = [GradedPolynomial(dict(r.terms)) for r in rels]
+    assert component_basis(copy, n, d, mu).span_key() == want
+    assert initial_component(copy, n, d, mu, g).span_key() == want_initial
+    x = GradedPolynomial.variable
+    assert component_basis([x((1, 2)) * x((3, 4))], n, d, mu).rank == 1
+    # n=9, d=(4): the relation set would take seconds to build
+    assert component_basis([], 9, (4,), (1,)).rank == 0
 
 
 def test_relation_pairs_that_fit_mu():

@@ -6,6 +6,7 @@ import random
 import pytest
 
 import reference_sampling as ref
+from pbwdegen import weights
 from pbwdegen.weights import (
     NotInConeError,
     WeightSystem,
@@ -49,6 +50,52 @@ def test_negative_bound_raises_like_randint():
         with pytest.raises(ValueError):
             sample(3, 1, bound=-1)
         assert sample(3, 0, bound=-1) == []  # nothing drawn, nothing refused
+
+
+@pytest.mark.parametrize("words", [1, 2, 3, 7, 64])
+def test_sampler_does_not_depend_on_the_draw_size(words, monkeypatch):
+    # with 7 words a draw holds at most 7 entries, so at n=5 (10 entries)
+    # every candidate straddles two or more draws; with 64 most counts are
+    # reached partway through a draw
+    monkeypatch.setattr(weights, "_DRAW_WORDS", words)
+    for n, count, bound, seed in [(3, 6, 3, 1), (4, 5, 2, 2), (5, 3, 3, 15), (5, 4, 1, 4)]:
+        want = ref.random_cone_points(n, count, bound, seed)
+        assert _entries(random_cone_points(n, count, bound, seed)) == _entries(want)
+
+
+def test_sampler_stops_partway_through_a_draw():
+    # one candidate of the first 4,096-word draw, and 450 points over six draws
+    assert _entries(random_cone_points(3, 1, 3, seed=5)) == _entries(
+        ref.random_cone_points(3, 1, 3, seed=5)
+    )
+    assert _entries(random_cone_points(4, 450, 1, seed=3)) == _entries(
+        ref.random_cone_points(4, 450, 1, seed=3)
+    )
+
+
+def test_sampler_with_bound_zero_takes_the_zero_triangle():
+    want = ref.random_cone_points(5, 3, bound=0, seed=9)
+    assert _entries(random_cone_points(5, 3, bound=0, seed=9)) == _entries(want)
+    assert _entries(want) == [(0,) * 10] * 3
+
+
+@pytest.mark.parametrize("words", [5, weights._DRAW_WORDS])
+def test_sampler_with_draws_wider_than_a_byte(words, monkeypatch):
+    # 2 * 200 + 1 values need 9 bits: the draws come one at a time
+    monkeypatch.setattr(weights, "_DRAW_WORDS", words)
+    for seed in (0, 1):
+        want = ref.random_cone_points(3, 5, bound=200, seed=seed)
+        assert _entries(random_cone_points(3, 5, bound=200, seed=seed)) == _entries(want)
+    want = ref.random_cone_points(3, 4, bound=127, seed=2)  # 255 values: 8 bits
+    assert _entries(random_cone_points(3, 4, bound=127, seed=2)) == _entries(want)
+
+
+def test_no_count_draws_nothing_whatever_the_bound():
+    for sample in (random_cone_points, ref.random_cone_points):
+        assert sample(3, 0, bound=-4, seed=1) == []
+        assert sample(4, -2, bound=-1) == []
+        with pytest.raises(ValueError):
+            sample(1, 1)
 
 
 def _triangles():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import reference_tropical
 from pbwdegen import suite, tropical
 from pbwdegen.degrees import all_indices, degree_s
 from pbwdegen.ideals import GradedPolynomial, initial_part
@@ -88,7 +89,8 @@ def test_witness_is_monomial_after_degeneration():
 
 
 def test_witness_builds_one_normalized_point(monkeypatch):
-    # a shifted point is rebuilt once, a normalized one not at all
+    # no point is built, shifted or not: the witness reads an integer
+    # multiple of the normalized coordinates
     base = point_from_triangle(3, {(1, 2): 0, (2, 3): 0, (1, 3): 1})
     shifted = TropicalPoint(3, {e: v + len(e) for e, v in base.s.items()})
     made = []
@@ -100,7 +102,7 @@ def test_witness_builds_one_normalized_point(monkeypatch):
 
     monkeypatch.setattr(tropical, "TropicalPoint", Counted)
     assert maximality_witness(base) == maximality_witness(shifted) is not None
-    assert len(made) == 1 and made[0].s == base.s
+    assert made == []
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -219,3 +221,72 @@ def test_json_refuses_repeated_subsets_and_non_integer_n():
     data["n"] = 3.0
     with pytest.raises(ValueError):
         TropicalPoint.from_json(data)
+
+
+# the intended violations of suite.check_tropical_cone
+BAD_TRIANGLES = [
+    (3, {(1, 2): 0, (2, 3): 0, (1, 3): 1}),
+    (4, {(1, 2): 0, (2, 3): 0, (3, 4): 0, (1, 3): 2, (2, 4): 0, (1, 4): 0}),
+    (4, {(1, 2): 1, (2, 3): 1, (3, 4): 1, (1, 3): 0, (2, 4): 0, (1, 4): 2}),
+]
+
+
+def _shifted(point, c):
+    """The point plus c, and plus c times the cardinality, on every subset."""
+    return [
+        TropicalPoint(point.n, {I: v + c for I, v in point.s.items()}),
+        TropicalPoint(point.n, {I: v + c * len(I) for I, v in point.s.items()}),
+    ]
+
+
+def _rational_points(n, rng):
+    """Seeded points with denominators 2, 3 and 6: random coordinates,
+    and images of map_h with one coordinate moved off the image."""
+    out = []
+    for den in (2, 3, 6):
+        coords = all_indices(n, range(1, n))
+        out.append(TropicalPoint(n, {I: Fraction(rng.randint(-6, 6), den) for I in coords}))
+        A = rng.choice([A for _, A in canonical_weight_systems(n)])
+        s = {I: v / den for I, v in map_h(A).s.items()}
+        I = rng.choice([I for I in coords if I != tuple(range(1, len(I) + 1))])
+        s[I] += Fraction(1, den)
+        out.append(TropicalPoint(n, s))
+    return out
+
+
+def _reference_points(ns):
+    rng = random.Random(11)
+    out = []
+    for n in ns:
+        images = [map_h(A) for _, A in canonical_weight_systems(n)]
+        if n <= 5:
+            images += [map_h(A) for A in random_cone_points(n, 8, seed=n + 60)]
+        out += images
+        for point in images[:3]:
+            out += _shifted(point, Fraction(5, 2)) + _shifted(point, Fraction(1, 3))
+        for _ in range(4):
+            out += _rational_points(n, rng)
+    for n, values in BAD_TRIANGLES:
+        if n in ns:
+            point = point_from_triangle(n, values)
+            out += [point] + _shifted(point, Fraction(5, 2)) + _shifted(point, Fraction(1, 3))
+    return out
+
+
+def test_cone_membership_matches_the_fraction_reference():
+    kinds = set()
+    for point in _reference_points((3, 4, 5, 6)):
+        got = cone_C_membership(point)
+        assert got == reference_tropical.cone_C_membership(point), point
+        kinds.update(v.split()[0] for v in got[1])
+    assert kinds == {"[ii]", "[iii]", "[iv]", "[v]"}
+
+
+def test_bounded_membership_matches_the_fraction_reference():
+    verdicts = set()
+    for point in _reference_points((3, 4)):
+        for d, bound in ([((1, 2), 3)] if point.n == 3 else [((1, 2, 3), 2), ((2,), 3)]):
+            got = in_trop_necessary_check(point, d, bound)
+            assert got == reference_tropical.in_trop_necessary_check(point, d, bound), point
+            verdicts.add(got)
+    assert verdicts == {True, False}
