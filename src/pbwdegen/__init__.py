@@ -4,8 +4,8 @@ Submodules:
 
 * ``weights`` -- integer weight triangles, the cone of admissible weight
   systems, its face signatures and canonical representatives;
-* ``degrees`` -- closed-form degrees of Pluecker coordinates and grading
-  vectors;
+* ``degrees`` -- closed-form degrees of Pluecker coordinates and the gradings
+  they form;
 * ``fflv`` -- Dyck paths, FFLV patterns and the Weyl dimension oracle;
 * ``tableaux`` -- PBW (semistandard) Young tableaux and the pattern
   bijection;

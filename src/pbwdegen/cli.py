@@ -246,7 +246,8 @@ def weights_random(run, args):
 
 def degrees_grading(run, args):
     A = run.load_admissible(args.weights)
-    out = degrees.grading_vector(A, run.sizes(A.n, args.d)).to_json()
+    g = degrees.grading_vector(A, run.sizes(A.n, args.d))
+    out = dict(sorted((degrees.index_label(I), v) for I, v in g.items()))
     return run.emit(out, [f"{k} {v}" for k, v in out.items()])
 
 
@@ -306,7 +307,8 @@ def _component(run, args):
 def ideal_initial(run, args):
     n, d, mu, A = _component(run, args)
     _guard_relations(n, d, mu)  # only the relations that fit mu are built
-    cb = ideals.plucker_initial_component(n, d, mu, degrees.grading_vector(A, d))
+    gens = ideals.plucker_relations(n, d, mu)
+    cb = ideals.initial_component(gens, n, d, mu, degrees.grading_vector(A, d))
     polys = cb.row_polynomials()
     payload = {"rank": cb.rank, "rows": [p.to_json() for p in polys]}
     return run.emit(payload, [f"rank={cb.rank}"] + [str(p) for p in polys])

@@ -1,4 +1,4 @@
-"""Closed-form degrees of Pluecker coordinates and grading vectors.
+"""Closed-form degrees of Pluecker coordinates and the gradings they form.
 
 A Pluecker coordinate, equally a wedge basis vector, is keyed by its
 index: a strictly increasing proper nonempty tuple within [1, n]. The
@@ -6,10 +6,9 @@ degree of the coordinate indexed by I of size k pairs the ascending
 complement {1..k} \\ I against the descending complement I \\ {1..k} and
 sums the corresponding weight entries. Specializing to fundamental
 columns this also produces the 0/1 triangle pattern supported on the
-pair list.
+pair list. A grading is the table {I: s_I} that degree_table returns.
 """
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .fflv import TrianglePattern
@@ -75,25 +74,11 @@ def degree_s(A, I):
     return degree_table(A, (I,))[I]
 
 
-@dataclass(frozen=True)
-class GradingVector:
-    """Degrees s keyed by index, for every index of each size in d."""
-
-    n: int
-    d: tuple
-    s: dict
-
-    def to_json(self):
-        out = {}
-        for I, val in self.s.items():
-            out[index_label(I)] = val if isinstance(val, int) else str(val)
-        return dict(sorted(out.items()))
-
-
 def grading_vector(A, d):
+    """The grading of A on the indices of the sizes d: its degree_table."""
     d = check_sizes(A.n, d)
     require_cone_membership(A)
-    return GradingVector(A.n, d, degree_table(A, all_indices(A.n, d)))
+    return degree_table(A, all_indices(A.n, d))
 
 
 def fundamental_pattern(n, I):

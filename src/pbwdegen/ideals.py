@@ -57,8 +57,7 @@ def mono_multidegree(m, d):
 
 
 def mono_grade(m, g):
-    s = g.s
-    return sum(e * s[elems] for elems, e in m)
+    return sum(e * g[elems] for elems, e in m)
 
 
 def mono_str(m):
@@ -306,9 +305,8 @@ def _ideal_rows(gens, n, d, mu):
 
 
 def _column_grades(monomials, g):
-    """Grade of every monomial under g, read off its degree table."""
-    s = g.s
-    return [sum([s[elems] * e for elems, e in m]) for m in monomials]
+    """Grade of every monomial under the degree table g."""
+    return [sum([g[elems] * e for elems, e in m]) for m in monomials]
 
 
 class ComponentBasis:
@@ -370,13 +368,6 @@ def _initial_rows(rows, grades):
 def initial_component(gens, n, d, mu, g):
     """Basis of the initial-ideal component for grading g."""
     basis, rows = _ideal_rows(gens, n, d, mu)
-    return ComponentBasis(mu, basis, _initial_rows(rows, _column_grades(basis, g)))
-
-
-def plucker_initial_component(n, d, mu, g):
-    """initial_component of the Pluecker ideal, spanned by only the
-    relations that fit mu: no relation of another multidegree is built."""
-    basis, rows = _spanning_rows(plucker_relations(n, d, mu), n, d, mu)
     return ComponentBasis(mu, basis, _initial_rows(rows, _column_grades(basis, g)))
 
 

@@ -10,8 +10,9 @@ rational ``ideals.GradedPolynomial``s.
 
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
-from .degrees import all_indices, degree_s
+from .degrees import all_indices, grading_vector
 from .fflv import pattern_entries
 from .ideals import GradedPolynomial
 from .linalg import Echelon
@@ -31,10 +32,11 @@ def classical_action(i, j, elems):
     return new, (-1) ** between
 
 
-# a closure reads at most 2^n - 2 entries, so for n <= 12 it evicts none of its own
-@lru_cache(maxsize=4096)
-def _coordinate_degree(A, elems):
-    return degree_s(A, elems)
+@lru_cache(maxsize=64)
+def _coordinate_degree(A):
+    """The degrees of all Pluecker coordinates of A, the cone checked once;
+    read-only, since every caller shares it."""
+    return MappingProxyType(grading_vector(A, range(1, A.n)))
 
 
 def wedge_maps(A, n, sizes):
@@ -46,13 +48,14 @@ def wedge_maps(A, n, sizes):
     slice: f_x is kept on I only when s_I + a_x is the degree of the image.
     """
     indices = all_indices(n, sizes)
+    s = None if A is None else _coordinate_degree(A)
     maps = {x: {} for x in triangle_pairs(n)}
     for x, images in maps.items():
         for I in indices:
             res = classical_action(*x, I)
             if res is None:
                 continue
-            if A is None or _coordinate_degree(A, I) + A.a(*x) == _coordinate_degree(A, res[0]):
+            if s is None or s[I] + A.a(*x) == s[res[0]]:
                 images[I] = res
     return maps
 

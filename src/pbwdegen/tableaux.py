@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, count
 
-from .fflv import DominantWeight, TrianglePattern, enumerate_patterns, is_fflv_pattern
-from .weights import json_int, triangle_pairs
+from .fflv import TrianglePattern, enumerate_patterns, is_fflv_pattern
+from .weights import triangle_pairs
 
 
 @dataclass(frozen=True)
@@ -30,21 +30,6 @@ class PBWTableau:
 
     def __post_init__(self):
         _check_shape(self.n, list(map(len, self.columns)), self.columns)
-
-    def shape(self):
-        coeffs = [0] * (self.n - 1)
-        for col in self.columns:
-            coeffs[len(col) - 1] += 1
-        return DominantWeight(self.n, tuple(coeffs))
-
-    def to_json(self):
-        return {"n": self.n, "columns": [list(c) for c in self.columns]}
-
-    @classmethod
-    def from_json(cls, data):
-        """Parse {"n": n, "columns": [[entry, ...], ...]} of JSON integers."""
-        n = json_int(data["n"], "n")
-        return cls(n, tuple(tuple(json_int(v, "entry") for v in c) for c in data["columns"]))
 
 
 def _check_shape(n, heights, columns):

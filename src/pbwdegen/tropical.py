@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .degrees import GradingVector, all_indices, degree_table, index_label
+from .degrees import all_indices, degree_table, index_label
 from .ideals import (
     GradedPolynomial,
     contains_monomial,
@@ -33,14 +33,17 @@ class TropicalPoint:
     s: dict
 
     def __post_init__(self):
-        if set(self.s) != set(all_indices(self.n, range(1, self.n))):
+        n, count = self.n, len(self.s)
+        if n < 2:
+            raise ValueError(f"need n >= 2, got n={n}")
+        # count the keys before listing the subsets, by bit length first
+        # so that a huge n never builds 2^n
+        if ((count + 2).bit_length() != n + 1 or count != 2**n - 2
+                or set(self.s) != set(all_indices(n, range(1, n)))):
             raise ValueError("need one coordinate per proper nonempty subset")
         object.__setattr__(
             self, "s", {k: Fraction(v) for k, v in self.s.items()}
         )
-
-    def value(self, elems):
-        return self.s[tuple(elems)]
 
     def to_json(self):
         out = {}
@@ -77,14 +80,7 @@ def point_from_triangle(n, values):
 def map_h(A):
     """Degrees of all Pluecker coordinates of an admissible weight system."""
     require_cone_membership(A)
-    return point_from_triangle(A.n, A.as_map())
-
-
-def normalize(point):
-    """Shift each cardinality so that the leading subsets (1..k) sit at 0;
-    a point already so, as every image of map_h is, is returned as is."""
-    s = _normalized(point.n, point.s)
-    return point if s is point.s else TropicalPoint(point.n, s)
+    return TropicalPoint(A.n, degree_table(A, all_indices(A.n, range(1, A.n))))
 
 
 def _prefix(m):
@@ -103,7 +99,7 @@ def _integer_multiple(point):
 
 def _normalized(n, t):
     """t shifted on each cardinality so that the leading subsets (1..k)
-    sit at 0, as normalize shifts a point."""
+    sit at 0; t itself when they already do, as for every image of map_h."""
     shifts = {k: t[_prefix(k)] for k in range(1, n)}
     if not any(shifts.values()):
         return t
@@ -169,7 +165,7 @@ def cone_C_membership(point):
 
 def grading_from_point(point, d):
     """The coordinates of the point on the indices of the sizes d."""
-    return GradingVector(point.n, tuple(d), {I: point.s[I] for I in all_indices(point.n, d)})
+    return {I: point.s[I] for I in all_indices(point.n, d)}
 
 
 def in_trop_necessary_check(point, d, degree_bound):
@@ -180,10 +176,8 @@ def in_trop_necessary_check(point, d, degree_bound):
     inspected degrees. The grading is the integer multiple of the point,
     which orders the monomials of a component as the point does.
     """
-    n = point.n
-    d = tuple(d)
-    t = _integer_multiple(point)
-    g = GradingVector(n, d, {I: t[I] for I in all_indices(n, d)})
+    n, d = point.n, tuple(d)
+    g = _integer_multiple(point)
     gens = plucker_relations(n, d)
     for mu in multidegrees_up_to(d, degree_bound):
         if sum(mu) < 2:

@@ -1,8 +1,10 @@
 import json
 import os
+import resource
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -161,6 +163,29 @@ def test_ideal_gen_json_structure(capsys):
     assert data["manifest"]["params"] == {"d": [1, 2], "n": 3}
 
 
+# the degree table of each system, keyed by index label in sorted order
+DEGREES_GOLDEN = [
+    (abelian_weight_system(3), "1,2",
+     {"1": 0, "1,2": 0, "1,3": 1, "2": 1, "2,3": 1, "3": 1}),
+    (toric_weight_system(4), "2",
+     {"1,2": 0, "1,3": 2, "1,4": 0, "2,3": 3, "2,4": 0, "3,4": 2}),
+]
+
+
+@pytest.mark.parametrize("A, d, want", DEGREES_GOLDEN)
+def test_degrees_golden_output(A, d, want, tmp_path, capsys):
+    path = _write(tmp_path, "A.json", A.to_json())
+    argv = ["degrees", "--weights", path, "--d", d]
+    assert cli.main(["--format", "json"] + argv) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result == want and list(result) == list(want)
+    assert all(type(v) is int for v in result.values())
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:-1] == [f"{k} {v}" for k, v in want.items()]
+    assert lines[-1].startswith("# manifest ")
+
+
 def test_ideal_initial(tmp_path, capsys):
     path = _write(tmp_path, "ab.json", abelian_weight_system(3).to_json())
     rc = cli.main(
@@ -225,6 +250,39 @@ def test_tropical_point_with_non_object_s_exits_two(action, s, tmp_path, capsys)
     err = capsys.readouterr().err
     assert "bad tropical point" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("n, argv", [
+    (-3, ["check"]), (-3, ["witness"]),
+    (0, ["check", "--degree-bound", "2"]), (1, ["check", "--degree-bound", "2"]),
+])
+def test_tropical_point_of_rank_below_two_exits_two(n, argv, tmp_path, capsys):
+    # n = 0 and 1 used to pass a bounded check that checked nothing
+    path = _write(tmp_path, "pt.json", {"n": n, "s": {}})
+    start = time.monotonic()
+    assert cli.main(["trop", argv[0], "--point", path] + argv[1:]) == 2
+    assert time.monotonic() - start < 1.0
+    err = capsys.readouterr().err
+    assert err == f"error: bad tropical point in {path}: need n >= 2, got n={n}\n"
+
+
+def test_tropical_point_counts_its_keys_before_listing_subsets(tmp_path):
+    # n=26 has 2^26 - 2 subsets; listing them exhausted a 2 GB address
+    # space, which the child gets as its limit here
+    path = _write(tmp_path, "pt.json", {"n": 26, "s": {"1": 0}})
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    limit = 2 * 10**9
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pbwdegen", "trop", "check", "--point", path],
+        capture_output=True, text=True, env=env, timeout=10,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert time.monotonic() - start < 1.0
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.count("\n") == 1 and "one coordinate per" in proc.stderr
 
 
 def test_trop_check_bad_sizes_exit_two(tmp_path, capsys):

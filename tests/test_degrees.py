@@ -1,11 +1,10 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pbwdegen.degrees import (
-    GradingVector,
     all_indices,
     check_index,
     complement_pairs,
@@ -14,12 +13,14 @@ from pbwdegen.degrees import (
     grading_vector,
     index_label,
 )
+from pbwdegen.ideals import initial_component, multidegrees_up_to, plucker_relations
 from pbwdegen.tropical import cone_C_membership, map_h
 from pbwdegen.weights import (
     NotInConeError,
     WeightSystem,
     abelian_weight_system,
     check_cone_membership,
+    face_signature,
     random_cone_points,
     zero_weight_system,
 )
@@ -86,24 +87,30 @@ def test_degree_requires_cone_membership():
         map_h(A)
 
 
-@st.composite
-def cone_points(draw):
-    """Integer points of the cone for n = 3..6, faces included. The
-    entries a_{i,i+1} are free; every other entry is the bound that its
-    inequality (a) or (b) puts on it minus a drawn slack, so each
-    inequality is used once and a zero slack makes it tight."""
-    n = draw(st.integers(3, 6))
-    slack = st.integers(0, 3)
-    a = {(i, i + 1): draw(st.integers(-3, 3)) for i in range(1, n)}
+def slack_point(n, superdiagonal, slack):
+    """The integer point of the cone with the entries a_{i,i+1} taken from
+    superdiagonal and every other entry the bound that its inequality (a)
+    or (b) puts on it minus slack(): each inequality is used once, (a)
+    first, and a zero slack makes it tight."""
+    a = {(i, i + 1): superdiagonal[i - 1] for i in range(1, n)}
     for i in range(1, n - 1):
-        a[(i, i + 2)] = a[(i, i + 1)] + a[(i + 1, i + 2)] - draw(slack)
+        a[(i, i + 2)] = a[(i, i + 1)] + a[(i + 1, i + 2)] - slack()
     for diff in range(3, n):
         for i in range(1, n - diff + 1):
             j = i + diff - 1
-            a[(i, j + 1)] = a[(i, j)] + a[(i + 1, j + 1)] - a[(i + 1, j)] - draw(slack)
+            a[(i, j + 1)] = a[(i, j)] + a[(i + 1, j + 1)] - a[(i + 1, j)] - slack()
     A = WeightSystem.from_map(n, a)
     assert check_cone_membership(A)
     return A
+
+
+@st.composite
+def cone_points(draw):
+    """Integer points of the cone for n = 3..6, faces included, from a
+    drawn superdiagonal and drawn slacks."""
+    n = draw(st.integers(3, 6))
+    superdiagonal = [draw(st.integers(-3, 3)) for _ in range(1, n)]
+    return slack_point(n, superdiagonal, lambda: draw(st.integers(0, 3)))
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -118,15 +125,13 @@ def test_degrees_on_random_cone_points(A):
 def test_abelian_grading_n3():
     g = grading_vector(abelian_weight_system(3), (1, 2))
     want = {"1": 0, "2": 1, "3": 1, "1,2": 0, "1,3": 1, "2,3": 1}
-    assert {index_label(I): v for I, v in g.s.items()} == want
-    assert g.to_json() == dict(sorted(want.items()))
+    assert {index_label(I): v for I, v in g.items()} == want
 
 
 def test_zero_grading():
     g = grading_vector(zero_weight_system(4), (2,))
-    assert list(g.s) == all_indices(4, (2,))
-    assert all(v == 0 for v in g.s.values())
-    assert isinstance(g, GradingVector)
+    assert list(g) == all_indices(4, (2,))
+    assert all(v == 0 for v in g.values())
 
 
 def test_grading_vector_validates_d():
@@ -137,6 +142,32 @@ def test_grading_vector_validates_d():
         grading_vector(A, (2, 1))
     with pytest.raises(ValueError):
         grading_vector(A, (1, 4))
+
+
+@pytest.mark.parametrize("n, bound", [(4, 3), (5, 2)])
+def test_faces_biject_onto_initial_ideals(n, bound):
+    """A point on every face, from superdiagonal 1 and slack 1 on each
+    inequality off the face's tight set, and another, from a second
+    superdiagonal and slack 2: the two give one initial ideal, and
+    distinct faces give distinct ideals, over the components of degree 2
+    to bound. The cone is simplicial, so its faces are the tight sets."""
+    d = tuple(range(1, n))
+    gens = plucker_relations(n, d)
+    mus = [mu for mu in multidegrees_up_to(d, bound) if sum(mu) >= 2]
+    count = (n - 1) * (n - 2) // 2  # one inequality per entry off the superdiagonal
+    faces, ideals = set(), set()
+    for tight in product((True, False), repeat=count):
+        seen = []
+        for superdiagonal, c in (([1] * (n - 1), 1), ([2, -1, 0, 3][: n - 1], 2)):
+            slacks = iter([0 if t else c for t in tight])
+            A = slack_point(n, superdiagonal, lambda: next(slacks))
+            g = grading_vector(A, d)
+            ideal = tuple(initial_component(gens, n, d, mu, g).span_key() for mu in mus)
+            seen.append((face_signature(A), ideal))
+        assert seen[0] == seen[1], tight
+        faces.add(seen[0][0])
+        ideals.add(seen[0][1])
+    assert len(faces) == len(ideals) == 2**count
 
 
 def test_fundamental_patterns_exhaust_the_fundamental_polytope():

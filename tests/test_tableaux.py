@@ -155,18 +155,3 @@ def test_zeta_rejects_outside_patterns():
     T = TrianglePattern.from_map(3, {(1, 3): 2})
     with pytest.raises(ValueError):
         zeta(T, lam)
-
-
-def test_shape_and_json():
-    Y = PBWTableau(4, ((1, 3), (4,)))
-    assert Y.shape() == DominantWeight(4, (1, 1, 0))
-    assert PBWTableau.from_json(Y.to_json()) == Y
-
-
-@pytest.mark.parametrize("bad", [4.9, "4", True])
-def test_from_json_refuses_non_integers(bad):
-    # int() read these as n = 4, 4 and 1
-    with pytest.raises(ValueError, match="must be an integer"):
-        PBWTableau.from_json({"n": bad, "columns": [[1, 3], [4]]})
-    with pytest.raises(ValueError, match="must be an integer"):
-        PBWTableau.from_json({"n": 4, "columns": [[1, bad], [4]]})

@@ -16,7 +16,6 @@ from pbwdegen.tropical import (
     in_trop_necessary_check,
     map_h,
     maximality_witness,
-    normalize,
     point_from_triangle,
 )
 from pbwdegen.weights import (
@@ -33,27 +32,28 @@ def test_proper_subsets_count():
         assert len(all_indices(n, range(1, n))) == 2**n - 2
 
 
-def test_point_validation():
+def test_point_validation(monkeypatch):
     with pytest.raises(ValueError):
         TropicalPoint(3, {(1,): 0})
+    for n in (-3, 0, 1):
+        with pytest.raises(ValueError, match="n >= 2"):
+            TropicalPoint(n, {})
+
+    def refuse(*args):
+        raise AssertionError("listed the subsets")
+
+    # the key count rules out n = 26 and n = 10^6 before any subset is listed
+    monkeypatch.setattr(tropical, "all_indices", refuse)
+    for n in (26, 10**6):
+        with pytest.raises(ValueError, match="one coordinate per"):
+            TropicalPoint(n, {(1,): 0})
 
 
 def test_map_h_agrees_with_degrees():
     A = toric_weight_system(4)
     point = map_h(A)
     for elems in all_indices(4, range(1, 4)):
-        assert point.value(elems) == degree_s(A, elems)
-
-
-def test_normalize_idempotent():
-    A = abelian_weight_system(4)
-    shifted = TropicalPoint(
-        4, {e: v + Fraction(5, 2) for e, v in map_h(A).s.items()}
-    )
-    once = normalize(shifted)
-    assert normalize(once) == once
-    for k in range(1, 4):
-        assert once.value(tuple(range(1, k + 1))) == 0
+        assert point.s[elems] == degree_s(A, elems)
 
 
 def test_cone_membership_of_image():
@@ -173,15 +173,15 @@ def test_condition_ii_index_families():
     for (n, (i, j)), elems_list in families.items():
         for A in random_cone_points(n, 5, seed=n + 50):
             s = map_h(A)
-            values = {s.value(elems) for elems in elems_list}
+            values = {s.s[elems] for elems in elems_list}
             assert values == {A.a(i, j)}
 
 
 def test_grading_from_point_sizes():
     s = map_h(toric_weight_system(4))
     g = grading_from_point(s, (2,))
-    assert set(len(I) for I in g.s) == {2}
-    assert g.s[(3, 4)] == s.value((3, 4))
+    assert set(len(I) for I in g) == {2}
+    assert g[(3, 4)] == s.s[(3, 4)]
 
 
 def test_h_image_rank():
