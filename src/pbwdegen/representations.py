@@ -10,7 +10,6 @@ rational ``ideals.GradedPolynomial``s.
 
 from fractions import Fraction
 from functools import lru_cache
-from types import MappingProxyType
 
 from .degrees import all_indices, grading_vector
 from .fflv import pattern_entries
@@ -32,11 +31,13 @@ def classical_action(i, j, elems):
     return new, (-1) ** between
 
 
+# the default suite reads 50 (system, sizes) tables and a module closure one,
+# so none is evicted
 @lru_cache(maxsize=64)
-def _coordinate_degree(A):
-    """The degrees of all Pluecker coordinates of A, the cone checked once;
-    read-only, since every caller shares it."""
-    return MappingProxyType(grading_vector(A, range(1, A.n)))
+def _coordinate_degree(A, sizes):
+    """The degrees of the Pluecker coordinates of A of the given sizes, the
+    cone checked once; callers only read it."""
+    return grading_vector(A, sizes)
 
 
 def wedge_maps(A, n, sizes):
@@ -48,7 +49,7 @@ def wedge_maps(A, n, sizes):
     slice: f_x is kept on I only when s_I + a_x is the degree of the image.
     """
     indices = all_indices(n, sizes)
-    s = None if A is None else _coordinate_degree(A)
+    s = None if A is None or not indices else _coordinate_degree(A, tuple(sizes))
     maps = {x: {} for x in triangle_pairs(n)}
     for x, images in maps.items():
         for I in indices:
