@@ -65,13 +65,34 @@ def _guard_component(n, d, mu):
 
 def _guard_relations(n, d, mu=None):
     # the exchanges plucker_relations examines for the size pairs p >= q
-    # (with mu, those that fit mu): both index sets, and every block of
-    # k <= min(q, p - 1) entries of the second
+    # (with mu, those that fit mu): an index i of size p, a block of
+    # k <= min(q, p - 1) entries and a rest of q - k entries off the block,
+    # as many as the indices j of size q with k of their entries marked
     exchanges = sum(
         comb(n, p) * comb(n, q) * sum(comb(q, k) for k in range(1, min(q, p - 1) + 1))
         for p, q in ideals.relation_pairs(d, mu)
     )
     _guard_size("Pluecker relation exchanges", exchanges)
+
+
+def _guard_substitution(rels, images):
+    # psi_vanishes multiplies out every monomial of a relation: e products
+    # by the image of X_I for each factor X_I^e, into prod |C_I|^e terms,
+    # |C_I| the term count of the exponential coordinate. Terms are counted
+    # only up to the bound, so a huge exponent forms no huge int
+    bound = _max_dim()
+    power = max(bound, 1).bit_length()  # |C_I| >= 2 passes the bound by then
+    for number, f in enumerate(rels, 1):
+        size = 0
+        for mono in f.terms:
+            terms = 1
+            for elems, e in mono:
+                size += e
+                count = len(images[elems].terms) if elems in images else 0
+                terms = min(terms * count ** min(e, power), bound + 1)
+            size += terms
+        _guard_size(f"psi expansion of relation {number} (products plus terms, "
+                    "counted to the bound)", size)
 
 
 class Run:
@@ -367,7 +388,9 @@ def rep_psi_check(run, args):
             rels = [_rel_from_json(e, n, d) for e in data]
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad relation in {args.relations}: {exc!r}")
-    ok = representations.psi_substitution_check(rels, n, d, A)
+    images = representations.psi_images(n, d, A)
+    _guard_substitution(rels, images)
+    ok = representations.psi_vanishes(rels, images)
     return run.verdict("psi", ok, "psi")
 
 

@@ -13,6 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import lcm
+from operator import add
 
 from .degrees import all_indices, grading_vector, index_label
 from .linalg import Echelon, canonical_rows
@@ -149,30 +150,6 @@ class GradedPolynomial:
         ]
 
 
-def _exchange_terms(i_tuple, j_tuple, k, signs):
-    """Single Pluecker exchange as {monomial: int}: X_i X_j minus the
-    products with the first k entries of j swapped into i in all possible
-    ways, each index sorted with its sign. signs memoizes _sort_sign."""
-    rel = {}
-    terms = [(i_tuple, j_tuple, 1)]
-    for positions in combinations(range(len(i_tuple)), k):
-        i_new = list(i_tuple)
-        for m, pos in enumerate(positions):
-            i_new[pos] = j_tuple[m]
-        r_tuple = tuple(i_tuple[pos] for pos in positions)
-        terms.append((tuple(i_new), r_tuple + j_tuple[k:], -1))
-    for seq1, seq2, c in terms:
-        e1, s1 = signs.get(seq1) or signs.setdefault(seq1, _sort_sign(seq1))
-        e2, s2 = signs.get(seq2) or signs.setdefault(seq2, _sort_sign(seq2))
-        if not (s1 and s2):
-            continue
-        mono = ((e1, 2),) if e1 == e2 else ((min(e1, e2), 1), (max(e1, e2), 1))
-        rel[mono] = rel.get(mono, 0) + c * s1 * s2
-        if not rel[mono]:
-            del rel[mono]
-    return rel
-
-
 def relation_pairs(d, mu=None):
     """The size pairs p >= q of d that Pluecker relations come from; with
     mu, only those whose relations, of multidegree e_p + e_q, fit into mu."""
@@ -187,14 +164,37 @@ class _Relations(tuple):
     ideal = None
 
 
+def _first_factors(i_set, block, placements, signs):
+    """The first factors of the exchanges of i with block + rest, the same
+    for every rest: (sorted index, sign, entries removed) for each
+    placement of the block in i that repeats no entry. X_i itself comes
+    first, with the block as the entries removed and sign -1 against the
+    minus of the swaps. signs memoizes _sort_sign."""
+    firsts = [(i_set, -1, block)]
+    for positions in placements:
+        i_new = list(i_set)
+        for m, pos in enumerate(positions):
+            i_new[pos] = block[m]
+        i_new = tuple(i_new)
+        e1, s1 = signs.get(i_new) or signs.setdefault(i_new, _sort_sign(i_new))
+        if s1:
+            firsts.append((e1, s1, tuple(i_set[pos] for pos in positions)))
+    return firsts
+
+
 @lru_cache(maxsize=32)
 def plucker_relations(n, d, mu=None):
     """Generating set of the multihomogeneous Pluecker ideal; with mu, only
     its relations that fit into mu, all that reach that component.
 
-    Runs over the size pairs of relation_pairs, all exchange lengths k and
-    all placements of the exchanged block, except those that give zero;
-    duplicates up to scalar are dropped and the result is
+    For each size pair p >= q of relation_pairs, each index i of size p
+    and each block of k <= min(q, p - 1) entries not all in i (else the
+    exchange only puts the factors back), the first factors are built
+    once; each rest of q - k entries off the block then gives the exchange
+    of i with j = block + rest, X_i X_j minus the products with the block
+    swapped into i in all possible ways, each index sorted with its sign.
+    Exchanges that come out zero are skipped, duplicates up to scalar are
+    dropped (the first one built is kept) and the result is
     deterministically ordered. Relations are built over the integers and
     scaled to lead coefficient 1; only the kept ones become Fraction
     polynomials. The result is cached, so it is a tuple: no caller can
@@ -203,17 +203,28 @@ def plucker_relations(n, d, mu=None):
     """
     kept = {}
     signs = {}  # few distinct sequences recur across the exchanges
+    ground = range(1, n + 1)
     for p, q in relation_pairs(tuple(d), mu):
-        for i_set in combinations(range(1, n + 1), p):
-            for j_set in combinations(range(1, n + 1), q):
-                # Swapping all of i (k = p = q) or a block already in
-                # i only puts the factors back: X_i X_j - X_i X_j = 0.
-                for k in range(1, min(q, p - 1) + 1):
-                    for block in combinations(j_set, k):
-                        if all(v in i_set for v in block):
-                            continue
-                        rest = tuple(v for v in j_set if v not in block)
-                        rel = _exchange_terms(i_set, block + rest, k, signs)
+        lengths = range(1, min(q, p - 1) + 1)
+        placements = {k: list(combinations(range(p), k)) for k in lengths}
+        for i_set in combinations(ground, p):
+            for k in lengths:
+                for block in combinations(ground, k):
+                    if all(v in i_set for v in block):
+                        continue
+                    firsts = _first_factors(i_set, block, placements[k], signs)
+                    for rest in combinations([v for v in ground if v not in block], q - k):
+                        rel = {}
+                        for e1, s1, removed in firsts:
+                            seq = removed + rest
+                            e2, s2 = signs.get(seq) or signs.setdefault(seq, _sort_sign(seq))
+                            if not s2:
+                                continue
+                            mono = ((e1, 2),) if e1 == e2 else (
+                                ((e1, 1), (e2, 1)) if e1 < e2 else ((e2, 1), (e1, 1)))
+                            rel[mono] = rel.get(mono, 0) - s1 * s2
+                            if not rel[mono]:
+                                del rel[mono]
                         if not rel:
                             continue
                         lead = rel[min(rel)]
@@ -287,21 +298,28 @@ def _echelon(rows):
 
 @lru_cache(maxsize=256)
 def _canonical_rows_cache(n, d, mu):
-    """Monomial basis of the Pluecker ideal's component of multidegree mu
-    and an echelon basis of the component in column order, reduced once
-    for every grading: independent primitive integer rows, by pivot."""
+    """Monomial basis of the Pluecker ideal's component of multidegree mu,
+    an echelon basis of the component in column order, reduced once for
+    every grading: independent primitive integer rows, by pivot, and the
+    basis as a variable table: the sorted variables, and the ids of the
+    variables of every monomial in basis order, each repeated by its
+    exponent, so sum(mu) ids a monomial, in one flat tuple."""
     basis, rows = _spanning_rows(plucker_relations(n, d), n, d, mu)
     ech = _echelon(rows)
-    return basis, tuple(ech.rows[pivot] for pivot in sorted(ech.rows))
+    variables = sorted({elems for m in basis for elems, _ in m})
+    ids = {v: i for i, v in enumerate(variables)}
+    flat = tuple(ids[elems] for m in basis for elems, e in m for _ in range(e))
+    return basis, tuple(ech.rows[pivot] for pivot in sorted(ech.rows)), (variables, flat)
 
 
 def _ideal_rows(gens, n, d, mu):
-    """Monomial basis and integer rows spanning the ideal component; the
-    Pluecker ideal, recognized by the mark plucker_relations puts on its
-    relations, has an echelon basis cached per mu."""
+    """Monomial basis, integer rows spanning the ideal component and the
+    basis's variable table (None if not cached); the Pluecker ideal,
+    recognized by the mark plucker_relations puts on its relations, has
+    an echelon basis and a variable table cached per mu."""
     if getattr(gens, "ideal", None) == (n, d):
         return _canonical_rows_cache(n, d, mu)
-    return _spanning_rows(gens, n, d, mu)
+    return _spanning_rows(gens, n, d, mu) + (None,)
 
 
 def _column_grades(monomials, g):
@@ -333,7 +351,7 @@ class ComponentBasis:
 
 def component_basis(gens, n, d, mu):
     """Row-reduced basis of the ideal component of multidegree mu."""
-    basis, rows = _ideal_rows(gens, n, d, mu)
+    basis, rows, _ = _ideal_rows(gens, n, d, mu)
     return ComponentBasis(mu, basis, _echelon(rows).reduced_rows())
 
 
@@ -367,8 +385,17 @@ def _initial_rows(rows, grades):
 
 def initial_component(gens, n, d, mu, g):
     """Basis of the initial-ideal component for grading g."""
-    basis, rows = _ideal_rows(gens, n, d, mu)
-    return ComponentBasis(mu, basis, _initial_rows(rows, _column_grades(basis, g)))
+    basis, rows, table = _ideal_rows(gens, n, d, mu)
+    if table is None:
+        grades = _column_grades(basis, g)
+    else:
+        variables, flat = table
+        grade = [g[v] for v in variables].__getitem__
+        degree = sum(mu)  # the factors of every monomial
+        grades = [0] * len(basis)
+        for j in range(degree):  # the j-th factor of every monomial
+            grades = list(map(add, grades, map(grade, flat[j::degree])))
+    return ComponentBasis(mu, basis, _initial_rows(rows, grades))
 
 
 def contains_monomial(cb):

@@ -218,20 +218,21 @@ def exp_coordinates(n, k, A=None):
     return total
 
 
-def psi_substitution_check(polys, n, d, A=None):
-    """Substitute X_I -> z_{|I|} * C_I into each polynomial of a list and
-    test that every one of them becomes zero.
-
-    C_I are the exponential coordinates (classical or degenerate), built
-    once per call; the kernel of this substitution is the defining ideal,
-    so relations must vanish. The markers z_k keep apart terms of
-    different multidegree.
-    """
-    factors = {
+def psi_images(n, d, A=None):
+    """The image z_k * C_I of every variable X_I with |I| = k in d under
+    the substitution psi: C_I is the exponential coordinate (classical or
+    degenerate), and the marker z_k keeps apart terms of different
+    multidegree. A variable whose coordinate is zero has no entry."""
+    return {
         elems: coord.mul_monomial(((("col", k), 1),))
         for k in d
         for elems, coord in exp_coordinates(n, k, A).items()
     }
+
+
+def psi_vanishes(polys, images):
+    """Whether psi, given by psi_images, maps every polynomial of a list
+    to zero."""
     zero = GradedPolynomial()
     for f in polys:
         total = GradedPolynomial()
@@ -239,8 +240,18 @@ def psi_substitution_check(polys, n, d, A=None):
             prod = GradedPolynomial({(): coeff})
             for elems, e in mono:
                 for _ in range(e):
-                    prod = prod * factors.get(elems, zero)
+                    prod = prod * images.get(elems, zero)
             total = total + prod
         if total:
             return False
     return True
+
+
+def psi_substitution_check(polys, n, d, A=None):
+    """Substitute X_I -> z_{|I|} * C_I into each polynomial of a list and
+    test that every one of them becomes zero.
+
+    The images are built once per call; the kernel of this substitution
+    is the defining ideal, so relations must vanish.
+    """
+    return psi_vanishes(polys, psi_images(n, d, A))

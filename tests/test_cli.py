@@ -606,6 +606,31 @@ def test_psi_check_reads_relations_written_by_ideal_gen(tmp_path, capsys):
     assert "psi=true" in capsys.readouterr().out
 
 
+def _refuse_substitution(*args):
+    raise AssertionError("started the substitution")
+
+
+@pytest.mark.parametrize("n, variable, exponent", [
+    (3, [3], 2000),  # C_3 has 2 terms: 2^2000 of them
+    (6, [6], 23),  # 98,280 monomials in the component, but 16^23 terms
+    (3, [1], 10**9),  # C_1 = 1 has one term, but 10^9 products
+])
+def test_psi_check_bounds_the_expansion_first(n, variable, exponent, tmp_path, capsys, monkeypatch):
+    path = _write(tmp_path, "rels.json", [[{"coeff": "1", "monomial": [[variable, exponent]]}]])
+    monkeypatch.setattr(cli.representations, "psi_vanishes", _refuse_substitution)
+    assert cli.main(["rep", "psi-check", "--n", str(n), "--d", "1", "--relations", path]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "psi expansion of relation 1" in err
+
+
+def test_psi_check_passes_the_relations_of_n5(tmp_path, capsys):
+    d = "1,2,3,4"
+    assert cli.main(["--format", "json", "ideal", "gen", "--n", "5", "--d", d]) == 0
+    path = _write(tmp_path, "rels.json", json.loads(capsys.readouterr().out)["result"])
+    assert cli.main(["rep", "psi-check", "--n", "5", "--d", d, "--relations", path]) == 0
+    assert "psi=true" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("value", [0.1, True, 1.0, None, "1/0x", "1/0"])
 def test_trop_check_non_rational_point_exits_two(value, tmp_path, capsys):
     data = map_h(abelian_weight_system(3)).to_json()

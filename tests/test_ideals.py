@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from random import Random
 
 import pytest
@@ -31,9 +31,12 @@ from pbwdegen.ideals import (
 from pbwdegen.weights import (
     abelian_weight_system,
     canonical_weight_systems,
+    face_contains,
+    face_signature,
     toric_weight_system,
     zero_weight_system,
 )
+from test_degrees import slack_point
 
 
 def test_normalize_index():
@@ -174,10 +177,14 @@ def test_relation_pairs_that_fit_mu():
     assert relation_pairs(d, (0, 2, 1)) == [(2, 2), (3, 2)]
     assert relation_pairs(d, (0, 1, 0)) == []
     # with mu, plucker_relations keeps exactly the relations that fit mu
-    full = plucker_relations(4, d)
-    for mu in multidegrees_up_to(d, 3):
-        fit = [r for r in full if all(a <= b for a, b in zip(r.multidegree(d), mu))]
-        assert plucker_relations(4, d, mu) == tuple(fit), mu
+    for n, d, bound in [(4, d, 3), (5, (1, 2, 3, 4), 2)]:
+        full = plucker_relations(n, d)
+        for mu in multidegrees_up_to(d, bound):
+            fit = [r for r in full if all(a <= b for a, b in zip(r.multidegree(d), mu))]
+            got = plucker_relations(n, d, mu)
+            assert got == tuple(fit), mu
+            # terms in the same order too, so the outputs are byte-identical
+            assert [list(r.terms.items()) for r in got] == [list(r.terms.items()) for r in fit]
 
 
 def test_initial_component_from_the_relations_that_fit_mu():
@@ -362,6 +369,44 @@ def test_face_degeneration_positive():
     assert face_degeneration_check(A, B, 3, (1, 2), (1, 1))
 
 
+def _face_points(n):
+    """A point on every face of the cone, from superdiagonal 1 and slack 1
+    on each inequality off the face's tight set."""
+    count = (n - 1) * (n - 2) // 2  # one inequality per entry off the superdiagonal
+    points = []
+    for tight in product((True, False), repeat=count):
+        slacks = iter([0 if t else 1 for t in tight])
+        points.append(slack_point(n, [1] * (n - 1), lambda: next(slacks)))
+    return points
+
+
+def test_quadratic_generation_on_every_face_n4():
+    n, d = 4, (1, 2, 3)
+    points = _face_points(n)
+    assert len({face_signature(A) for A in points}) == 8
+    mus = [mu for mu in multidegrees_up_to(d, 3) if sum(mu) == 3]
+    for A in points:
+        for mu in mus:
+            assert quadratic_generation_check(A, n, d, mu), (face_signature(A), mu)
+
+
+def test_face_degeneration_along_every_containment_n4():
+    """Each of the 27 pairs of nested faces at n=4 (B's face contains A's,
+    equal faces included) on every component of degree 2; the step re-reduces
+    the Fraction RREF rows of A's initial component."""
+    n, d = 4, (1, 2, 3)
+    points = _face_points(n)
+    mus = [mu for mu in multidegrees_up_to(d, 2) if sum(mu) == 2]
+    pairs = [
+        (A, B) for A in points for B in points
+        if face_contains(face_signature(B), face_signature(A))
+    ]
+    assert len(pairs) == 27
+    for A, B in pairs:
+        for mu in mus:
+            assert face_degeneration_check(A, B, n, d, mu), (face_signature(A), face_signature(B), mu)
+
+
 def test_multidegrees_up_to():
     assert multidegrees_up_to((1, 2), 2) == [
         (0, 1),
@@ -500,8 +545,16 @@ def test_cached_echelon_rows_match_the_spanning_rows():
             plain = component_basis(gens, n, d, mu)
             assert plain.monomials == basis
             assert plain.rows == ref.reduced_rows(), mu
-            cached_basis, cached_rows = ideals._canonical_rows_cache(n, d, mu)
+            cached_basis, cached_rows, (variables, ids) = ideals._canonical_rows_cache(n, d, mu)
             assert cached_basis == basis and len(cached_rows) == ref.rank
+            # the variable table spells out each basis monomial, sum(mu) ids each
+            assert variables == sorted({elems for m in basis for elems, _ in m})
+            step = sum(mu)
+            assert len(ids) == step * len(basis)
+            for at, m in enumerate(basis):
+                row = ids[at * step:(at + 1) * step]
+                assert list(row) == sorted(row)
+                assert tuple((variables[i], row.count(i)) for i in sorted(set(row))) == m
             for label, g in gradings:
                 grades = [mono_grade(m, g) for m in basis]
                 got = initial_component(gens, n, d, mu, g)
