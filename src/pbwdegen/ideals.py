@@ -1,19 +1,19 @@
 """Pluecker relations and exact graded components of their ideal.
 
 Polynomials live in the multigraded coordinate ring with one variable
-per Pluecker index of each size in d. A monomial is a sorted tuple of
-(variable, exponent) pairs; coefficients are exact rationals. The same
-type carries the polynomials on the other side of the substitution psi,
-whose variables are keys such as ("z", i, j) and ("col", k). All
-component computations fix the monomial order (grading ascending, then
-lexicographic on the exponent lists) so outputs are deterministic.
+per Pluecker index of each size in d; coefficients are exact rationals.
+A GradedPolynomial's monomial is a sorted tuple of (variable, exponent)
+pairs, also on the other side of the substitution psi, whose variables
+are keys such as ("z", i, j) and ("col", k). A component's column is the
+sorted tuple of its variables' ids, each repeated by its exponent, the
+id of X_I being the position of I in degrees.all_indices(n, d). Columns
+are ordered as their pair monomials are, so outputs are deterministic.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from math import lcm
-from operator import add
+from math import comb, lcm
 
 from .degrees import all_indices, grading_vector, index_label
 from .linalg import Echelon, canonical_rows
@@ -39,8 +39,8 @@ def _sort_sign(seq):
 
 
 # -- monomials ---------------------------------------------------------------
-# A monomial is a tuple of (variable, exponent) pairs sorted by variable. The
-# helpers below other than mono_mul read Pluecker variables: index tuples.
+# GradedPolynomial's monomials: (variable, exponent) pairs sorted by variable.
+# The helpers below other than mono_mul read Pluecker variables: index tuples.
 
 
 def mono_mul(m1, m2):
@@ -252,22 +252,26 @@ def initial_part(f, g):
 # -- graded components -------------------------------------------------------
 
 
+def pair_monomials(n, d, monomials):
+    """The (index tuple, exponent) form of each id monomial over (n, d)."""
+    indices = all_indices(n, d)
+    return [tuple(sorted((indices[i], m.count(i)) for i in set(m))) for m in monomials]
+
+
 @lru_cache(maxsize=1024)
 def component_monomials(n, d, mu):
     """Ordered monomial basis of the coordinate-ring component of
-    multidegree mu (aligned with d)."""
-    factor_lists = []
-    for k, count in zip(d, mu):
-        variables = all_indices(n, (k,))
-        factor_lists.append(
-            [tuple(c) for c in combinations_with_replacement(variables, count)]
-        )
+    multidegree mu (aligned with d): id tuples in the order of their pair
+    monomials. The ids of one size form a block after those of the sizes
+    before it, so a product over the sizes is a concatenation."""
     monos = [()]
-    for factors in factor_lists:
-        monos = [
-            mono_mul(m, tuple((e, 1) for e in f)) for m in monos for f in factors
-        ]
-    return sorted(set(monos))
+    start = 0
+    for k, count in zip(d, mu):
+        ids = range(start, start + comb(n, k))
+        block = list(combinations_with_replacement(ids, count))
+        monos = [m + f for m in monos for f in block]
+        start = ids.stop
+    return [m for _, m in sorted(zip(pair_monomials(n, d, monos), monos))]
 
 
 def _spanning_rows(gens, n, d, mu):
@@ -276,6 +280,7 @@ def _spanning_rows(gens, n, d, mu):
     multidegree, as sparse integer vectors over the monomial basis."""
     basis = component_monomials(n, d, mu)
     col = {m: idx for idx, m in enumerate(basis)}
+    ids = {I: i for i, I in enumerate(all_indices(n, d))}
     rows = []
     for g in gens:
         nu = g.multidegree(d)
@@ -283,9 +288,13 @@ def _spanning_rows(gens, n, d, mu):
         if any(x < 0 for x in rest):
             continue
         den = lcm(*[c.denominator for c in g.terms.values()])
-        terms = [(t, c.numerator * (den // c.denominator)) for t, c in g.terms.items()]
+        terms = [
+            (tuple(sorted(ids[I] for I, e in t for _ in range(e))),
+             c.numerator * (den // c.denominator))
+            for t, c in g.terms.items()
+        ]
         for m in component_monomials(n, d, rest):
-            rows.append({col[mono_mul(t, m)]: c for t, c in terms})
+            rows.append({col[tuple(sorted(t + m))]: c for t, c in terms})
     return basis, rows
 
 
@@ -298,41 +307,37 @@ def _echelon(rows):
 
 @lru_cache(maxsize=256)
 def _canonical_rows_cache(n, d, mu):
-    """Monomial basis of the Pluecker ideal's component of multidegree mu,
-    an echelon basis of the component in column order, reduced once for
-    every grading: independent primitive integer rows, by pivot, and the
-    basis as a variable table: the sorted variables, and the ids of the
-    variables of every monomial in basis order, each repeated by its
-    exponent, so sum(mu) ids a monomial, in one flat tuple."""
+    """Monomial basis of the Pluecker ideal's component of multidegree mu
+    and an echelon basis of the component in column order, reduced once
+    for every grading: independent primitive integer rows, by pivot."""
     basis, rows = _spanning_rows(plucker_relations(n, d), n, d, mu)
     ech = _echelon(rows)
-    variables = sorted({elems for m in basis for elems, _ in m})
-    ids = {v: i for i, v in enumerate(variables)}
-    flat = tuple(ids[elems] for m in basis for elems, e in m for _ in range(e))
-    return basis, tuple(ech.rows[pivot] for pivot in sorted(ech.rows)), (variables, flat)
+    return basis, tuple(ech.rows[pivot] for pivot in sorted(ech.rows))
 
 
 def _ideal_rows(gens, n, d, mu):
-    """Monomial basis, integer rows spanning the ideal component and the
-    basis's variable table (None if not cached); the Pluecker ideal,
-    recognized by the mark plucker_relations puts on its relations, has
-    an echelon basis and a variable table cached per mu."""
+    """Monomial basis and integer rows spanning the ideal component; the
+    Pluecker ideal, recognized by the mark plucker_relations puts on its
+    relations, has an echelon basis cached per mu."""
     if getattr(gens, "ideal", None) == (n, d):
         return _canonical_rows_cache(n, d, mu)
-    return _spanning_rows(gens, n, d, mu) + (None,)
+    return _spanning_rows(gens, n, d, mu)
 
 
-def _column_grades(monomials, g):
-    """Grade of every monomial under the degree table g."""
-    return [sum([g[elems] * e for elems, e in m]) for m in monomials]
+def _column_grades(monomials, g, n, d):
+    """Grade of every id monomial over (n, d) under the degree table g."""
+    grade = [g[I] for I in all_indices(n, d)].__getitem__
+    return [sum(map(grade, m)) for m in monomials]
 
 
 class ComponentBasis:
     """Row-reduced basis of an ideal component over a fixed monomial list."""
 
-    def __init__(self, mu, monomials, rows):
+    def __init__(self, n, d, mu, monomials, rows):
+        self.n = n
+        self.d = d
         self.mu = mu
-        self.monomials = monomials  # ordered basis of the ring component
+        self.monomials = monomials  # ordered basis of the ring component, id tuples
         self.rows = rows  # RREF rows, sparse over column positions
 
     @property
@@ -340,10 +345,8 @@ class ComponentBasis:
         return len(self.rows)
 
     def row_polynomials(self):
-        return [
-            GradedPolynomial({self.monomials[c]: v for c, v in row.items()})
-            for row in self.rows
-        ]
+        pairs = pair_monomials(self.n, self.d, self.monomials)
+        return [GradedPolynomial({pairs[c]: v for c, v in row.items()}) for row in self.rows]
 
     def span_key(self):
         return canonical_rows(self.rows)
@@ -351,8 +354,8 @@ class ComponentBasis:
 
 def component_basis(gens, n, d, mu):
     """Row-reduced basis of the ideal component of multidegree mu."""
-    basis, rows, _ = _ideal_rows(gens, n, d, mu)
-    return ComponentBasis(mu, basis, _echelon(rows).reduced_rows())
+    basis, rows = _ideal_rows(gens, n, d, mu)
+    return ComponentBasis(n, d, mu, basis, _echelon(rows).reduced_rows())
 
 
 def _initial_rows(rows, grades):
@@ -385,25 +388,17 @@ def _initial_rows(rows, grades):
 
 def initial_component(gens, n, d, mu, g):
     """Basis of the initial-ideal component for grading g."""
-    basis, rows, table = _ideal_rows(gens, n, d, mu)
-    if table is None:
-        grades = _column_grades(basis, g)
-    else:
-        variables, flat = table
-        grade = [g[v] for v in variables].__getitem__
-        degree = sum(mu)  # the factors of every monomial
-        grades = [0] * len(basis)
-        for j in range(degree):  # the j-th factor of every monomial
-            grades = list(map(add, grades, map(grade, flat[j::degree])))
-    return ComponentBasis(mu, basis, _initial_rows(rows, grades))
+    basis, rows = _ideal_rows(gens, n, d, mu)
+    return ComponentBasis(n, d, mu, basis, _initial_rows(rows, _column_grades(basis, g, n, d)))
 
 
 def contains_monomial(cb):
-    """A monomial in the row span, if any; in RREF that is a unit row."""
+    """A monomial in the row span, as a pair monomial, if any; in RREF that
+    is a unit row."""
     for row in cb.rows:
         if len(row) == 1:
             (c,) = row
-            return cb.monomials[c]
+            return pair_monomials(cb.n, cb.d, [cb.monomials[c]])[0]
     return None
 
 
@@ -418,13 +413,8 @@ def quadratic_generation_check(A, n, d, mu):
     mu = tuple(mu)
     g = grading_vector(A, d)
     gens = plucker_relations(n, d)
-    quad = []
-    seen = set()
-    for rel in gens:
-        init = initial_part(rel, g).canonical()
-        if init.key() not in seen:
-            seen.add(init.key())
-            quad.append(init)
+    inits = (initial_part(rel, g).canonical() for rel in gens)
+    quad = list({init.key(): init for init in inits}.values())  # distinct, in order
     full = initial_component(gens, n, d, mu, g)
     return component_basis(quad, n, d, mu).rank == full.rank
 
@@ -444,7 +434,7 @@ def face_degeneration_check(A, B, n, d, mu):
     gA = grading_vector(A, d)
     gB = grading_vector(B, d)
     ideal_A = initial_component(gens, n, d, mu, gA)
-    grades_B = _column_grades(ideal_A.monomials, gB)
+    grades_B = _column_grades(ideal_A.monomials, gB, n, d)
     lhs = canonical_rows(_initial_rows(ideal_A.rows, grades_B))
     rhs = initial_component(gens, n, d, mu, gB).span_key()
     return lhs == rhs

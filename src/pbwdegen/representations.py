@@ -8,6 +8,7 @@ tables, and the polynomial coordinates of nilpotent exponentials are
 rational ``ideals.GradedPolynomial``s.
 """
 
+from bisect import bisect
 from fractions import Fraction
 from functools import lru_cache
 
@@ -42,13 +43,15 @@ def _coordinate_degree(A, sizes):
 
 def wedge_maps(A, n, sizes):
     """Every generator as a partial map on the wedge bases of the given
-    sizes, x -> {elems: (image, sign)}: the action table that one
-    computation builds once and then looks up.
+    sizes, x -> {id: (image id, sign)}: the action table that one
+    computation builds once and then looks up. The id of e_I is the
+    position of I in all_indices(n, sizes), so an image has a larger id.
 
     A=None gives the classical action. A weight system gives its graded
     slice: f_x is kept on I only when s_I + a_x is the degree of the image.
     """
     indices = all_indices(n, sizes)
+    ids = {I: i for i, I in enumerate(indices)}
     s = None if A is None or not indices else _coordinate_degree(A, tuple(sizes))
     maps = {x: {} for x in triangle_pairs(n)}
     for x, images in maps.items():
@@ -56,8 +59,9 @@ def wedge_maps(A, n, sizes):
             res = classical_action(*x, I)
             if res is None:
                 continue
-            if s is None or s[I] + A.a(*x) == s[res[0]]:
-                images[I] = res
+            new, sign = res
+            if s is None or s[I] + A.a(*x) == s[new]:
+                images[ids[I]] = (ids[new], sign)
     return maps
 
 
@@ -65,13 +69,18 @@ def wedge_maps(A, n, sizes):
 
 
 def highest_weight_tensor(lam):
-    return {tuple(tuple(range(1, k + 1)) for k in range(1, lam.n) for _ in range(lam.a(k))): 1}
+    """e_(1..k) once per column of size k, as a sorted word of the ids of
+    wedge_maps(A, lam.n, lam.column_sizes())."""
+    indices = all_indices(lam.n, lam.column_sizes())
+    return {tuple(indices.index(tuple(range(1, k + 1)))
+                  for k in lam.column_sizes() for _ in range(lam.a(k))): 1}
 
 
 def apply_generator(maps, state, x):
-    """Leibniz action of one generator across all factors, read from the
-    table of :func:`wedge_maps`, with int coefficients. An image is larger
-    than its factor (an i becomes a j > i), so it moves right in its block."""
+    """Leibniz action of one generator on sorted id words, read from the
+    table of :func:`wedge_maps`, with int coefficients. An image's id is
+    larger than its factor's but not than the ids of larger sizes, so it
+    moves right within its size block."""
     act = maps[x]
     out = {}
     for key, coeff in state.items():
@@ -79,9 +88,7 @@ def apply_generator(maps, state, x):
             if factor not in act:
                 continue
             new, sign = act[factor]
-            u = t + 1
-            while u < len(key) and len(key[u]) == len(new) and key[u] < new:
-                u += 1
+            u = bisect(key, new, t + 1)
             newkey = key[:t] + key[t + 1 : u] + (new,) + key[u:]
             val = out.get(newkey, 0) + coeff * sign
             if val:
@@ -112,8 +119,9 @@ def essential_closure(A, lam):
     tuple order is translation-invariant, f^T v is one too. So a candidate
     with a non-essential divisor is dropped unseen.
 
-    Vectors live in prod_k Sym^(a_k)(Lambda^k C^n): words sorted within
-    blocks of equal sizes, where e equal factors give e equal terms, the
+    Vectors live in prod_k Sym^(a_k)(Lambda^k C^n): sorted words of wedge
+    basis ids, whose blocks of equal sizes come in size order (see
+    :func:`wedge_maps`), where e equal factors give e equal terms, the
     derivation rule. Generators commute with permuting equal-size factors,
     and symmetrization into the tensor product is injective over Q, so the
     linear relations, essential set and dependent count match tensor words.
@@ -197,25 +205,25 @@ def exp_coordinates(n, k, A=None):
     exponential truncates because the action is nilpotent.
     """
     maps = wedge_maps(A, n, (k,))
-    start = tuple(range(1, k + 1))
-    term = {start: GradedPolynomial({(): 1})}
+    term = {0: GradedPolynomial({(): 1})}  # the id of e_(1..k)
     total = dict(term)
     order = 1
     while term:
         nxt = {}
-        for elems, poly in term.items():
+        for i, poly in term.items():
             for pair, images in maps.items():
-                res = images.get(elems)
+                res = images.get(i)
                 if res is None:
                     continue
                 new, sign = res
                 contrib = poly.mul_monomial(((("z",) + pair, 1),), Fraction(sign, order))
                 nxt[new] = nxt.get(new, GradedPolynomial()) + contrib
         term = {e: p for e, p in nxt.items() if p}
-        for elems, poly in term.items():
-            total[elems] = total.get(elems, GradedPolynomial()) + poly
+        for j, poly in term.items():
+            total[j] = total.get(j, GradedPolynomial()) + poly
         order += 1
-    return total
+    indices = all_indices(n, (k,))
+    return {indices[i]: poly for i, poly in total.items()}
 
 
 def psi_images(n, d, A=None):

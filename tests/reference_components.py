@@ -1,0 +1,35 @@
+"""Reference component bases over pair monomials, kept for the tests only.
+
+This is the package's original ``component_monomials`` and
+``_column_grades``: a monomial is a sorted tuple of (index tuple,
+exponent) pairs, built by multiplying the factors of each size with
+``mono_mul``, and its grade sums the degree table over the pairs. The
+tests compare the id-tuple bases of ``pbwdegen.ideals`` against them.
+"""
+
+from itertools import combinations_with_replacement
+
+from pbwdegen.degrees import all_indices
+from pbwdegen.ideals import mono_mul
+
+
+def component_monomials(n, d, mu):
+    """Ordered pair-monomial basis of the coordinate-ring component of
+    multidegree mu (aligned with d)."""
+    factor_lists = []
+    for k, count in zip(d, mu):
+        variables = all_indices(n, (k,))
+        factor_lists.append(
+            [tuple(c) for c in combinations_with_replacement(variables, count)]
+        )
+    monos = [()]
+    for factors in factor_lists:
+        monos = [
+            mono_mul(m, tuple((e, 1) for e in f)) for m in monos for f in factors
+        ]
+    return sorted(set(monos))
+
+
+def column_grades(monomials, g):
+    """Grade of every pair monomial under the degree table g."""
+    return [sum([g[elems] * e for elems, e in m]) for m in monomials]

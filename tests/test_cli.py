@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import resource
@@ -193,6 +194,34 @@ def test_ideal_initial(tmp_path, capsys):
     )
     assert rc == 0
     assert "rank=" in capsys.readouterr().out
+
+
+IDEAL_INITIAL_GOLDEN = [
+    (toric_weight_system, "4", "1,2,3", "1,1,1",
+     "5d7cb9020ad9252513f452ed7411872f49953c9af138b3bdf10e3ef1b4c45a43"),
+    (abelian_weight_system, "5", "2,3", "1,1",
+     "2b195390fdf88e54e21d52ef0bba6532c25ea8e054060854432ce94617313c94"),
+    (zero_weight_system, "4", "2", "3",
+     "6b52f7d0abda8663f1cee84fdc0be1fd741d875bfe680c8b26c3282dfdaff50d"),
+    (toric_weight_system, "5", "1,2,3,4", "0,2,0,1",
+     "bea969f3f2bc27aecf384e80a982537e70fffb001b35dc30c7358ac948354317"),
+    (abelian_weight_system, "6", "1,3,5", "1,1,1",
+     "b05f93049245fdf1224c76d4a9404eb6335f5e14c9abd0cc871fd4607d9d25a4"),
+]
+
+
+@pytest.mark.parametrize("system, n, d, mu, want", IDEAL_INITIAL_GOLDEN, ids=[
+    f"n{n}-d{d}-mu{mu}-{system.__name__.split('_')[0]}"
+    for system, n, d, mu, _ in IDEAL_INITIAL_GOLDEN
+])
+def test_ideal_initial_golden_output(system, n, d, mu, want, tmp_path, capsys):
+    # the rows, their monomials and their order, pinned by a hash of the JSON
+    path = _write(tmp_path, "A.json", system(int(n)).to_json())
+    argv = ["--format", "json", "ideal", "initial", "--n", n, "--d", d, "--mu", mu,
+            "--weights", path]
+    assert cli.main(argv) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest() == want
 
 
 def test_trop_check_and_witness(tmp_path, capsys):

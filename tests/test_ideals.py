@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from fraction_echelon import FractionEchelon
 from fraction_relations import fraction_plucker_relations, normalize_index
+from reference_components import column_grades as reference_column_grades
+from reference_components import component_monomials as reference_component_monomials
 from pbwdegen import ideals
 from pbwdegen.degrees import all_indices, degree_s, grading_vector
 from pbwdegen.fflv import DominantWeight, weyl_dim
@@ -24,6 +26,7 @@ from pbwdegen.ideals import (
     mono_grade,
     mono_str,
     multidegrees_up_to,
+    pair_monomials,
     plucker_relations,
     quadratic_generation_check,
     relation_pairs,
@@ -33,6 +36,7 @@ from pbwdegen.weights import (
     canonical_weight_systems,
     face_contains,
     face_signature,
+    is_interior,
     toric_weight_system,
     zero_weight_system,
 )
@@ -205,9 +209,13 @@ def test_grade_lookup_by_elems_is_not_a_field():
     d = (1, 2, 3)
     A = toric_weight_system(4)
     g = grading_vector(A, d)
-    assert list(g) == all_indices(4, d)
-    for m in component_monomials(4, d, (1, 1, 1)):
-        assert mono_grade(m, g) == sum(e * degree_s(A, elems) for elems, e in m)
+    indices = all_indices(4, d)
+    assert list(g) == indices
+    basis = component_monomials(4, d, (1, 1, 1))
+    grades = ideals._column_grades(basis, g, 4, d)
+    for m, pairs, grade in zip(basis, pair_monomials(4, d, basis), grades):
+        assert mono_grade(pairs, g) == sum(e * degree_s(A, elems) for elems, e in pairs)
+        assert grade == sum(degree_s(A, indices[i]) for i in m)
 
 
 def test_trivial_relation_sets():
@@ -294,20 +302,14 @@ def test_ssyt_monomials_complement_the_ideal():
         lam = DominantWeight(n, tuple(coeffs))
         cb = component_basis(plucker_relations(n, d), n, d, mu)
         col = {m: idx for idx, m in enumerate(cb.monomials)}
+        ids = {I: i for i, I in enumerate(all_indices(n, d))}
         ech = Echelon()
         for row in cb.rows:
             ech.insert(row)
         added = 0
         for Y in enumerate_ssyt(lam):
-            mono = tuple(
-                sorted(
-                    (tuple(sorted(set(c))), 1) for c in Y.columns
-                )
-            )
-            merged = {}
-            for elems, e in mono:
-                merged[elems] = merged.get(elems, 0) + e
-            mono = tuple(sorted(merged.items()))
+            # one id per column, the ids of equal columns repeated
+            mono = tuple(sorted(ids[tuple(sorted(set(c)))] for c in Y.columns))
             if ech.insert({col[mono]: Fraction(1)}) is not None:
                 added += 1
         assert added == len(enumerate_ssyt(lam))
@@ -344,7 +346,7 @@ def test_toric_component_is_binomial():
 
 def test_contains_monomial_detects_unit_rows():
     n, d, mu = 3, (1, 2), (1, 1)
-    basis = component_monomials(n, d, mu)
+    basis = pair_monomials(n, d, component_monomials(n, d, mu))
     fake = GradedPolynomial({basis[0]: Fraction(1)})
     cb = component_basis((fake,), n, d, mu)
     assert contains_monomial(cb) == basis[0]
@@ -517,13 +519,13 @@ def test_fraction_generators_span_their_own_multiples():
     """Generators with Fraction coefficients are scaled to integer rows
     that span exactly their multiples."""
     n, d = 3, (1, 2)
-    basis = component_monomials(n, d, (1, 1))
+    basis = pair_monomials(n, d, component_monomials(n, d, (1, 1)))
     p = GradedPolynomial({basis[0]: Fraction(1, 2), basis[1]: Fraction(-2, 3), basis[4]: 5})
     for mu in [(1, 1), (2, 1), (1, 2)]:
         cb = component_basis((p,), n, d, mu)
-        col = {m: c for c, m in enumerate(cb.monomials)}
+        col = {m: c for c, m in enumerate(pair_monomials(n, d, cb.monomials))}
         ref = FractionEchelon()
-        for m in component_monomials(n, d, (mu[0] - 1, mu[1] - 1)):
+        for m in pair_monomials(n, d, component_monomials(n, d, (mu[0] - 1, mu[1] - 1))):
             ref.insert({col[t]: v for t, v in p.mul_monomial(m).terms.items()})
         assert cb.rows == ref.reduced_rows()
 
@@ -545,18 +547,19 @@ def test_cached_echelon_rows_match_the_spanning_rows():
             plain = component_basis(gens, n, d, mu)
             assert plain.monomials == basis
             assert plain.rows == ref.reduced_rows(), mu
-            cached_basis, cached_rows, (variables, ids) = ideals._canonical_rows_cache(n, d, mu)
+            cached_basis, cached_rows = ideals._canonical_rows_cache(n, d, mu)
             assert cached_basis == basis and len(cached_rows) == ref.rank
-            # the variable table spells out each basis monomial, sum(mu) ids each
-            assert variables == sorted({elems for m in basis for elems, _ in m})
-            step = sum(mu)
-            assert len(ids) == step * len(basis)
-            for at, m in enumerate(basis):
-                row = ids[at * step:(at + 1) * step]
-                assert list(row) == sorted(row)
-                assert tuple((variables[i], row.count(i)) for i in sorted(set(row))) == m
+            # each basis monomial is a sorted tuple of sum(mu) variable ids
+            # that spells out its pair monomial
+            indices = all_indices(n, d)
+            pairs = pair_monomials(n, d, basis)
+            assert {i for m in basis for i in m} <= set(range(len(indices)))
+            for m, pair in zip(basis, pairs):
+                assert len(m) == sum(mu) and list(m) == sorted(m)
+                distinct = sorted(set(m), key=indices.__getitem__)
+                assert tuple((indices[i], m.count(i)) for i in distinct) == pair
             for label, g in gradings:
-                grades = [mono_grade(m, g) for m in basis]
+                grades = [mono_grade(m, g) for m in pairs]
                 got = initial_component(gens, n, d, mu, g)
                 assert got.rows == reference_initial_rows(rows, grades), (label, mu)
 
@@ -583,3 +586,34 @@ def test_span_key_ignores_generator_order_and_scale(seed, scales):
         key = make(gens).span_key()
         assert make(moved).span_key() == key
         assert list(key) == sorted(key)
+
+
+def _seeded_interior_point(n):
+    rng = Random(n)
+    A = slack_point(n, [rng.randint(0, 3) for _ in range(n - 1)], lambda: rng.randint(1, 3))
+    assert is_interior(A)
+    return A
+
+
+def _component_setups():
+    for n in range(2, 6):
+        for r in range(1, n):
+            for d in combinations(range(1, n), r):
+                yield n, d, 3
+    yield 6, tuple(range(1, 6)), 2
+
+
+def test_id_bases_match_the_pair_monomial_reference():
+    """The id-tuple basis, read back as pair monomials, is the pair-monomial
+    basis in the same order, and the grades agree under the toric grading
+    and a seeded interior one: every n <= 5, every d and every mu of degree
+    <= 3, and the n=6 full flag in degree <= 2."""
+    for n, d, bound in _component_setups():
+        systems = (toric_weight_system(n), _seeded_interior_point(n))
+        gradings = [grading_vector(A, d) for A in systems]
+        for mu in multidegrees_up_to(d, bound):
+            basis = component_monomials(n, d, mu)
+            want = reference_component_monomials(n, d, mu)
+            assert pair_monomials(n, d, basis) == want, (n, d, mu)
+            for g in gradings:
+                assert ideals._column_grades(basis, g, n, d) == reference_column_grades(want, g)
