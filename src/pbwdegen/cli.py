@@ -388,7 +388,12 @@ def rep_psi_check(run, args):
             rels = [_rel_from_json(e, n, d) for e in data]
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad relation in {args.relations}: {exc!r}")
-    images = representations.psi_images(n, d, A)
+    cap = _max_dim()
+    try:
+        images = representations.psi_images(n, d, A, cap)
+    except ValueError:
+        raise InputError(f"psi images have more terms than PBWDEGEN_MAX_DIM={cap} "
+                         "(counted after each power of the action)")
     _guard_substitution(rels, images)
     ok = representations.psi_vanishes(rels, images)
     return run.verdict("psi", ok, "psi")

@@ -221,13 +221,15 @@ def count_patterns(lam):
 
 
 def weyl_dim(lam):
-    """Dimension of the irreducible sl_n module by the product formula."""
-    dim = Fraction(1)
+    """Dimension of the irreducible sl_n module by the product formula, in integers."""
+    num = den = 1
     for i, j in triangle_pairs(lam.n):
-        dim *= Fraction(sum(lam.a(t) + 1 for t in range(i, j)), j - i)
-    if dim.denominator != 1:
-        raise RuntimeError(f"Weyl dimension formula gave the non-integer {dim}")
-    return int(dim)
+        num *= sum(lam.coeffs[i - 1:j - 1]) + j - i
+        den *= j - i
+    dim, rem = divmod(num, den)
+    if rem:
+        raise RuntimeError(f"Weyl dimension formula gave the non-integer {Fraction(num, den)}")
+    return dim
 
 
 def minkowski_check(lam, mu):

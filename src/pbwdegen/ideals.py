@@ -16,7 +16,7 @@ from itertools import combinations, combinations_with_replacement
 from math import comb, lcm
 
 from .degrees import all_indices, grading_vector, index_label
-from .linalg import Echelon, canonical_rows
+from .linalg import Echelon, _eliminate, _integral, canonical_rows
 from .weights import face_contains, face_signature, zero_weight_system
 
 
@@ -159,9 +159,12 @@ def relation_pairs(d, mu=None):
 
 class _Relations(tuple):
     """The relations plucker_relations returns, marked with the ideal
-    (n, d) they generate; None when they are only those that fit a mu."""
+    (n, d) they generate (None when they are only those that fit a mu)
+    and with their multidegrees over the sizes d, taken once."""
 
     ideal = None
+    d = None
+    multidegrees = ()
 
 
 def _first_factors(i_set, block, placements, signs):
@@ -199,7 +202,8 @@ def plucker_relations(n, d, mu=None):
     scaled to lead coefficient 1; only the kept ones become Fraction
     polynomials. The result is cached, so it is a tuple: no caller can
     change it for the next one. It is marked with the ideal it generates,
-    which _ideal_rows reads instead of building the relations to compare.
+    which _ideal_rows reads instead of building the relations to compare,
+    and with each relation's multidegree, which _spanning_rows reads.
     """
     kept = {}
     signs = {}  # few distinct sequences recur across the exchanges
@@ -234,8 +238,10 @@ def plucker_relations(n, d, mu=None):
                         }
                         kept.setdefault(tuple(sorted(canon.items())), canon)
     out = _Relations(GradedPolynomial(kept[key]) for key in sorted(kept))
+    out.d = d = tuple(d)
+    out.multidegrees = tuple(rel.multidegree(d) for rel in out)
     if mu is None:
-        out.ideal = (n, tuple(d))
+        out.ideal = (n, d)
     return out
 
 
@@ -277,13 +283,17 @@ def component_monomials(n, d, mu):
 def _spanning_rows(gens, n, d, mu):
     """Spanning rows of the ideal component: every generator, scaled to
     integer coefficients, times every monomial of complementary
-    multidegree, as sparse integer vectors over the monomial basis."""
+    multidegree, as sparse integer vectors over the monomial basis.
+    Relations from plucker_relations carry their multidegrees over d."""
     basis = component_monomials(n, d, mu)
     col = {m: idx for idx, m in enumerate(basis)}
     ids = {I: i for i, I in enumerate(all_indices(n, d))}
+    if getattr(gens, "d", None) == d:
+        nus = gens.multidegrees
+    else:
+        nus = [g.multidegree(d) for g in gens]
     rows = []
-    for g in gens:
-        nu = g.multidegree(d)
+    for g, nu in zip(gens, nus):
         rest = tuple(a - b for a, b in zip(mu, nu))
         if any(x < 0 for x in rest):
             continue
@@ -308,11 +318,11 @@ def _echelon(rows):
 @lru_cache(maxsize=256)
 def _canonical_rows_cache(n, d, mu):
     """Monomial basis of the Pluecker ideal's component of multidegree mu
-    and an echelon basis of the component in column order, reduced once
-    for every grading: independent primitive integer rows, by pivot."""
+    and its integer RREF in column order, reduced once for every grading:
+    primitive rows with a positive pivot, zero on every other row's pivot
+    column, sorted by pivot (Echelon.rref)."""
     basis, rows = _spanning_rows(plucker_relations(n, d), n, d, mu)
-    ech = _echelon(rows)
-    return basis, tuple(ech.rows[pivot] for pivot in sorted(ech.rows))
+    return basis, tuple(_echelon(rows).rref())
 
 
 def _ideal_rows(gens, n, d, mu):
@@ -362,27 +372,40 @@ def _initial_rows(rows, grades):
     """RREF rows spanning the initial parts of the span V of rows, for the
     column grades.
 
-    Columns are relabeled by their position in (grade, column) order, so
-    the pivot of each echelon row of V is its least (grade, column) entry
-    and the row's initial part, its entries of least grade, contains that
-    pivot. The initial parts lie in in(V). Each lies inside one grade
-    class, and distinct grade classes have disjoint column supports;
-    within a class the (grade, column) order is the column order. So the
-    pivot's column is also the least column of the initial part, and the
-    dim V initial parts, with distinct pivots, already form an echelon
-    basis in column order: they are independent, and dim in(V) = dim V,
-    so they span in(V). Their back-substitution is the RREF, which is
-    unique, so no second reduction is needed.
+    The leading term of a row is its least (grade, column) entry: least
+    grade first, then least column. Each row is filed under the column of
+    its leading term; a row whose leading column is taken is reduced
+    against the filed row, which clears that column and leaves only
+    greater terms, until it is filed or vanishes. So the filed rows have
+    distinct leading terms and form an echelon basis of V in (grade,
+    column) order. A cached RREF row rarely collides and is filed as is.
+
+    The initial part of a filed row, its entries of least grade, contains
+    the leading term, and lies in in(V). It lies inside one grade class,
+    and distinct grade classes have disjoint column supports; within a
+    class the (grade, column) order is the column order. So the leading
+    column is also the least column of the initial part, and the dim V
+    initial parts, with distinct pivots, form an echelon basis in column
+    order: they are independent, and dim in(V) = dim V, so they span
+    in(V). Their back-substitution is the RREF, which is unique.
     """
-    order = sorted(range(len(grades)), key=grades.__getitem__)  # stable: ties by column
-    pos = {c: p for p, c in enumerate(order)}
-    ech = _echelon({pos[c]: v for c, v in row.items()} for row in rows)
+    grade = grades.__getitem__
+    filed = {}  # leading column -> (its grade, row)
+    for vec in rows:
+        row = _integral(vec)  # Fraction rows, as face_degeneration_check passes
+        while row:
+            lowest, lead = min(zip(map(grade, row), row))
+            other = filed.get(lead)
+            if other is None:
+                filed[lead] = lowest, row
+                break
+            if row is vec:
+                row = dict(vec)
+            _eliminate(row, other[1], lead)
     out = Echelon()
-    for pivot, row in ech.rows.items():
-        lowest = grades[order[pivot]]
-        out.rows[order[pivot]] = {
-            order[p]: v for p, v in row.items() if grades[order[p]] == lowest
-        }
+    for lead, (lowest, row) in filed.items():
+        sign = 1 if row[lead] > 0 else -1
+        out.rows[lead] = {c: sign * v for c, v in row.items() if grade(c) == lowest}
     return out.reduced_rows()
 
 

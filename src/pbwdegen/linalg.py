@@ -2,17 +2,19 @@
 
 Vectors are dicts mapping a sortable column label to a nonzero int or
 Fraction. :class:`Echelon` keeps an echelon basis of the inserted vectors
-in the order of the labels; a caller that wants another column order
-relabels its columns by position in that order.
+in the order of the labels. A caller with another column order, such as
+the (grade, column) order of an initial ideal, files its own rows by
+leading term and clears a collision with :func:`_eliminate`.
 
 Rows enter as integers on the hot paths (ideal components, module
 closures) and stay integers: each vector becomes a primitive integer
 row, copied only when it changes, denominators cleared only if it has
 Fraction entries, and is reduced fraction-free in the spirit of Bareiss
-(Math. Comp. 22, 1968). Fractions are built in one place, the pivot-1
-rows of :meth:`Echelon.reduced_rows`, once per distinct (entry, pivot
-coefficient) pair of a call; :func:`canonical_rows` keeps those rows as
-sorted tuples and hashes no Fraction.
+(Math. Comp. 22, 1968). One integer back-substitution,
+:meth:`Echelon.rref`, gives the reduced rows; Fractions are built in one
+place, the pivot-1 rows of :meth:`Echelon.reduced_rows`, once per
+distinct (entry, pivot coefficient) pair of a call. :func:`canonical_rows`
+keeps those rows as sorted tuples and hashes no Fraction.
 """
 
 from fractions import Fraction
@@ -40,8 +42,10 @@ def _integral(vec):
 
 def _eliminate(vec, row, col):
     """Clear column col of the integer vector vec with row, in place:
-    vec := (b/g)*vec - (a/g)*row with a = vec[col], b = row[col] > 0 and
-    g = gcd(a, b)."""
+    vec := (b/g)*vec - (a/g)*row with a = vec[col], b = row[col] and
+    g = gcd(a, b) > 0, made primitive unless b = 1. b may be negative, as
+    under a leading term that is not the row's pivot; then the entries of
+    vec off row's support change sign."""
     a, b = vec[col], row[col]
     if b != 1:
         g = gcd(a, b)
@@ -66,9 +70,10 @@ class Echelon:
     The pivot of a vector is its least column label. Stored rows are
     integer vectors with a positive pivot, keyed by pivot; :meth:`insert`
     stores them primitive. A caller that already holds integer rows with
-    distinct pivots may put them into ``rows`` directly. Stored rows are
-    never changed; a primitive integer row that needs no reduction is
-    stored as inserted, so a caller must not change it afterwards.
+    distinct positive pivots may put them into ``rows`` directly. Stored
+    rows are never changed; a primitive integer row that needs no
+    reduction is stored as inserted, so a caller must not change it
+    afterwards.
     """
 
     def __init__(self):
@@ -86,6 +91,8 @@ class Echelon:
             pivot = min(new)
             row = rows.get(pivot)
             if row is None:
+                if new is not vec:  # _eliminate makes it primitive only if b != 1
+                    _primitive(new)
                 rows[pivot] = new if new[pivot] > 0 else {c: -v for c, v in new.items()}
                 return pivot
             if new is vec:
@@ -93,23 +100,34 @@ class Echelon:
             _eliminate(new, row, pivot)
         return None
 
-    def reduced_rows(self):
-        """Fully reduced (RREF) rows with pivot coefficient 1, as Fraction
-        vectors sorted by pivot position."""
+    def rref(self):
+        """The integer reduced rows, sorted by pivot position: with a
+        positive pivot and zero on every other row's pivot column, and
+        primitive if the stored rows are, as insert stores them. A stored
+        row that needs no reduction is returned as stored."""
         pivots = sorted(self.rows)
         reduced = {}
         for pivot in reversed(pivots):
-            row = dict(self.rows[pivot])
+            row = self.rows[pivot]
             # Rows already reduced vanish on every other pivot column, so
-            # one pass clears them all.
-            for col in [c for c in row if c in reduced]:
-                _eliminate(row, reduced[col], col)
+            # they clear those columns in any order; b > 0 keeps this
+            # row's pivot positive.
+            cols = row.keys() & reduced.keys()
+            if cols:
+                row = dict(row)
+                for col in cols:
+                    _eliminate(row, reduced[col], col)
+                _primitive(row)
             reduced[pivot] = row
+        return [reduced[pivot] for pivot in pivots]
+
+    def reduced_rows(self):
+        """Fully reduced (RREF) rows with pivot coefficient 1, as Fraction
+        vectors sorted by pivot position."""
         fractions = {}  # pivot coefficient -> {entry: Fraction}; mostly +-1, +-2
         out = []
-        for pivot in pivots:
-            row = reduced[pivot]
-            p = row[pivot]
+        for row in self.rref():
+            p = row[min(row)]
             memo = fractions.setdefault(p, {})
             frac_row = {}
             for c, v in row.items():

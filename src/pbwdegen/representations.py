@@ -196,17 +196,20 @@ def annihilator_monomial_check(A, lam):
 # and z_k (one per column size, keyed ("col", k)) are GradedPolynomials.
 
 
-def exp_coordinates(n, k, A=None):
+def exp_coordinates(n, k, A=None, cap=None):
     """Coordinates of exp(sum z_{i,j} f_{i,j}) applied to the highest
     wedge vector, as {elems: GradedPolynomial in the z_{i,j}}.
 
     The classical mode uses the full action, the degenerate mode (weight
     system given) its graded slice, both read from :func:`wedge_maps`; the
-    exponential truncates because the action is nilpotent.
+    exponential truncates because the action is nilpotent. Each power of
+    the action adds terms of a new degree; with cap, a ValueError is
+    raised after the first power that brings their count past cap.
     """
     maps = wedge_maps(A, n, (k,))
     term = {0: GradedPolynomial({(): 1})}  # the id of e_(1..k)
     total = dict(term)
+    built = 1
     order = 1
     while term:
         nxt = {}
@@ -221,21 +224,30 @@ def exp_coordinates(n, k, A=None):
         term = {e: p for e, p in nxt.items() if p}
         for j, poly in term.items():
             total[j] = total.get(j, GradedPolynomial()) + poly
+            built += len(poly.terms)
+        if cap is not None and built > cap:
+            raise ValueError(f"exponential coordinates of size {k} pass {cap} terms")
         order += 1
     indices = all_indices(n, (k,))
     return {indices[i]: poly for i, poly in total.items()}
 
 
-def psi_images(n, d, A=None):
+def psi_images(n, d, A=None, cap=None):
     """The image z_k * C_I of every variable X_I with |I| = k in d under
     the substitution psi: C_I is the exponential coordinate (classical or
     degenerate), and the marker z_k keeps apart terms of different
-    multidegree. A variable whose coordinate is zero has no entry."""
-    return {
-        elems: coord.mul_monomial(((("col", k), 1),))
-        for k in d
-        for elems, coord in exp_coordinates(n, k, A).items()
-    }
+    multidegree. A variable whose coordinate is zero has no entry. With
+    cap, a ValueError is raised once more than cap terms are built in
+    all, counted after each power of the action, so a build that cannot
+    fit stops early."""
+    images = {}
+    built = 0
+    for k in d:
+        coords = exp_coordinates(n, k, A, None if cap is None else cap - built)
+        for elems, coord in coords.items():
+            images[elems] = coord.mul_monomial(((("col", k), 1),))
+            built += len(coord.terms)
+    return images
 
 
 def psi_vanishes(polys, images):

@@ -652,6 +652,19 @@ def test_psi_check_bounds_the_expansion_first(n, variable, exponent, tmp_path, c
     assert err.count("\n") == 1 and "psi expansion of relation 1" in err
 
 
+def test_psi_check_stops_the_image_build_at_the_cap(tmp_path, capsys, monkeypatch):
+    # classically C_j of size 1 has 2^(j-2) terms, 32,768 in all at n=16;
+    # the build stops after the power of the action that passes 1,000
+    path = _write(tmp_path, "rels.json", [[{"coeff": "1", "monomial": [[[1], 1]]}]])
+    monkeypatch.setenv("PBWDEGEN_MAX_DIM", "1000")
+    monkeypatch.setattr(cli.representations, "psi_vanishes", _refuse_substitution)
+    start = time.monotonic()
+    assert cli.main(["rep", "psi-check", "--n", "16", "--d", "1", "--relations", path]) == 2
+    assert time.monotonic() - start < 0.5
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "psi images have more terms than PBWDEGEN_MAX_DIM=1000" in err
+
+
 def test_psi_check_passes_the_relations_of_n5(tmp_path, capsys):
     d = "1,2,3,4"
     assert cli.main(["--format", "json", "ideal", "gen", "--n", "5", "--d", d]) == 0

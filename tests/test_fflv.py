@@ -1,3 +1,5 @@
+from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
@@ -16,6 +18,7 @@ from pbwdegen.fflv import (
     path_bound,
     weyl_dim,
 )
+from pbwdegen.weights import triangle_pairs
 
 
 def path_sum(T, path):
@@ -69,6 +72,22 @@ def test_pattern_counts_match_weyl_dimension():
         lam = DominantWeight(n, coeffs)
         assert weyl_dim(lam) == dim
         assert len(enumerate_patterns(lam)) == dim
+
+
+def test_integer_weyl_dim_matches_the_fraction_formula():
+    """Every lambda with n <= 6 and entries <= 3: the integer product
+    formula gives the int that the product of Fractions does."""
+    count = 0
+    for n in range(2, 7):
+        for coeffs in product(range(4), repeat=n - 1):
+            lam = DominantWeight(n, coeffs)
+            want = Fraction(1)
+            for i, j in triangle_pairs(n):
+                want *= Fraction(sum(lam.a(t) + 1 for t in range(i, j)), j - i)
+            got = weyl_dim(lam)
+            assert type(got) is int and got == want, coeffs
+            count += 1
+    assert count == 1364
 
 
 def test_membership_respects_path_bounds():

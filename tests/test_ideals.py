@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import gcd
 from random import Random
 
 import pytest
@@ -549,6 +550,14 @@ def test_cached_echelon_rows_match_the_spanning_rows():
             assert plain.rows == ref.reduced_rows(), mu
             cached_basis, cached_rows = ideals._canonical_rows_cache(n, d, mu)
             assert cached_basis == basis and len(cached_rows) == ref.rank
+            # integer RREF: primitive, positive pivot, zero on every other
+            # row's pivot column, sorted by pivot
+            pivots = [min(row) for row in cached_rows]
+            assert pivots == sorted(set(pivots))
+            for row, pivot in zip(cached_rows, pivots):
+                assert all(type(v) is int for v in row.values())
+                assert row[pivot] > 0 and gcd(*row.values()) == 1
+                assert not set(row) & set(pivots) - {pivot}
             # each basis monomial is a sorted tuple of sum(mu) variable ids
             # that spells out its pair monomial
             indices = all_indices(n, d)
@@ -562,6 +571,72 @@ def test_cached_echelon_rows_match_the_spanning_rows():
                 grades = [mono_grade(m, g) for m in pairs]
                 got = initial_component(gens, n, d, mu, g)
                 assert got.rows == reference_initial_rows(rows, grades), (label, mu)
+
+
+def test_initial_rows_on_the_benchmark_components(monkeypatch):
+    """The n=5 components of the benchmark's ideals workload, degree 2 and
+    3 (30 of them), under every canonical system and two seeded interior
+    points: the leading-term pass gives the reference rows, and both of
+    its branches run: some components file every row as it is, others
+    have a leading term that collides and a row that is reduced."""
+    n = 5
+    d = tuple(range(1, n))
+    mus = [mu for mu in multidegrees_up_to(d, 3) if sum(mu) >= 2]
+    assert len(mus) == 30
+    systems = [A for _, A in canonical_weight_systems(n)]
+    systems += [_seeded_interior_point(n, seed) for seed in (1, 2)]
+    collisions = []
+    eliminate = ideals._eliminate
+    monkeypatch.setattr(ideals, "_eliminate", lambda *a: collisions.append(1) or eliminate(*a))
+    clean = 0
+    for A in systems:
+        g = grading_vector(A, d)
+        for mu in mus:
+            basis, rows = ideals._canonical_rows_cache(n, d, mu)
+            grades = ideals._column_grades(basis, g, n, d)
+            before = len(collisions)
+            assert ideals._initial_rows(rows, grades) == reference_initial_rows(rows, grades)
+            clean += len(collisions) == before
+    assert collisions and clean
+
+
+def test_initial_rows_of_fraction_rows():
+    """Rational rows, as face_degeneration_check passes them, with
+    denominators 2 and 3 and leading terms that collide: the pass clears
+    their denominators before it reduces one row by another."""
+    rows = [
+        {0: Fraction(1, 2), 1: Fraction(1, 3), 3: 1},
+        {0: Fraction(2, 3), 2: Fraction(-1, 2), 3: Fraction(1, 3)},
+    ]
+    grades = [0, 0, 0, 1]
+    # 6 * rows: (3, 2, 0, 6) and (4, 0, -3, 2) both lead at column 0; the
+    # second becomes 3 * (4, 0, -3, 2) - 4 * (3, 2, 0, 6) = (0, -8, -9, -18),
+    # whose initial part (0, 8, 9, 0), with (3, 2, 0, 0), spans in(V)
+    want = [{0: 1, 2: Fraction(-3, 4)}, {1: 1, 2: Fraction(9, 8)}]
+    assert ideals._initial_rows(rows, grades) == want == reference_initial_rows(rows, grades)
+
+
+def test_relations_carry_their_multidegrees(monkeypatch):
+    """plucker_relations takes each relation's multidegree once; the
+    spanning rows read it from there, and check other generators per call."""
+    n, d = 4, (1, 2, 3)
+    gens = plucker_relations(n, d)
+    assert gens.d == d and gens.multidegrees == tuple(g.multidegree(d) for g in gens)
+    fitting = plucker_relations(n, d, (1, 1, 0))
+    assert fitting.multidegrees == tuple(g.multidegree(d) for g in fitting)
+    want = ideals._spanning_rows(list(gens), n, d, (1, 1, 1))
+
+    def refuse(self, d):
+        raise AssertionError("multidegree taken again")
+
+    monkeypatch.setattr(GradedPolynomial, "multidegree", refuse)
+    assert ideals._spanning_rows(gens, n, d, (1, 1, 1)) == want
+    with pytest.raises(AssertionError):
+        ideals._spanning_rows(list(gens), n, d, (1, 1, 1))
+    monkeypatch.undo()
+    mixed = GradedPolynomial.variable((1,)) + GradedPolynomial.variable((1, 2))
+    with pytest.raises(ValueError):
+        ideals._spanning_rows([mixed], n, d, (1, 1, 1))
 
 
 _fractions = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4))
@@ -588,8 +663,8 @@ def test_span_key_ignores_generator_order_and_scale(seed, scales):
         assert list(key) == sorted(key)
 
 
-def _seeded_interior_point(n):
-    rng = Random(n)
+def _seeded_interior_point(n, seed=None):
+    rng = Random(n if seed is None else f"{n}:{seed}")
     A = slack_point(n, [rng.randint(0, 3) for _ in range(n - 1)], lambda: rng.randint(1, 3))
     assert is_interior(A)
     return A

@@ -2,13 +2,14 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
 from fraction_echelon import FractionEchelon
-from pbwdegen.linalg import Echelon
+from pbwdegen.linalg import Echelon, _eliminate
 
 COLUMNS = 8
 
@@ -76,6 +77,15 @@ def test_stored_rows_are_primitive_integers():
     ]
 
 
+def test_a_row_reduced_by_a_unit_pivot_is_stored_primitive():
+    # (1, 3) - (1, 1) = (0, 2): _eliminate leaves it as is when b = 1
+    ech = Echelon()
+    ech.insert({1: 1, 2: 1})
+    assert ech.insert({1: 1, 2: 3}) == 2
+    assert ech.rows[2] == {2: 1}
+    assert ech.rref() == [{1: 1}, {2: 1}]
+
+
 def test_rows_put_in_directly_need_not_be_primitive():
     """reduced_rows needs integer rows with distinct, positive pivots only;
     the initial-ideal path stores initial parts of primitive rows as is."""
@@ -87,3 +97,24 @@ def test_rows_put_in_directly_need_not_be_primitive():
         ref.insert(row)
     assert ech.reduced_rows() == ref.reduced_rows()
     assert ech.rows == rows
+
+
+@pytest.mark.parametrize("vec, row, want", [
+    # a = 2, b = -3, g = 1: -3 * vec - 2 * row
+    ({0: 1, 1: 2}, {1: -3, 2: 1}, {0: -3, 2: -2}),
+    # a = 4, b = -6, g = 2: -3 * vec - 2 * row
+    ({0: 3, 1: 4}, {1: -6, 2: 1}, {0: -9, 2: -2}),
+    # a = 2, b = -1: -vec - 2 * row; vec's entry off row's support changes sign
+    ({0: 5, 1: 2}, {1: -1, 2: 3}, {0: -5, 2: -6}),
+    # b = 1 and a = 2: vec - 2 * row, not made primitive
+    ({0: 2, 1: 2}, {1: 1, 2: 1}, {0: 2, 2: -2}),
+])
+def test_eliminate_takes_a_leading_coefficient_of_either_sign(vec, row, want):
+    """vec := (b/g)*vec - (a/g)*row for a = vec[col], b = row[col] of
+    either sign and g = gcd(a, b) > 0: a row filed under a leading term
+    that is not its pivot can have b < 0, and the result is still the
+    combination that clears col, with the sign of b/g on vec's part."""
+    before = dict(row)
+    _eliminate(vec, row, 1)
+    assert vec == want
+    assert row == before

@@ -18,6 +18,7 @@ from pbwdegen.representations import (
     exp_coordinates,
     fflv_basis_check,
     highest_weight_tensor,
+    psi_images,
     psi_substitution_check,
     wedge_maps,
 )
@@ -218,6 +219,18 @@ def test_psi_keeps_column_markers():
     f = GradedPolynomial({(((1,), 1),): 1, (((1,), 2),): -1})
     for A in _systems_and_classical(n):
         assert not psi_substitution_check([f], n, d, A)
+
+
+def test_psi_images_count_their_terms_up_to_the_cap():
+    """With a cap, the images are built as without one while their terms
+    fit, and a ValueError stops the build once they do not."""
+    n, d = 4, (1, 2, 3)
+    for A in _systems_and_classical(n):
+        images = psi_images(n, d, A)
+        total = sum(len(poly.terms) for poly in images.values())
+        assert psi_images(n, d, A, total) == images
+        with pytest.raises(ValueError):
+            psi_images(n, d, A, total - 1)
 
 
 def test_pattern_count_equals_cyclic_dim_degenerate():
