@@ -393,7 +393,7 @@ def rep_psi_check(run, args):
         images = representations.psi_images(n, d, A, cap)
     except ValueError:
         raise InputError(f"psi images have more terms than PBWDEGEN_MAX_DIM={cap} "
-                         "(counted after each power of the action)")
+                         "(counted after each coordinate of a power of the action)")
     _guard_substitution(rels, images)
     ok = representations.psi_vanishes(rels, images)
     return run.verdict("psi", ok, "psi")

@@ -9,6 +9,7 @@ columns this also produces the 0/1 triangle pattern supported on the
 pair list. A grading is the table {I: s_I} that degree_table returns.
 """
 
+from bisect import bisect
 from itertools import combinations
 
 from .fflv import TrianglePattern
@@ -59,13 +60,24 @@ def complement_pairs(I):
 
 def degree_table(T, indices):
     """{I: s_I} over the given indices, s_I summing the entries of the
-    triangle T over the complement pairs of I.
+    triangle T over the complement pairs of I: the entries of I past the
+    split at k, found by bisect, pair descending with the missing ones.
 
     For an admissible weight system these are the degrees of the Pluecker
     coordinates; the cone is not checked here, so callers check it once
     per triangle.
     """
-    return {I: sum([T.a(p, q) for p, q in complement_pairs(I)]) for I in indices}
+    entries, off = T.entries, T.offsets(T.n)
+    table = {}
+    for I in indices:
+        k, s = len(I), 0
+        if bisect(I, k) < k:  # else I is (1..k), with no pairs
+            tail = reversed(I)
+            for p in range(1, k + 1):
+                if p not in I:
+                    s += entries[off[p] + next(tail)]
+        table[I] = s
+    return table
 
 
 def degree_s(A, I):

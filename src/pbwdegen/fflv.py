@@ -11,7 +11,7 @@ independent oracle.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import accumulate, count
+from itertools import accumulate, count, groupby
 from math import inf
 
 from .weights import Triangle, triangle_pairs
@@ -53,6 +53,8 @@ class DominantWeight:
 @dataclass(frozen=True)
 class TrianglePattern(Triangle):
     """Nonnegative integer triangle T_{i,j}."""
+
+    __slots__ = ()
 
     def __post_init__(self):
         super().__post_init__()
@@ -146,52 +148,68 @@ def _walk_patterns(lam, emit):
     """Call emit with the entry tuple of every integer point of the FFLV
     polytope, in lexicographic order.
 
-    Backtracks over cells in pair order with the slack (bound minus
-    partial sum) of every Dyck path in a bit field of one int g, topped
-    by a guard bit above the largest bound. A cell's mask has a 1 at the
-    foot of the field of every path through it, so g - v*mask lowers all
-    their slacks at once. A cell takes 0, 1, ... up to its hook bound and
-    stops at the first value that clears a guard; that value is one past
-    a slack, so no field ever borrows from the next.
+    The slack (bound minus partial sum) of every Dyck path sits in a bit
+    field of one int g, topped by a guard bit above the largest bound. A
+    cell's mask has a 1 at the foot of the field of every path through
+    it, so g - v*mask lowers all their slacks at once. Each row first
+    lists its value tuples that fit the full slack, with the int each
+    subtracts, by a cell walk that takes 0, 1, ... up to the hook bound
+    and stops at the first value clearing a guard. The walk over rows
+    then takes a tuple when no guard clears: a tuple lowers a path's
+    slack by at most its bound, less than the guard bit, so no field
+    ever borrows from the next.
     """
     n = lam.n
-    pairs = triangle_pairs(n)
+    maxima = [cell_bound(lam, i, j) for i, j in triangle_pairs(n)]
     paths = dyck_paths(n)
     bounds = [path_bound(lam, p) for p in paths]
     width = max(bounds).bit_length() + 1
-    position = {pair: pos for pos, pair in enumerate(pairs)}
-    masks = [0] * len(pairs)
+    off = Triangle.offsets(n)
+    masks = [0] * len(maxima)
     guard = slack = 0
     for idx, (p, bound) in enumerate(zip(paths, bounds)):
         guard |= 1 << (idx * width + width - 1)
         slack |= bound << (idx * width)
         for step in p.steps:
-            masks[position[step]] |= 1 << (idx * width)
-    maxima = [cell_bound(lam, i, j) for i, j in pairs]
-    values = [0] * len(pairs)
-    last = len(pairs) - 1
+            masks[off[step[0]] + step[1]] |= 1 << (idx * width)
+    full = slack | guard
 
-    def assign(pos, g):
-        mask = masks[pos]
-        head = tuple(values[:last]) if pos == last else None
+    def row_tuples(cells, g, head):
+        pos, rest = cells[0], cells[1:]
         for v in range(maxima[pos] + 1):
             if g & guard != guard:
                 return
-            if head is None:
-                values[pos] = v
-                assign(pos + 1, g)
+            if rest:
+                yield from row_tuples(rest, g, head + (v,))
             else:
-                emit(head + (v,))
-            g -= mask
+                yield head + (v,), full - g
+            g -= masks[pos]
 
-    assign(0, slack | guard)
+    rows = []  # per row, its tuples in runs that differ only in the last value
+    for i in range(1, n):
+        tuples = row_tuples(range(off[i] + i + 1, off[i] + n + 1), full, ())
+        rows.append([list(run) for _, run in groupby(tuples, lambda t: t[0][:-1])])
+    last = n - 2
+
+    def assign(depth, g, head):
+        for run in rows[depth]:
+            for values, drop in run:
+                if (g - drop) & guard != guard:
+                    break  # the rest of the run only raises the last value
+                if depth == last:
+                    emit(head + values)
+                else:
+                    assign(depth + 1, g - drop, head + values)
+
+    assign(0, full, ())
 
 
-def _trusted_pattern(n, entries):
-    """TrianglePattern(n, entries) unchecked, for what _walk_patterns emits."""
-    T = object.__new__(TrianglePattern)
-    fields = T.__dict__  # frozen: setattr is refused, the dict is not
-    fields["n"], fields["entries"] = n, entries
+def _trusted_pattern(n, entries, new=object.__new__, set_n=Triangle.n.__set__,
+                     set_entries=Triangle.entries.__set__):
+    """TrianglePattern(n, entries) unchecked, slots set past the frozen setattr."""
+    T = new(TrianglePattern)
+    set_n(T, n)
+    set_entries(T, entries)
     return T
 
 

@@ -431,13 +431,14 @@ def is_binomially_spanned(cb):
 
 def quadratic_generation_check(A, n, d, mu):
     """Compare the component of the ideal generated by the initial parts
-    of the Pluecker relations with the full initial-ideal component."""
-    d = tuple(d)
-    mu = tuple(mu)
+    of the Pluecker relations with the full initial-ideal component; when
+    each is its relation, the marked relations serve the cached rows."""
+    d, mu = tuple(d), tuple(mu)
     g = grading_vector(A, d)
     gens = plucker_relations(n, d)
-    inits = (initial_part(rel, g).canonical() for rel in gens)
-    quad = list({init.key(): init for init in inits}.values())  # distinct, in order
+    inits = [initial_part(rel, g).canonical() for rel in gens]
+    quad = gens if inits == list(gens) else list(
+        {init.key(): init for init in inits}.values())  # distinct, in order
     full = initial_component(gens, n, d, mu, g)
     return component_basis(quad, n, d, mu).rank == full.rank
 
@@ -449,8 +450,7 @@ def face_degeneration_check(A, B, n, d, mu):
     Requires the minimal face containing B to contain the minimal face
     containing A.
     """
-    d = tuple(d)
-    mu = tuple(mu)
+    d, mu = tuple(d), tuple(mu)
     if not face_contains(face_signature(B), face_signature(A)):
         raise ValueError("face precondition fails: B's face must contain A's face")
     gens = plucker_relations(n, d)

@@ -204,7 +204,9 @@ def exp_coordinates(n, k, A=None, cap=None):
     system given) its graded slice, both read from :func:`wedge_maps`; the
     exponential truncates because the action is nilpotent. Each power of
     the action adds terms of a new degree; with cap, a ValueError is
-    raised after the first power that brings their count past cap.
+    raised after the first coordinate of a power that brings their count
+    past cap: each new coordinate is finished, from its contributions in
+    the order they are met, before the next.
     """
     maps = wedge_maps(A, n, (k,))
     term = {0: GradedPolynomial({(): 1})}  # the id of e_(1..k)
@@ -212,21 +214,24 @@ def exp_coordinates(n, k, A=None, cap=None):
     built = 1
     order = 1
     while term:
-        nxt = {}
+        parts = {}  # new coordinate -> (poly, pair, sign) sending a term to it
         for i, poly in term.items():
             for pair, images in maps.items():
                 res = images.get(i)
-                if res is None:
-                    continue
-                new, sign = res
-                contrib = poly.mul_monomial(((("z",) + pair, 1),), Fraction(sign, order))
-                nxt[new] = nxt.get(new, GradedPolynomial()) + contrib
-        term = {e: p for e, p in nxt.items() if p}
-        for j, poly in term.items():
-            total[j] = total.get(j, GradedPolynomial()) + poly
-            built += len(poly.terms)
-        if cap is not None and built > cap:
-            raise ValueError(f"exponential coordinates of size {k} pass {cap} terms")
+                if res is not None:
+                    parts.setdefault(res[0], []).append((poly, pair, res[1]))
+        term = {}
+        for new, sources in parts.items():
+            coord = sum((poly.mul_monomial(((("z",) + pair, 1),), Fraction(sign, order))
+                         for poly, pair, sign in sources), GradedPolynomial())
+            if not coord:
+                continue
+            term[new] = coord
+            total[new] = total.get(new, GradedPolynomial()) + coord
+            built += len(coord.terms)
+            if cap is not None and built > cap:
+                raise ValueError(f"exponential coordinates of size {k} pass {cap} terms: "
+                                 f"{built} built")
         order += 1
     indices = all_indices(n, (k,))
     return {indices[i]: poly for i, poly in total.items()}
@@ -238,8 +243,8 @@ def psi_images(n, d, A=None, cap=None):
     degenerate), and the marker z_k keeps apart terms of different
     multidegree. A variable whose coordinate is zero has no entry. With
     cap, a ValueError is raised once more than cap terms are built in
-    all, counted after each power of the action, so a build that cannot
-    fit stops early."""
+    all, counted after each coordinate of each power of the action, so a
+    build that cannot fit stops early."""
     images = {}
     built = 0
     for k in d:

@@ -14,7 +14,7 @@ from functools import partial
 from itertools import combinations, count
 
 from .fflv import TrianglePattern, enumerate_patterns, is_fflv_pattern
-from .weights import triangle_pairs
+from .weights import Triangle
 
 
 @dataclass(frozen=True)
@@ -25,6 +25,7 @@ class PBWTableau:
     left to right.
     """
 
+    __slots__ = ("n", "columns")
     n: int
     columns: tuple  # tuple of tuples
 
@@ -42,11 +43,12 @@ def _check_shape(n, heights, columns):
         raise ValueError("entries out of range")
 
 
-def _trusted_tableau(n, columns):
-    """PBWTableau(n, columns) unchecked, for what _walk_ssyt emits."""
-    Y = object.__new__(PBWTableau)
-    fields = Y.__dict__  # frozen: setattr is refused, the dict is not
-    fields["n"], fields["columns"] = n, columns
+def _trusted_tableau(n, columns, new=object.__new__, set_n=PBWTableau.n.__set__,
+                     set_columns=PBWTableau.columns.__set__):
+    """PBWTableau(n, columns) unchecked, slots set past the frozen setattr."""
+    Y = new(PBWTableau)
+    set_n(Y, n)
+    set_columns(Y, columns)
     return Y
 
 
@@ -165,47 +167,42 @@ def tau(Y):
 
 def _tau(Y):
     """tau of a tableau known to be PBW: zeta's result or an enumerated one."""
-    position = {pair: pos for pos, pair in enumerate(triangle_pairs(Y.n))}
-    entries = [0] * len(position)
+    n, off = Y.n, Triangle.offsets(Y.n)
+    entries = [0] * (n * (n - 1) // 2)
     for col in Y.columns:
         for i, v in enumerate(col, start=1):
             if v > i:
-                entries[position[(i, v)]] += 1
-    return TrianglePattern(Y.n, tuple(entries))
-
-
-def _maximal_cells(support):
-    return [
-        c
-        for c in support
-        if not any(d != c and d[0] >= c[0] and d[1] >= c[1] for d in support)
-    ]
+                entries[off[i] + v] += 1
+    return TrianglePattern(n, tuple(entries))
 
 
 def zeta(T, lam):
     """Greedy inverse of tau: repeatedly extract the pattern supported on
-    the maximal cells fitting the current column height."""
+    the maximal cells fitting the current column height. A maximal cell
+    is the last of its row and right of all support in the rows below, so
+    one bottom-up scan finds them; those with i <= h < j, an antichain,
+    put j on row i, every other row r keeps r: pbw_column's arrangement.
+    """
     if T.n != lam.n:
         raise ValueError("mismatched n")
     if not is_fflv_pattern(T, lam):
         raise ValueError("pattern outside the polytope of the given weight")
-    n = T.n
-    residual = dict(T.as_map())
+    n, off = T.n, Triangle.offsets(T.n)
+    residual = list(T.entries)
     columns = []
     for h in _column_heights(lam):
-        support = [c for c, v in residual.items() if v > 0]
-        cells = [
-            (i, j)
-            for i, j in _maximal_cells(support)
-            if i <= h and j >= h + 1
-        ]
-        content = set(range(1, h + 1))
-        for i, j in cells:
-            content.discard(i)
-            content.add(j)
-            residual[(i, j)] -= 1
-        columns.append(pbw_column(n, content))
-    if any(v for v in residual.values()):
+        col = list(range(1, h + 1))
+        right = 0  # the last support column in the rows below
+        for i in range(n - 1, 0, -1):
+            for j in range(n, max(right, i), -1):
+                if residual[off[i] + j]:
+                    right = j
+                    if i <= h < j:
+                        col[i - 1] = j
+                        residual[off[i] + j] -= 1
+                    break
+        columns.append(tuple(col))
+    if any(residual):
         raise ValueError("pattern decomposition left a nonzero residual")
     Y = PBWTableau(n, tuple(columns))
     if not is_pbw_ssyt(Y):

@@ -53,6 +53,7 @@ class Triangle:
     between triangles of the same class.
     """
 
+    __slots__ = ("n", "entries")
     n: int
     entries: tuple  # aligned with triangle_pairs(n)
 
@@ -67,6 +68,11 @@ class Triangle:
         # rows 1..i-1 hold (n-1) + ... + (n-i+1) entries before row i
         return self.entries[(i - 1) * (2 * self.n - i) // 2 + j - i - 1]
 
+    @staticmethod
+    def offsets(n):
+        """off with off[i] + j the position of (i, j), by the formula of a."""
+        return [(i - 1) * (2 * n - i) // 2 - i - 1 for i in range(n)]
+
     def as_map(self):
         return dict(zip(triangle_pairs(self.n), self.entries))
 
@@ -74,6 +80,8 @@ class Triangle:
 @dataclass(frozen=True)
 class WeightSystem(Triangle):
     """Integer triangle a_{i,j}, 1 <= i < j <= n, with n >= 2."""
+
+    __slots__ = ()
 
     def __post_init__(self):
         if self.n < 2:

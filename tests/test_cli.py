@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import resource
 import shlex
 import subprocess
@@ -13,7 +14,9 @@ import pytest
 from pbwdegen import cli
 from pbwdegen.tropical import map_h, point_from_triangle
 from pbwdegen.weights import (
+    WeightSystem,
     abelian_weight_system,
+    is_interior,
     toric_weight_system,
     zero_weight_system,
 )
@@ -220,6 +223,42 @@ def test_ideal_initial_golden_output(system, n, d, mu, want, tmp_path, capsys):
     argv = ["--format", "json", "ideal", "initial", "--n", n, "--d", d, "--mu", mu,
             "--weights", path]
     assert cli.main(argv) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest() == want
+
+
+def _seeded_interior(n, seed):
+    """The toric system plus a seeded nonnegative combination of the
+    abelian, toric and column-independent systems: interior for any seed."""
+    rng = random.Random(seed)
+    c_abelian, c_toric = rng.randint(0, 2), rng.randint(0, 2)
+    u = [rng.randint(0, 2) for _ in range(n)]
+    A = WeightSystem.from_function(
+        n, lambda i, j: (1 + c_toric) * (j - i + 1) * (n - j) + c_abelian + u[i - 1])
+    assert is_interior(A)
+    return A
+
+
+COMBINATORICS_GOLDEN = [
+    (["fflv", "patterns", "--lam", "1,1,1,1"],
+     "505bc2c9233ed92a4229d25202d9155b3ba0f0b4adb9b8c6b7cd08cf53a1cf6e"),
+    (["fflv", "patterns", "--lam", "2,0,1"],
+     "2cd98129210dac97461829e2257d72b4c35d047d881c621bd26ead9b98602bc7"),
+    (["tableaux", "roundtrip", "--lam", "1,1,1,1"],
+     "b5bea41b6c623f7c09f1bf24dcae58ebab3c0cdd90ad966bc43a45b44867e12b"),
+    (["trop", "map", "--weights", "seeded-n11"],
+     "753f55f457526e59aecc05055d3334e9f9da3a43972b3d529751a41c751b2d40"),
+]
+
+
+@pytest.mark.parametrize("argv, want", COMBINATORICS_GOLDEN,
+                         ids=[" ".join(argv[:2] + argv[3:]) for argv, _ in COMBINATORICS_GOLDEN])
+def test_combinatorics_golden_output(argv, want, tmp_path, capsys):
+    # patterns in their order, the round trip's verdict and the tropical
+    # point of a seeded interior n=11 system, pinned by a hash of the JSON
+    if argv[-1] == "seeded-n11":
+        argv = argv[:-1] + [_write(tmp_path, "A.json", _seeded_interior(11, 11).to_json())]
+    assert cli.main(["--format", "json"] + argv) == 0
     result = json.loads(capsys.readouterr().out)["result"]
     assert hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest() == want
 

@@ -1,4 +1,5 @@
 from itertools import combinations, product
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -9,14 +10,17 @@ from pbwdegen.degrees import (
     check_index,
     complement_pairs,
     degree_s,
+    degree_table,
     fundamental_pattern,
     grading_vector,
     index_label,
 )
 from pbwdegen.ideals import initial_component, multidegrees_up_to, plucker_relations
 from pbwdegen.tropical import cone_C_membership, map_h
+from reference_combinatorics import reference_degree_table
 from pbwdegen.weights import (
     NotInConeError,
+    Triangle,
     WeightSystem,
     abelian_weight_system,
     check_cone_membership,
@@ -187,3 +191,20 @@ def test_fundamental_pattern_support():
     assert set(T.support()) == {(1, 4), (2, 3)}
     assert T.a(1, 4) == 1
     assert fundamental_pattern(4, (1, 2)).support() == []
+
+
+def test_degree_table_matches_the_pair_lists():
+    """All subsets for n <= 11, at two seeded cone points (a random
+    superdiagonal, random slacks) and at the unit triangles whose images
+    h_image_rank reduces."""
+    rng = Random(11)
+    for n in range(2, 12):
+        coords = all_indices(n, range(1, n))
+        size = n * (n - 1) // 2
+        triangles = [slack_point(n, [rng.randint(-3, 3) for _ in range(1, n)],
+                                 lambda: rng.randint(0, 3)) for _ in range(2)]
+        triangles += [Triangle(n, tuple(int(u == t) for u in range(size))) for t in range(size)]
+        for T in triangles:
+            table = degree_table(T, coords)
+            assert table == reference_degree_table(T, coords)
+            assert list(table) == coords

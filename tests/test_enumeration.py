@@ -1,3 +1,4 @@
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -8,12 +9,14 @@ from pbwdegen import cli, representations, suite, tableaux as tableaux_module
 from pbwdegen.fflv import (
     DominantWeight,
     TrianglePattern,
+    _walk_patterns,
     enumerate_patterns,
     minkowski_check,
     weyl_dim,
 )
 from pbwdegen.tableaux import PBWTableau, enumerate_ssyt, tau, zeta
-from pbwdegen.weights import toric_weight_system
+from pbwdegen.weights import Triangle, toric_weight_system
+from reference_combinatorics import cell_walk_patterns, reference_tau, reference_zeta
 from reference_enumeration import reference_patterns, reference_ssyt
 
 
@@ -97,6 +100,53 @@ BOUNDARY_CASES = [
 )
 def test_packed_slack_fields_match_reference(lam):
     assert enumerate_patterns(lam) == reference_patterns(lam)
+
+
+# All of |lambda| on one fundamental weight or on the two ends: one row
+# of the triangle holds every value, or one column, or two far apart.
+SKEWED_CASES = [DominantWeight(len(c) + 1, c) for c in
+                ((6, 0, 0, 0, 0), (0, 0, 0, 0, 6), (4, 0, 0, 4), (10, 0, 0, 0, 0, 0))]
+
+
+def test_row_walk_matches_the_cell_walk():
+    for lam in EQUIVALENCE_CASES + BOUNDARY_CASES + SKEWED_CASES:
+        entries = []
+        _walk_patterns(lam, entries.append)
+        assert entries == cell_walk_patterns(lam), lam
+
+
+@pytest.mark.parametrize(
+    "lam", SKEWED_CASES, ids=lambda lam: f"n{lam.n}-" + ",".join(map(str, lam.coeffs))
+)
+def test_zeta_and_tau_match_the_references(lam):
+    for T in enumerate_patterns(lam):
+        Y = zeta(T, lam)
+        assert Y == reference_zeta(T, lam)
+        assert tau(Y) == reference_tau(Y) == T
+
+
+def test_enumerated_objects_carry_no_dict():
+    """Slots only: patterns, tableaux and weight systems hash, compare and
+    serve as lru_cache keys as the dataclasses did."""
+    lam = DominantWeight(4, (1, 1, 1))
+    T, Y = enumerate_patterns(lam)[5], enumerate_ssyt(lam)[5]
+    A = toric_weight_system(4)
+    for obj, rebuilt in ((T, TrianglePattern(T.n, T.entries)),
+                         (Y, PBWTableau(Y.n, Y.columns)), (A, toric_weight_system(4))):
+        assert not hasattr(obj, "__dict__")
+        assert obj == rebuilt and obj is not rebuilt and hash(obj) == hash(rebuilt)
+        with pytest.raises(AttributeError):
+            obj.n = 5
+    assert T != TrianglePattern(4, (0,) * 6) and T != Triangle(T.n, T.entries)
+    calls = []
+
+    @lru_cache(maxsize=None)
+    def key(obj):
+        calls.append(obj)
+        return obj.n
+
+    assert [key(obj) for obj in (T, Y, A, TrianglePattern(T.n, T.entries), A)] == [4] * 5
+    assert calls == [T, Y, A]
 
 
 @st.composite

@@ -393,6 +393,31 @@ def test_quadratic_generation_on_every_face_n4():
             assert quadratic_generation_check(A, n, d, mu), (face_signature(A), mu)
 
 
+def test_quadratic_generation_reuses_the_cached_component(monkeypatch):
+    """Where every initial part is its relation (the classical grading,
+    pbw-locus-1 at n=3 and pbw-locus-12 at n=4), the check spans no rows
+    past the cached component. Verdicts are those of spanning the distinct
+    initial parts, on every canonical system."""
+    calls = []
+    spanning = ideals._spanning_rows
+    monkeypatch.setattr(ideals, "_spanning_rows", lambda *args: calls.append(args) or spanning(*args))
+    for n in (3, 4):
+        d = tuple(range(1, n))
+        gens = plucker_relations(n, d)
+        reusing = {"classical", "pbw-locus-" + "".join(map(str, range(1, n - 1)))}
+        for label, A in canonical_weight_systems(n):
+            g = grading_vector(A, d)
+            inits = [initial_part(rel, g).canonical() for rel in gens]
+            assert (inits == list(gens)) == (label in reusing)
+            quad = list({init.key(): init for init in inits}.values())
+            for mu in multidegrees_up_to(d, 3):
+                full = initial_component(gens, n, d, mu, g)  # warms the cache
+                calls.clear()
+                verdict = quadratic_generation_check(A, n, d, mu)
+                assert len(calls) == (0 if label in reusing else 1), (label, mu)
+                assert verdict == (component_basis(quad, n, d, mu).rank == full.rank)
+
+
 def test_face_degeneration_along_every_containment_n4():
     """Each of the 27 pairs of nested faces at n=4 (B's face contains A's,
     equal faces included) on every component of degree 2; the step re-reduces

@@ -1,5 +1,6 @@
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
+from math import comb
 
 import pytest
 from hypothesis import assume, given, settings
@@ -231,6 +232,19 @@ def test_psi_images_count_their_terms_up_to_the_cap():
         assert psi_images(n, d, A, total) == images
         with pytest.raises(ValueError):
             psi_images(n, d, A, total - 1)
+
+
+def test_psi_images_stop_within_one_coordinate_of_the_cap():
+    """Classically the degree-p part of C_j, |I| = 1, has C(j-2, p-1)
+    terms, and a power meets its coordinates in ascending j. At n=20 the
+    default cap of rep psi-check, 100,000, is passed at C_16 of the eighth
+    power, 619 terms past it; the whole eighth power would be 69,766."""
+    n, cap = 20, 100000
+    sizes = [1] + [comb(j - 2, p - 1) for p in range(1, n) for j in range(p + 1, n + 1)]
+    stop = next(built for built in accumulate(sizes) if built > cap)
+    assert stop == 100619
+    with pytest.raises(ValueError, match=f": {stop} built$"):
+        psi_images(n, (1,), None, cap)
 
 
 def test_pattern_count_equals_cyclic_dim_degenerate():
