@@ -64,10 +64,11 @@ def _guard_component(n, d, mu):
 
 
 def _guard_relations(n, d, mu=None):
-    # the exchanges plucker_relations examines for the size pairs p >= q
-    # (with mu, those that fit mu): an index i of size p, a block of
+    # at most the exchanges plucker_relations examines for the size pairs
+    # p >= q (with mu, those that fit mu): an index i of size p, a block of
     # k <= min(q, p - 1) entries and a rest of q - k entries off the block,
-    # as many as the indices j of size q with k of their entries marked
+    # as many as the indices j of size q with k of their entries marked;
+    # the rests it examines also avoid i
     exchanges = sum(
         comb(n, p) * comb(n, q) * sum(comb(q, k) for k in range(1, min(q, p - 1) + 1))
         for p, q in ideals.relation_pairs(d, mu)

@@ -193,9 +193,26 @@ def plucker_relations(n, d, mu=None):
     For each size pair p >= q of relation_pairs, each index i of size p
     and each block of k <= min(q, p - 1) entries not all in i (else the
     exchange only puts the factors back), the first factors are built
-    once; each rest of q - k entries off the block then gives the exchange
-    of i with j = block + rest, X_i X_j minus the products with the block
-    swapped into i in all possible ways, each index sorted with its sign.
+    once; each rest of q - k entries off both the block and i then gives
+    the exchange of i with j = block + rest, X_i X_j minus the products
+    with the block swapped into i in all possible ways (in order, into
+    positions P of i), each index sorted with its sign.
+
+    A rest entry r = i_rho in i adds nothing. Every term that places into
+    position rho repeats r and vanishes. If k <= p - 2, the exchange is
+    (-1)**(k+gamma-beta) times the one with r moved from the rest into the
+    block (gamma the rank of r in the rest, beta in the new block), the
+    terms matching one to one with P' = P + {rho}: the factors agree as
+    sets, moving r to its place in the first factor costs (-1)**(alpha-beta)
+    and in the second (-1)**(k+gamma-alpha), alpha the rank of rho in P'.
+    The swapped-in terms with rho not in P' repeat r. If k = p - 1, then
+    p = q and the rest is r alone. The one swapped-in term left, P every
+    position but rho, is X_i X_j itself: its first factor sorts with
+    (-1)**(p-1-rho) times the sign of block + r, and i without r followed
+    by r with (-1)**(p-1-rho), so the exchange is zero. Moving one entry
+    at a time, every exchange whose rest meets i is zero or +-1 times one
+    that is examined, so the kept relations do not change.
+
     Exchanges that come out zero are skipped, duplicates up to scalar are
     dropped (the first one built is kept) and the result is
     deterministically ordered. Relations are built over the integers and
@@ -216,8 +233,11 @@ def plucker_relations(n, d, mu=None):
                 for block in combinations(ground, k):
                     if all(v in i_set for v in block):
                         continue
+                    off = [v for v in ground if v not in block and v not in i_set]
+                    if len(off) < q - k:
+                        continue
                     firsts = _first_factors(i_set, block, placements[k], signs)
-                    for rest in combinations([v for v in ground if v not in block], q - k):
+                    for rest in combinations(off, q - k):
                         rel = {}
                         for e1, s1, removed in firsts:
                             seq = removed + rest

@@ -130,34 +130,54 @@ def essential_closure(A, lam):
     from S = T - e_t, and kept only if every T - e_y is essential. Its
     vector is f_x applied to the raw image of S, held for the previous
     degree only, and T is essential iff that vector enlarges the span.
+
+    The layer and the candidates are keyed by the integer code
+    sum_x T_x * B**(m-1-x) of T, with m generators, N = |lam| wedge factors
+    and B = N + 2, so a candidate is one add and a divisor test one
+    subtract and one lookup. The digits never carry: f_x squares to zero
+    on one wedge factor, whose image has lost i, so by the Leibniz rule
+    f_x**(N+1) kills the product of the N factors. An essential entry is
+    then at most N, a candidate entry at most N + 1 < B, and a divisor
+    test subtracts only at a position in the support. Codes sort as the
+    tuples do, and each layer entry carries its tuple, so none is decoded.
     """
     pairs = triangle_pairs(lam.n)
+    m = len(pairs)
+    base = lam.total() + 2
+    unit = [base ** (m - 1 - x) for x in range(m)]
     maps = wedge_maps(A, lam.n, lam.column_sizes())
     ech = Echelon()
     top = highest_weight_tensor(lam)
     ech.insert(top)
-    layer = {(0,) * len(pairs): top}  # essential exponent -> its raw image
-    essential = set(layer)
+    zero = (0,) * m
+    # code -> (raw image, support positions, exponent tuple)
+    layer = {0: (top, (), zero)}
+    essential = {zero}
     dependent = 0
     while layer:
         candidates = {}
-        for S in layer:
-            support = [y for y, e in enumerate(S) if e]
-            for x in range(support[-1] if support else 0, len(pairs)):
-                T = S[:x] + (S[x] + 1,) + S[x + 1 :]
-                if all(T[:y] + (T[y] - 1,) + T[y + 1 :] in layer for y in support):
+        for S, (_, support, _) in layer.items():
+            for x in range(support[-1] if support else 0, m):
+                T = S + unit[x]
+                for y in support:
+                    if T - unit[y] not in layer:
+                        break
+                else:
                     candidates[T] = (S, x)
         nxt = {}
         for T in sorted(candidates):
             S, x = candidates[T]
-            img = apply_generator(maps, layer[S], pairs[x])
+            img, support, expo = layer[S]
+            img = apply_generator(maps, img, pairs[x])
             if not img:
                 continue
             if ech.insert(img) is None:
                 dependent += 1
-            else:
-                nxt[T] = img
-        essential.update(nxt)
+                continue
+            # x is at or past the last support position, so expo ends in zeros
+            expo = expo[:x] + (expo[x] + 1,) + zero[x + 1 :]
+            essential.add(expo)
+            nxt[T] = (img, support if support and support[-1] == x else support + (x,), expo)
         layer = nxt
     return essential, dependent
 

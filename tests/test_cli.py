@@ -16,6 +16,7 @@ from pbwdegen.tropical import map_h, point_from_triangle
 from pbwdegen.weights import (
     WeightSystem,
     abelian_weight_system,
+    canonical_weight_systems,
     is_interior,
     toric_weight_system,
     zero_weight_system,
@@ -239,6 +240,13 @@ def _seeded_interior(n, seed):
     return A
 
 
+def _result_hash(argv, capsys):
+    """sha256 of the sorted JSON of the result of a --format json run."""
+    assert cli.main(["--format", "json"] + argv) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    return hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest()
+
+
 COMBINATORICS_GOLDEN = [
     (["fflv", "patterns", "--lam", "1,1,1,1"],
      "505bc2c9233ed92a4229d25202d9155b3ba0f0b4adb9b8c6b7cd08cf53a1cf6e"),
@@ -258,9 +266,30 @@ def test_combinatorics_golden_output(argv, want, tmp_path, capsys):
     # point of a seeded interior n=11 system, pinned by a hash of the JSON
     if argv[-1] == "seeded-n11":
         argv = argv[:-1] + [_write(tmp_path, "A.json", _seeded_interior(11, 11).to_json())]
-    assert cli.main(["--format", "json"] + argv) == 0
-    result = json.loads(capsys.readouterr().out)["result"]
-    assert hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest() == want
+    assert _result_hash(argv, capsys) == want
+
+
+MODULE_GOLDEN = [
+    (["rep", "dim", "--lam", "2,1,2"], None,
+     "983bd614bb5afece5ab3b6023f71147cd7b6bc2314f9d27af7422541c6558389"),
+    (["rep", "dim", "--lam", "1,2,1"], "toric",
+     "dac53c17c250fd4d4d81eaf6d88435676dac1f3f3896441e277af839bf50ed8a"),
+    (["rep", "fflv-check", "--lam", "1,1,1"], "pbw-locus-1",
+     "b5bea41b6c623f7c09f1bf24dcae58ebab3c0cdd90ad966bc43a45b44867e12b"),
+    (["rep", "annihilator-check", "--lam", "1,1,1"], "toric",
+     "b5bea41b6c623f7c09f1bf24dcae58ebab3c0cdd90ad966bc43a45b44867e12b"),
+]
+
+
+@pytest.mark.parametrize("argv, label, want", MODULE_GOLDEN,
+                         ids=[" ".join(argv[1:] + [label or "classical"])
+                              for argv, label, _ in MODULE_GOLDEN])
+def test_module_golden_output(argv, label, want, tmp_path, capsys):
+    # the closure's dimension and verdicts at n=4, pinned by a hash of the JSON
+    if label is not None:
+        A = dict(canonical_weight_systems(4))[label]
+        argv = argv + ["--weights", _write(tmp_path, "A.json", A.to_json())]
+    assert _result_hash(argv, capsys) == want
 
 
 def test_trop_check_and_witness(tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraction_echelon import FractionEchelon
-from fraction_relations import fraction_plucker_relations, normalize_index
+from fraction_relations import exchange_relation, fraction_plucker_relations, normalize_index
 from reference_components import column_grades as reference_column_grades
 from reference_components import component_monomials as reference_component_monomials
 from pbwdegen import ideals
@@ -72,7 +72,8 @@ def _all_sizes(n):
 
 @pytest.mark.parametrize(
     "n, d",
-    [(n, d) for n in range(2, 6) for d in _all_sizes(n)] + [(6, (1, 2, 3, 4, 5))],
+    [(n, d) for n in range(2, 6) for d in _all_sizes(n)]
+    + [(6, (1, 2, 3, 4, 5)), (6, (3,)), (6, (2, 4))],
 )
 def test_relations_match_fraction_reference(n, d):
     ours = plucker_relations(n, d)
@@ -82,6 +83,39 @@ def test_relations_match_fraction_reference(n, d):
         # same monomials in the same order, so every output is byte-identical
         assert list(rel.terms.items()) == list(want.terms.items())
         assert all(type(c) is Fraction for c in rel.terms.values())
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_exchange_with_a_rest_entry_in_i(n):
+    # plucker_relations draws rests off i: an exchange of i with
+    # block + rest whose rest holds r in i is zero when the block has
+    # p - 1 entries, else +-1 times the one with r moved into the block
+    ground = range(1, n + 1)
+    moved = zero = 0
+    for p in range(2, n):
+        for q in range(1, p + 1):
+            for i_set in combinations(ground, p):
+                for k in range(1, min(q, p - 1) + 1):
+                    for block in combinations(ground, k):
+                        if set(block) <= set(i_set):
+                            continue
+                        off = [v for v in ground if v not in block]
+                        for rest in combinations(off, q - k):
+                            for gamma, r in enumerate(rest):
+                                if r not in i_set:
+                                    continue
+                                rel = exchange_relation(n, i_set, block + rest, k)
+                                if k == p - 1:
+                                    assert not rel
+                                    zero += 1
+                                    continue
+                                new_block = tuple(sorted(block + (r,)))
+                                beta = new_block.index(r)
+                                new_rest = rest[:gamma] + rest[gamma + 1 :]
+                                want = exchange_relation(n, i_set, new_block + new_rest, k + 1)
+                                assert rel == want.scale((-1) ** (k + gamma - beta))
+                                moved += bool(rel)
+    assert zero and (moved or n == 3)  # at n=3 every block has p - 1 = 1 entry
 
 
 def _det(rows):

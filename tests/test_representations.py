@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pbwdegen import linalg, representations
-from pbwdegen.fflv import DominantWeight, enumerate_patterns, weyl_dim
+from pbwdegen.fflv import DominantWeight, enumerate_patterns, pattern_entries, weyl_dim
 from pbwdegen.ideals import GradedPolynomial, initial_part, plucker_relations
 from pbwdegen.degrees import all_indices, grading_vector
 from pbwdegen.representations import (
@@ -385,6 +385,29 @@ def test_essential_set_is_patterns(label, coeffs, dependent):
     lam = DominantWeight(len(coeffs) + 1, coeffs)
     A = None if label is None else dict(canonical_weight_systems(lam.n))[label]
     assert essential_closure(A, lam) == ({T.entries for T in enumerate_patterns(lam)}, dependent)
+
+
+# dependent counts of the closures whose exponents reach N = |lam|, where
+# an entry N + 1 is the largest digit of a candidate's code; 0 unless listed
+BOUNDARY_DEPENDENT = {
+    ((3, (2, 2)), None): 4,
+    ((3, (2, 2)), "classical"): 4,
+    ((3, (2, 2)), "pbw-locus-1"): 4,
+    **{((4, (0, 3, 0)), label): 9 for label in (
+        None, "classical", "abelian", "pbw-locus-none", "pbw-locus-1", "pbw-locus-2",
+        "pbw-locus-12")},
+}
+
+
+@pytest.mark.parametrize("n, coeffs", [(2, (5,)), (3, (2, 2)), (3, (3, 0)), (3, (0, 3)),
+                                       (4, (0, 3, 0))])
+def test_closure_at_the_exponent_bound(n, coeffs):
+    lam = DominantWeight(n, coeffs)
+    for label, A in [(None, None)] + list(canonical_weight_systems(n)):
+        essential, dependent = essential_closure(A, lam)
+        assert essential == pattern_entries(lam) == essential_exponents(A, lam)
+        assert dependent == BOUNDARY_DEPENDENT.get(((n, coeffs), label), 0)
+        assert max(max(T) for T in essential) == sum(coeffs)
 
 
 def test_essential_order_is_part_of_the_statement():
