@@ -64,16 +64,7 @@ def _guard_component(n, d, mu):
 
 
 def _guard_relations(n, d, mu=None):
-    # at most the exchanges plucker_relations examines for the size pairs
-    # p >= q (with mu, those that fit mu): an index i of size p, a block of
-    # k <= min(q, p - 1) entries and a rest of q - k entries off the block,
-    # as many as the indices j of size q with k of their entries marked;
-    # the rests it examines also avoid i
-    exchanges = sum(
-        comb(n, p) * comb(n, q) * sum(comb(q, k) for k in range(1, min(q, p - 1) + 1))
-        for p, q in ideals.relation_pairs(d, mu)
-    )
-    _guard_size("Pluecker relation exchanges", exchanges)
+    _guard_size("Pluecker relation exchanges", ideals.relation_exchanges(n, d, mu))
 
 
 def _guard_substitution(rels, images):
@@ -232,14 +223,16 @@ def weights_check(run, args):
     return run.report({"member": member}, info, lines)
 
 
-def _weights_rank(args):
+def _weights_rank(run, args):
+    """--n of a weights action, recorded."""
     if args.n < 2:
         raise InputError(f"weights {args.action} needs --n >= 2")
+    run.params["n"] = args.n
     return args.n
 
 
 def weights_canonical(run, args):
-    n = _weights_rank(args)
+    n = _weights_rank(run, args)
     # 2^(n-2) + 3 systems; past the bit length of the bound the power is
     # known to exceed it and is not built
     max_dim = _max_dim()
@@ -258,10 +251,13 @@ RANDOM_MAX_N = 6
 
 
 def weights_random(run, args):
-    n = _weights_rank(args)
+    n = _weights_rank(run, args)
     if n > RANDOM_MAX_N:
         raise InputError(f"weights random needs --n <= {RANDOM_MAX_N}, got {n}")
+    if args.count < 0:
+        raise InputError(f"--count must be nonnegative, got {args.count}")
     _guard_size("--count", args.count)
+    run.params.update(count=args.count, seed=args.seed)
     out = [A.to_json() for A in weights.random_cone_points(n, args.count, seed=args.seed)]
     return run.emit(out, [json.dumps(e, sort_keys=True) for e in out])
 
@@ -447,8 +443,10 @@ def trop_witness(run, args):
 def suite_run(run, args):
     # checked here rather than by catching run_suite's ValueError, which
     # would also turn a ValueError raised inside a check into exit 2
-    if args.n is not None and args.n < suite.MIN_CAP:
-        raise InputError(f"suite --n must be at least {suite.MIN_CAP}, got {args.n}")
+    if args.n is not None:
+        if args.n < suite.MIN_CAP:
+            raise InputError(f"suite --n must be at least {suite.MIN_CAP}, got {args.n}")
+        run.params["n"] = args.n
     results = suite.run_suite(cap=args.n)
     lines = [f"{'PASS' if ok else 'FAIL'}  {name}: {detail}" for name, ok, detail in results]
     payload = [{"check": name, "ok": ok, "detail": detail} for name, ok, detail in results]

@@ -157,6 +157,19 @@ def relation_pairs(d, mu=None):
     return [(p, q) for p in d for q in d if p >= q and deg[q] >= 1 and deg[p] >= 1 + (p == q)]
 
 
+def relation_exchanges(n, d, mu=None):
+    """The number of exchanges plucker_relations(n, d, mu) examines,
+    counted without listing them: for each size pair p >= q, index i of
+    size p and block size k, the blocks with t < k entries in i times the
+    rests of q - k entries off both."""
+    return sum(
+        comb(n, p) * comb(p, t) * comb(n - p, k - t) * comb(n - p - k + t, q - k)
+        for p, q in relation_pairs(d, mu)
+        for k in range(1, min(q, p - 1) + 1)
+        for t in range(max(0, k - n + p), k)  # no more than n - p entries off i
+    )
+
+
 class _Relations(tuple):
     """The relations plucker_relations returns, marked with the ideal
     (n, d) they generate (None when they are only those that fit a mu)

@@ -22,9 +22,10 @@ from math import gcd, lcm
 
 
 def _primitive(vec):
-    """Divide a nonzero integer vector in place by the gcd of its entries."""
+    """Divide an integer vector in place by the gcd of its entries; a zero
+    vector, of gcd 0, stays as it is."""
     g = gcd(*vec.values())
-    if g != 1:
+    if g > 1:
         for col in vec:
             vec[col] //= g
     return vec
@@ -37,7 +38,7 @@ def _integral(vec):
     except TypeError:
         den = lcm(*[v.denominator for v in vec.values()])
         return _primitive({c: v.numerator * (den // v.denominator) for c, v in vec.items()})
-    return vec if g == 1 else {c: v // g for c, v in vec.items()}
+    return vec if g <= 1 else {c: v // g for c, v in vec.items()}
 
 
 def _eliminate(vec, row, col):

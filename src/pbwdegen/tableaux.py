@@ -19,10 +19,11 @@ from .weights import Triangle
 
 @dataclass(frozen=True)
 class PBWTableau:
-    """Filling of the Young diagram of a dominant weight, by columns.
+    """Filling of the Young diagram of a dominant weight by PBW columns.
 
     ``columns`` lists entries top to bottom; heights are non-increasing
-    left to right.
+    left to right. Every column is checked PBW here, so no reader of a
+    tableau checks it again.
     """
 
     __slots__ = ("n", "columns")
@@ -41,6 +42,8 @@ def _check_shape(n, heights, columns):
         raise ValueError("column heights must lie in [1, n-1]")
     if any(min(col) < 1 or max(col) > n for col in columns):
         raise ValueError("entries out of range")
+    if not all(map(_column_is_pbw, columns)):
+        raise ValueError("not a PBW column")
 
 
 def _trusted_tableau(n, columns, new=object.__new__, set_n=PBWTableau.n.__set__,
@@ -74,10 +77,6 @@ def _column_is_pbw(col):
     return True
 
 
-def is_pbw_tableau(Y):
-    return all(_column_is_pbw(col) for col in Y.columns)
-
-
 def _adjacent_ok(left, right):
     """Condition (4) between two neighboring columns."""
     for i, v in enumerate(right, start=1):
@@ -87,8 +86,8 @@ def _adjacent_ok(left, right):
 
 
 def is_pbw_ssyt(Y):
-    if not is_pbw_tableau(Y):
-        return False
+    """Condition (4) between every two neighboring columns; the columns
+    themselves are PBW by construction."""
     return all(
         _adjacent_ok(a, b) for a, b in zip(Y.columns, Y.columns[1:])
     )
@@ -160,13 +159,6 @@ def count_ssyt(lam):
 def tau(Y):
     """Triangle pattern of a PBW tableau: one per column entry sitting
     below its own row, summed over columns."""
-    if not is_pbw_tableau(Y):
-        raise ValueError("not a PBW tableau")
-    return _tau(Y)
-
-
-def _tau(Y):
-    """tau of a tableau known to be PBW: zeta's result or an enumerated one."""
     n, off = Y.n, Triangle.offsets(Y.n)
     entries = [0] * (n * (n - 1) // 2)
     for col in Y.columns:
@@ -212,12 +204,11 @@ def zeta(T, lam):
 
 def bijection_failure(lam):
     """None if tau and zeta invert each other on the patterns and the PBW
-    semistandard tableaux of lam, else the identity that fails. tau skips
-    its check: zeta checks what it returns, the walk what it emits."""
+    semistandard tableaux of lam, else the identity that fails."""
     for T in enumerate_patterns(lam):
-        if _tau(zeta(T, lam)) != T:
+        if tau(zeta(T, lam)) != T:
             return "tau(zeta(T)) != T"
     for Y in enumerate_ssyt(lam):
-        if zeta(_tau(Y), lam) != Y:
+        if zeta(tau(Y), lam) != Y:
             return "zeta(tau(Y)) != Y"
     return None

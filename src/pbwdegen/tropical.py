@@ -11,7 +11,6 @@ point leaves the tropical variety.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .degrees import all_indices, degree_table, index_label
 from .ideals import (
@@ -21,8 +20,9 @@ from .ideals import (
     multidegrees_up_to,
     plucker_relations,
 )
-from .linalg import Echelon
-from .weights import Triangle, json_int, json_rational, require_cone_membership, triangle_pairs
+from .linalg import Echelon, _integral
+from .weights import (Triangle, _cone_rows, _slacks, ineq_a_indices, ineq_b_indices,
+                      json_int, json_rational, require_cone_membership, triangle_pairs)
 
 
 @dataclass(frozen=True)
@@ -87,16 +87,6 @@ def _prefix(m):
     return tuple(range(1, m + 1))
 
 
-def _integer_multiple(point):
-    """D * s as ints, for D the lcm of the denominators of the point, 1
-    for every image of map_h. The conditions [i]-[v] are homogeneous
-    linear and an initial part depends only on the order of the grades,
-    so both read the same at D * s as at s."""
-    s = point.s
-    D = lcm(*[v.denominator for v in s.values()])
-    return {I: v.numerator * (D // v.denominator) for I, v in s.items()}
-
-
 def _normalized(n, t):
     """t shifted on each cardinality so that the leading subsets (1..k)
     sit at 0; t itself when they already do, as for every image of map_h."""
@@ -106,33 +96,16 @@ def _normalized(n, t):
     return {elems: v - shifts[len(elems)] for elems, v in t.items()}
 
 
-def _inequalities(n, s):
-    """The inequalities [iv] and [v] on normalized coordinates s, in
-    order: for each one its label, whether it holds, and the index pairs
-    (a, b), (c, d), (e, f) of the relation X_a X_b - X_c X_d - X_e X_f
-    whose initial part is a single monomial when it fails."""
-    p = _prefix
-    for i in range(1, n - 1):
-        a, b, c = p(i - 1) + (i + 1,), p(i) + (i + 2,), p(i - 1) + (i + 2,)
-        yield f"[iv] i={i}", s[a] + s[b] >= s[c], (
-            (b, a),
-            (p(i) + (i + 1,), c),
-            (p(i - 1) + (i + 1, i + 2), p(i)),
-        )
-    for i in range(1, n - 1):
-        for j in range(i + 2, n):
-            a, b = p(i - 1) + (j,), p(i) + (j + 1,)
-            c, e = p(i - 1) + (j + 1,), p(i) + (j,)
-            yield f"[v] i={i} j={j}", s[a] + s[b] >= s[c] + s[e], (
-                (p(i - 1) + (i + 1, j + 1), e),
-                (p(i - 1) + (i + 1, j), b),
-                (p(i - 1) + (j, j + 1), p(i) + (i + 1,)),
-            )
-
-
-def _violations(n, s):
-    """The conditions [i]-[v] that fail at normalized coordinates s."""
-    violations = [f"[i] k={k}" for k in range(1, n) if s[_prefix(k)] != 0]
+def _violations(point):
+    """The conditions [ii]-[v] that fail at the point, in order, each as
+    its label and, for [iv] and [v], the index pairs (a, b), (c, d), (e, f)
+    of the relation X_a X_b - X_c X_d - X_e X_f whose initial part is then
+    a single monomial. They are read at the normalized primitive integer
+    multiple s of the point: the conditions are homogeneous linear, so
+    they read the same there, and [i] holds by normalization."""
+    n = point.n
+    s = _normalized(n, _integral(point.s))
+    violations = []
     for i in range(1, n + 1):
         for j in range(i + 2, n + 1):
             idxs = [
@@ -141,25 +114,39 @@ def _violations(n, s):
             ]
             vals = {s[idx] for idx in idxs}
             if len(vals) > 1:
-                violations.append(f"[ii] i={i} j={j}")
+                violations.append((f"[ii] i={i} j={j}", None))
     # [iii]: s_I is the degree of I under the triangle whose entry at
     # (p, q) is the coordinate of {1..p-1, q}
     T = Triangle(n, tuple(s[_prefix(p - 1) + (q,)] for p, q in triangle_pairs(n)))
     for I, total in degree_table(T, all_indices(n, range(1, n))).items():
         if s[I] != total:
-            violations.append(f"[iii] I={index_label(I)}")
-    violations += [label for label, holds, _ in _inequalities(n, s) if not holds]
+            violations.append((f"[iii] I={index_label(I)}", None))
+    # [iv] at i is (a) at i on T, and [v] at (i, j) is (b) at (i, j)
+    slacks = _slacks(T.entries, *_cone_rows(n))
+    p = _prefix
+    for i, slack in zip(ineq_a_indices(n), slacks):
+        if slack < 0:
+            violations.append((f"[iv] i={i}", (
+                (p(i) + (i + 2,), p(i - 1) + (i + 1,)),
+                (p(i) + (i + 1,), p(i - 1) + (i + 2,)),
+                (p(i - 1) + (i + 1, i + 2), p(i)),
+            )))
+    for (i, j), slack in zip(ineq_b_indices(n), slacks):
+        if slack < 0:
+            violations.append((f"[v] i={i} j={j}", (
+                (p(i - 1) + (i + 1, j + 1), p(i) + (j,)),
+                (p(i - 1) + (i + 1, j), p(i) + (j + 1,)),
+                (p(i - 1) + (j, j + 1), p(i) + (i + 1,)),
+            )))
     return violations
 
 
 def cone_C_membership(point):
     """Evaluate the cone conditions [i]-[v]; returns (verdict, violations).
 
-    The point is normalized first, so [i] holds by construction and the
-    other conditions are evaluated on the normalized representative,
-    scaled to integers by _integer_multiple.
+    _violations reads them at the normalized point, where [i] holds.
     """
-    violations = _violations(point.n, _normalized(point.n, _integer_multiple(point)))
+    violations = [label for label, _ in _violations(point)]
     return not violations, violations
 
 
@@ -173,11 +160,11 @@ def in_trop_necessary_check(point, d, degree_bound):
     total degree up to the bound contains a monomial.
 
     Bounded-degree only; a True verdict certifies nothing beyond the
-    inspected degrees. The grading is the integer multiple of the point,
-    which orders the monomials of a component as the point does.
+    inspected degrees. The grading is the primitive integer multiple of
+    the point, which orders the monomials of a component as the point does.
     """
     n, d = point.n, tuple(d)
-    g = _integer_multiple(point)
+    g = _integral(point.s)
     gens = plucker_relations(n, d)
     for mu in multidegrees_up_to(d, degree_bound):
         if sum(mu) < 2:
@@ -199,14 +186,11 @@ def maximality_witness(point):
     """For a point failing [iv] or [v], the Pluecker relation whose
     initial part degenerates to a single monomial; None when no
     inequality fails."""
-    s = _normalized(point.n, _integer_multiple(point))
-    linear = [v for v in _violations(point.n, s) if v.startswith(("[i]", "[ii]", "[iii]"))]
+    violations = _violations(point)
+    linear = [label for label, pairs in violations if pairs is None]
     if linear:
         raise ValueError(f"conditions [i]-[iii] must hold first: {linear}")
-    for _, holds, pairs in _inequalities(point.n, s):
-        if not holds:
-            return _quad(*pairs)
-    return None
+    return _quad(*violations[0][1]) if violations else None
 
 
 def h_image_rank(n):

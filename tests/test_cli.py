@@ -479,20 +479,21 @@ def test_max_dim_guard_essential_closure(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
-    # n=12, d=(6): 924^2 index pairs, 62 blocks each, 52,934,112 exchanges
+    # n=12, d=(6): 6,599,208 exchanges
     ["ideal", "gen", "--n", "12", "--d", "6"],
     ["rep", "psi-check", "--n", "12", "--d", "6"],
     ["ideal", "check-quadratic", "--n", "12", "--d", "6", "--mu", "1"],
     ["ideal", "check-face-degeneration", "--n", "12", "--d", "6", "--mu", "1"],
-    # the n=8 full flag: 496,728 exchanges
-    ["trop", "check", "--degree-bound", "2"],
+    # the n=9 toric point on d=(4,5): 155,610 exchanges, and 31,878
+    # monomials in degree 2, under the cap
+    ["trop", "check", "--d", "4,5", "--degree-bound", "2"],
 ])
 def test_relation_generation_is_guarded(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli.ideals, "plucker_relations", _refuse)
     monkeypatch.setattr(cli.tropical, "plucker_relations", _refuse)
     monkeypatch.delenv("PBWDEGEN_MAX_DIM", raising=False)
     if argv[0] == "trop":
-        argv = argv + ["--point", _write(tmp_path, "pt.json", map_h(toric_weight_system(8)).to_json())]
+        argv = argv + ["--point", _write(tmp_path, "pt.json", map_h(toric_weight_system(9)).to_json())]
     elif argv[1].startswith("check"):
         path = _write(tmp_path, "zero12.json", zero_weight_system(12).to_json())
         argv = argv + ["--weights", path]
@@ -504,7 +505,7 @@ def test_relation_generation_is_guarded(argv, tmp_path, capsys, monkeypatch):
 
 
 def test_ideal_initial_builds_only_the_relations_that_fit_mu(tmp_path, capsys, monkeypatch):
-    # n=12, d=(6): of the 52,934,112 exchanges, none fits mu=(1) and all fit
+    # n=12, d=(6): of the 6,599,208 exchanges, none fits mu=(1) and all fit
     # mu=(2); the full generating set is never built
     build = cli.ideals.plucker_relations
 
@@ -521,7 +522,7 @@ def test_ideal_initial_builds_only_the_relations_that_fit_mu(tmp_path, capsys, m
     # 427,350 monomials pass, the exchanges not, before any is built
     monkeypatch.setattr(cli.ideals, "plucker_relations", _refuse)
     assert cli.main(argv + ["--mu", "2"]) == 2
-    assert "Pluecker relation exchanges 52934112 exceeds" in capsys.readouterr().err
+    assert "Pluecker relation exchanges 6599208 exceeds" in capsys.readouterr().err
 
 
 def test_ideal_initial_at_n12_ends_quickly(tmp_path):
@@ -538,12 +539,30 @@ def test_ideal_initial_at_n12_ends_quickly(tmp_path):
 
 
 def test_relation_guard_bound_is_inclusive(capsys, monkeypatch):
-    argv = ["ideal", "gen", "--n", "4", "--d", "2"]  # 36 index pairs, 2 blocks each
-    monkeypatch.setenv("PBWDEGEN_MAX_DIM", "72")
+    # 6 indices i, 2 blocks of one entry off i each, 1 rest off both: 12
+    argv = ["ideal", "gen", "--n", "4", "--d", "2"]
+    monkeypatch.setenv("PBWDEGEN_MAX_DIM", "12")
     assert cli.main(argv) == 0
-    monkeypatch.setenv("PBWDEGEN_MAX_DIM", "71")
+    monkeypatch.setenv("PBWDEGEN_MAX_DIM", "11")
     assert cli.main(argv) == 2
-    assert "Pluecker relation exchanges 72 exceeds" in capsys.readouterr().err
+    assert "Pluecker relation exchanges 12 exceeds" in capsys.readouterr().err
+
+
+def test_full_flag_at_n8_passes_the_relation_guard(capsys, monkeypatch):
+    # 64,632 exchanges, under the default cap; the relations are stubbed
+    # by the one relation of n=3 to keep the test fast
+    small = cli.ideals.plucker_relations(3, (1, 2))
+    built = []
+
+    def stub(n, d, mu=None):
+        built.append((n, d, mu))
+        return small
+
+    monkeypatch.setattr(cli.ideals, "plucker_relations", stub)
+    monkeypatch.delenv("PBWDEGEN_MAX_DIM", raising=False)
+    assert cli.main(["ideal", "gen", "--n", "8", "--d", "1,2,3,4,5,6,7"]) == 0
+    assert built == [(8, (1, 2, 3, 4, 5, 6, 7), None)]
+    assert "exceeds" not in capsys.readouterr().err
 
 
 def test_annihilator_check_costs_one_module(tmp_path, capsys):
@@ -659,6 +678,34 @@ def test_weights_random_n_bound_is_inclusive(capsys):
     assert cli.main(argv) == 0
     [point] = json.loads(capsys.readouterr().out)["result"]
     assert point["n"] == cli.RANDOM_MAX_N
+
+
+def test_weights_random_refuses_a_negative_count(capsys, monkeypatch):
+    monkeypatch.setattr(cli.weights, "random_cone_points", _refuse)
+    assert cli.main(["weights", "random", "--count", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --count must be nonnegative, got -1\n"
+
+
+@pytest.mark.parametrize("argv, params", [
+    (["weights", "random", "--n", "4", "--count", "2", "--seed", "7"],
+     {"count": 2, "n": 4, "seed": 7}),
+    (["weights", "random"], {"count": 10, "n": 3, "seed": 0}),
+    (["weights", "canonical", "--n", "4"], {"n": 4}),
+    (["suite", "--n", "3"], {"n": 3}),
+    (["suite"], {}),
+])
+def test_manifest_records_the_params(argv, params, capsys, monkeypatch):
+    monkeypatch.setattr(cli.suite, "run_suite", lambda cap: [("stub", True, f"cap={cap}")])
+    assert cli.main(["--format", "json"] + argv) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["manifest"]["params"] == params
+    if argv[:2] == ["weights", "random"]:
+        # the sample is drawn again from the params its manifest records
+        again = ["weights", "random"] + [f"--{k}={v}" for k, v in sorted(params.items())]
+        assert cli.main(["--format", "json"] + again) == 0
+        assert json.loads(capsys.readouterr().out)["result"] == data["result"]
 
 
 @pytest.mark.parametrize("argv, size", [

@@ -30,6 +30,7 @@ from pbwdegen.ideals import (
     pair_monomials,
     plucker_relations,
     quadratic_generation_check,
+    relation_exchanges,
     relation_pairs,
 )
 from pbwdegen.weights import (
@@ -224,6 +225,36 @@ def test_relation_pairs_that_fit_mu():
             assert got == tuple(fit), mu
             # terms in the same order too, so the outputs are byte-identical
             assert [list(r.terms.items()) for r in got] == [list(r.terms.items()) for r in fit]
+
+
+def _loop_exchanges(n, d, mu=None):
+    """The exchanges plucker_relations' loop examines, one at a time: an
+    index i, a block not inside i and a rest off block and i."""
+    ground = range(1, n + 1)
+    count = 0
+    for p, q in relation_pairs(d, mu):
+        for i in combinations(ground, p):
+            for k in range(1, min(q, p - 1) + 1):
+                for block in combinations(ground, k):
+                    if set(block) <= set(i):
+                        continue
+                    off = [v for v in ground if v not in block and v not in i]
+                    count += sum(1 for _ in combinations(off, q - k))
+    return count
+
+
+def test_relation_exchanges_count_the_loop():
+    for n in range(2, 8):
+        for size in range(1, n):
+            for d in combinations(range(1, n), size):
+                assert relation_exchanges(n, d) == _loop_exchanges(n, d), (n, d)
+    for n, d, mu in [(5, (2,), (2,)), (5, (2,), (1,)), (6, (2, 3), (1, 1)),
+                     (6, (2, 3), (0, 2)), (6, (1, 2, 3), (2, 0, 1)),
+                     (7, (1, 3, 5), (1, 1, 0)), (7, (3, 4), (0, 0))]:
+        assert relation_exchanges(n, d, mu) == _loop_exchanges(n, d, mu), (n, d, mu)
+    # the full flag at n = 6, 7, 8 and the middle Grassmannian at n = 12
+    assert [relation_exchanges(n, tuple(range(1, n))) for n in (6, 7, 8)] == [2031, 11809, 64632]
+    assert relation_exchanges(12, (6,)) == 6599208
 
 
 def test_initial_component_from_the_relations_that_fit_mu():

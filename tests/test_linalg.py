@@ -9,7 +9,7 @@ from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
 from fraction_echelon import FractionEchelon
-from pbwdegen.linalg import Echelon, _eliminate
+from pbwdegen.linalg import Echelon, _eliminate, _integral
 
 COLUMNS = 8
 
@@ -84,6 +84,13 @@ def test_a_row_reduced_by_a_unit_pivot_is_stored_primitive():
     assert ech.insert({1: 1, 2: 3}) == 2
     assert ech.rows[2] == {2: 1}
     assert ech.rref() == [{1: 1}, {2: 1}]
+
+
+def test_integral_of_a_zero_vector_is_zero():
+    # the gcd of a zero vector is 0: nothing is divided
+    assert _integral({0: Fraction(0), 1: Fraction(0)}) == {0: 0, 1: 0}
+    assert _integral({0: 0, 1: 0}) == {0: 0, 1: 0}
+    assert _integral({0: Fraction(2, 3), 1: Fraction(0)}) == {0: 1, 1: 0}
 
 
 def test_rows_put_in_directly_need_not_be_primitive():

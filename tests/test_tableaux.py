@@ -8,7 +8,6 @@ from pbwdegen.tableaux import (
     bijection_failure,
     enumerate_ssyt,
     is_pbw_ssyt,
-    is_pbw_tableau,
     pbw_column,
     tau,
     zeta,
@@ -45,17 +44,20 @@ def test_tableau_validation():
 
 
 def test_column_conditions():
-    assert is_pbw_tableau(PBWTableau(4, ((4, 2),)))
-    assert not is_pbw_tableau(PBWTableau(4, ((2, 4),)))  # 2 off its row
-    assert not is_pbw_tableau(PBWTableau(4, ((3, 3),)))  # repeated entry
-    assert not is_pbw_tableau(PBWTableau(5, ((1, 3, 4),)))  # big block increasing
+    # the constructor holds only PBW columns
+    assert PBWTableau(4, ((4, 2),)).columns == ((4, 2),)
+    with pytest.raises(ValueError, match="not a PBW column"):
+        PBWTableau(4, ((2, 4),))  # 2 off its row
+    with pytest.raises(ValueError, match="not a PBW column"):
+        PBWTableau(4, ((3, 3),))  # repeated entry
+    with pytest.raises(ValueError, match="not a PBW column"):
+        PBWTableau(5, ((1, 3, 4),))  # big block increasing
 
 
 def test_adjacency_condition():
     good = PBWTableau(3, ((1, 3), (3,)))
     assert is_pbw_ssyt(good)
-    bad = PBWTableau(3, ((1, 2), (3,)))
-    assert is_pbw_tableau(bad)
+    bad = PBWTableau(3, ((1, 2), (3,)))  # PBW columns, so it is built
     assert not is_pbw_ssyt(bad)
 
 
@@ -72,19 +74,36 @@ def order_preceq(x, y, n):
 
 
 def test_tau_rejects_a_non_pbw_tableau():
-    # a valid tableau whose column (2, 4) puts the small entry 2 in row 1;
-    # the round trips skip tau's check, the public tau keeps it
-    Y = PBWTableau(4, ((2, 4),))
-    assert not is_pbw_tableau(Y)
-    with pytest.raises(ValueError, match="not a PBW tableau"):
-        tau(Y)
+    # the column (2, 4) puts the small entry 2 in row 1: no tableau holds
+    # it, so tau, which checks nothing, never sees it
+    with pytest.raises(ValueError, match="not a PBW column"):
+        PBWTableau(4, ((2, 4),))
+
+
+def test_round_trip_checks_each_column_once(monkeypatch):
+    # the 1,024 patterns of (1,1,1,1) give four-column tableaux: zeta's
+    # constructor checks each column, and tau and is_pbw_ssyt check none
+    calls = []
+    check = tableaux._column_is_pbw
+
+    def counted(col):
+        calls.append(col)
+        return check(col)
+
+    monkeypatch.setattr(tableaux, "_column_is_pbw", counted)
+    lam = DominantWeight(5, (1, 1, 1, 1))
+    patterns = enumerate_patterns(lam)
+    assert len(patterns) == 1024
+    for T in patterns:
+        assert tau(zeta(T, lam)) == T
+    assert len(calls) == 4096
 
 
 def test_bijection_failure_names_the_identity_that_fails(monkeypatch):
     lam = DominantWeight(3, (1, 1))
     assert bijection_failure(lam) is None
     zero = TrianglePattern(3, (0, 0, 0))
-    monkeypatch.setattr(tableaux, "_tau", lambda Y: zero)
+    monkeypatch.setattr(tableaux, "tau", lambda Y: zero)
     assert bijection_failure(lam) == "tau(zeta(T)) != T"
     monkeypatch.setattr(tableaux, "enumerate_patterns", lambda lam: [])
     assert bijection_failure(lam) == "zeta(tau(Y)) != Y"

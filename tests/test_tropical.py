@@ -24,6 +24,7 @@ from pbwdegen.weights import (
     random_cone_points,
     toric_weight_system,
     triangle_pairs,
+    zero_weight_system,
 )
 
 
@@ -63,6 +64,14 @@ def test_cone_membership_of_image():
             assert ok, violations
         for A in random_cone_points(n, 10, seed=n + 40):
             assert cone_C_membership(map_h(A))[0]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_classical_point_is_in_the_cone(n):
+    # h(0) is the zero vector, whose primitive multiple is itself
+    point = map_h(zero_weight_system(n))
+    assert cone_C_membership(point) == (True, [])
+    assert maximality_witness(point) is None
 
 
 def test_violating_point_reports_conditions():
