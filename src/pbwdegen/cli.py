@@ -57,12 +57,6 @@ def _guard_size(what, size):
         raise InputError(f"{what} {size} exceeds PBWDEGEN_MAX_DIM={max_dim}")
 
 
-def _guard_component(n, d, mu):
-    # the monomials of multidegree mu, counted without listing them
-    dim = prod(comb(comb(n, k) + m - 1, m) for k, m in zip(d, mu))
-    _guard_size("component dimension", dim)
-
-
 def _guard_relations(n, d, mu=None):
     _guard_size("Pluecker relation exchanges", ideals.relation_exchanges(n, d, mu))
 
@@ -318,7 +312,8 @@ def _component(run, args):
     if any(m < 0 for m in mu):
         raise InputError("--mu entries must be nonnegative")
     run.params["mu"] = list(mu)
-    _guard_component(n, d, mu)
+    # the monomials of multidegree mu, counted without listing them
+    _guard_size("component dimension", prod(comb(comb(n, k) + m - 1, m) for k, m in zip(d, mu)))
     return n, d, mu, run.load_admissible(args.weights, n)
 
 

@@ -1,12 +1,17 @@
 """Desk-scale verification battery tying all modules together.
 
-Each check returns (ok, detail). The scales are fixed so the whole
-battery runs in minutes with exact arithmetic; an optional cap on n
-shrinks the battery further; below MIN_CAP some check would run no case,
-so such caps are refused. The CLI and the test suite both drive the
-same functions.
+Each check yields its cases as (failure text, ok); one runner, _check,
+makes it a function check(cap) -> (ok, detail). The runner counts the
+cases, stops at the first failing one and returns its text (later cases
+may rely on earlier ones having held), fails a check that ran no case
+with "no case ran", and fails one slower than its time bound. A passing
+detail reads "<count> <noun>, <seconds>s". The whole battery runs in well
+under a second with exact arithmetic; an optional cap on n shrinks it
+further, and below MIN_CAP some check would run no case, so such caps are
+refused. The CLI and the test suite both drive the same functions.
 """
 
+import functools
 import random
 import time
 
@@ -35,82 +40,79 @@ def _ns(ns, cap):
     return [n for n in ns if cap is None or n <= cap]
 
 
-def check_cone_soundness(cap=None):
+def _check(noun, bound=None):
+    """Make a generator of (failure text, ok) cases into check(cap) ->
+    (ok, detail), timed against bound seconds when one is given."""
+    def wrap(cases):
+        @functools.wraps(cases)
+        def check(cap=None):
+            start = time.monotonic()
+            count = 0
+            for failure, ok in cases(cap):
+                if not ok:
+                    return False, failure
+                count += 1
+            elapsed = time.monotonic() - start
+            if not count:
+                return False, "no case ran"
+            if bound is not None and elapsed >= bound:
+                return False, f"too slow: {elapsed:.2f}s"
+            return True, f"{count} {noun}, {elapsed:.2f}s"
+        return check
+    return wrap
+
+
+@_check("triangles", bound=1.0)
+def check_cone_soundness(cap):
     """Derived inequalities hold on random triangles filtered to the cone,
-    n <= 6."""
-    start = time.monotonic()
+    n <= 6; every triangle drawn is a case."""
     rng = random.Random(1)
-    hits = drawn = 0
     for n in _ns((3, 4, 5, 6), cap):
         pairs = weights.triangle_pairs(n)
         for _ in range(50):
-            A = weights.WeightSystem(
-                n, tuple(rng.randint(-3, 3) for _ in pairs)
-            )
-            drawn += 1
-            if not weights.check_cone_membership(A):
-                continue
-            hits += 1
-            if not weights.derived_inequalities_hold(A):
-                return False, f"derived inequality fails for n={n}"
-    elapsed = time.monotonic() - start
-    if elapsed >= 1.0:
-        return False, f"too slow: {elapsed:.2f}s"
-    return True, f"{drawn} triangles, {hits} in the cone, {elapsed:.2f}s"
+            A = weights.WeightSystem(n, tuple(rng.randint(-3, 3) for _ in pairs))
+            yield (f"derived inequality fails for n={n}",
+                   not weights.check_cone_membership(A) or weights.derived_inequalities_hold(A))
 
 
-def check_dimension_agreement(cap=None):
+@_check("weights", bound=30.0)
+def check_dimension_agreement(cap):
     """|patterns| = |tableaux| = Weyl dimension, n <= 5, coefficient sum <= 3."""
-    start = time.monotonic()
-    cases = 0
     for n in _ns((2, 3, 4, 5), cap):
         for lam in _dominant_weights(n, 3):
             np = fflv.count_patterns(lam)
             ny = tableaux.count_ssyt(lam)
             dim = fflv.weyl_dim(lam)
-            if not np == ny == dim:
-                return False, f"n={n} lam={lam.coeffs}: {np} vs {ny} vs {dim}"
-            cases += 1
-    elapsed = time.monotonic() - start
-    if elapsed >= 30.0:
-        return False, f"too slow: {elapsed:.1f}s"
-    return True, f"{cases} weights agree, {elapsed:.1f}s"
+            yield f"n={n} lam={lam.coeffs}: {np} vs {ny} vs {dim}", np == ny == dim
 
 
-def check_bijection_roundtrip(cap=None):
+@_check("shapes")
+def check_bijection_roundtrip(cap):
     """tau and zeta invert each other, n <= 4, coefficient sum <= 2."""
-    cases = 0
     for n in _ns((2, 3, 4), cap):
         for lam in _dominant_weights(n, 2):
             failure = tableaux.bijection_failure(lam)
-            if failure:
-                return False, f"{failure} at n={n} lam={lam.coeffs}"
-            cases += 1
-    return True, f"{cases} shapes round-trip"
+            yield f"{failure} at n={n} lam={lam.coeffs}", not failure
 
 
-def check_minkowski(cap=None):
+@_check("fundamental pairs")
+def check_minkowski(cap):
     """Pattern sets add under Minkowski sum for fundamental pairs, n <= 4."""
-    cases = 0
     for n in _ns((2, 3, 4), cap):
         for k in range(1, n):
             for m in range(k, n):
                 lam = DominantWeight.fundamental(n, k)
                 mu = DominantWeight.fundamental(n, m)
-                if not fflv.minkowski_check(lam, mu):
-                    return False, f"fails for omega_{k} + omega_{m}, n={n}"
-                cases += 1
-    return True, f"{cases} fundamental pairs"
+                yield f"fails for omega_{k} + omega_{m}, n={n}", fflv.minkowski_check(lam, mu)
 
 
 def _flag_setups(cap):
     return [(n, d) for n, d in ((3, (1, 2)), (4, (2,))) if cap is None or n <= cap]
 
 
-def check_initial_dimensions(cap=None):
+@_check("components", bound=300.0)
+def check_initial_dimensions(cap):
     """Graded dimension of each initial ideal matches the Weyl dimension."""
-    start = time.monotonic()
-    cases = 0
     for n, d in _flag_setups(cap):
         gens = ideals.plucker_relations(n, d)
         for label, A in weights.canonical_weight_systems(n):
@@ -119,42 +121,33 @@ def check_initial_dimensions(cap=None):
                 ring_dim = len(ideals.component_monomials(n, d, mu))
                 rank = ideals.initial_component(gens, n, d, mu, g).rank
                 want = fflv.weyl_dim(_weight_from_mu(n, d, mu))
-                if ring_dim - rank != want:
-                    return False, (
-                        f"{label} n={n} mu={mu}: {ring_dim}-{rank} != {want}"
-                    )
-                cases += 1
-    elapsed = time.monotonic() - start
-    if elapsed >= 300.0:
-        return False, f"too slow: {elapsed:.1f}s"
-    return True, f"{cases} components, {elapsed:.1f}s"
+                yield (f"{label} n={n} mu={mu}: {ring_dim}-{rank} != {want}",
+                       ring_dim - rank == want)
 
 
-def check_classical_recovery(cap=None):
+@_check("components")
+def check_classical_recovery(cap):
     """Zero weight system leaves every ideal component unchanged."""
     for n, d in _flag_setups(cap):
         gens = ideals.plucker_relations(n, d)
         for mu in ideals.multidegrees_up_to(d, 3):
             plain = ideals.component_basis(gens, n, d, mu).span_key()
             recovered = ideals.classical_component(n, d, mu).span_key()
-            if plain != recovered:
-                return False, f"n={n} mu={mu} differs"
-    return True, "in(I) = I componentwise for the zero system"
+            yield f"n={n} mu={mu} differs", plain == recovered
 
 
-def check_quadratic_generation(cap=None):
+@_check("components")
+def check_quadratic_generation(cap):
     """Initial parts of the quadratic relations generate in degree 3, n=3."""
     n, d = 3, (1, 2)
     for label, A in weights.canonical_weight_systems(n):
         for mu in ideals.multidegrees_up_to(d, 3):
-            if sum(mu) != 3:
-                continue
-            if not ideals.quadratic_generation_check(A, n, d, mu):
-                return False, f"{label} mu={mu}"
-    return True, "all canonical systems, degree 3"
+            if sum(mu) == 3:
+                yield f"{label} mu={mu}", ideals.quadratic_generation_check(A, n, d, mu)
 
 
-def check_face_degeneration(cap=None):
+@_check("components")
+def check_face_degeneration(cap):
     """Degenerating along a larger face lands on that face's ideal, n=3."""
     n, d = 3, (1, 2)
     systems = {
@@ -162,16 +155,14 @@ def check_face_degeneration(cap=None):
         "abelian": weights.abelian_weight_system(n),
         "toric": weights.toric_weight_system(n),
     }
-    pairs = [("zero", "abelian"), ("abelian", "toric"), ("zero", "toric")]
-    for name_a, name_b in pairs:
+    for name_a, name_b in [("zero", "abelian"), ("abelian", "toric"), ("zero", "toric")]:
         A, B = systems[name_a], systems[name_b]
         for mu in ideals.multidegrees_up_to(d, 2):
-            if not ideals.face_degeneration_check(A, B, n, d, mu):
-                return False, f"({name_a}, {name_b}) mu={mu}"
-    return True, f"{len(pairs)} face pairs"
+            yield f"({name_a}, {name_b}) mu={mu}", ideals.face_degeneration_check(A, B, n, d, mu)
 
 
-def check_toric_detection(cap=None):
+@_check("conditions")
+def check_toric_detection(cap):
     """Interior system: monomial exp coordinates and binomial degree-2
     initial components, n <= 4."""
     for n in _ns((3, 4), cap):
@@ -180,29 +171,24 @@ def check_toric_detection(cap=None):
             coords = representations.exp_coordinates(n, k, A)
             for I in degrees.all_indices(n, (k,)):
                 poly = coords.get(I, ideals.GradedPolynomial()).terms
-                if len(poly) != 1:
-                    return False, f"C_{degrees.index_label(I)} is not a monomial, n={n}"
+                yield f"C_{degrees.index_label(I)} is not a monomial, n={n}", len(poly) == 1
                 (mono,) = poly
                 exps = {var[1:]: e for var, e in mono}
                 T = degrees.fundamental_pattern(n, I)
                 want = {c: T.a(*c) for c in T.support()}
-                if exps != want:
-                    return False, f"C_{degrees.index_label(I)} exponent mismatch, n={n}"
+                yield f"C_{degrees.index_label(I)} exponent mismatch, n={n}", exps == want
         d = tuple(range(1, n))
         gens = ideals.plucker_relations(n, d)
         g = degrees.grading_vector(A, d)
         for mu in ideals.multidegrees_up_to(d, 2):
-            if sum(mu) != 2:
-                continue
-            cb = ideals.initial_component(gens, n, d, mu, g)
-            if not ideals.is_binomially_spanned(cb):
-                return False, f"n={n} mu={mu} not binomial"
-    return True, "monomial coordinates and binomial components"
+            if sum(mu) == 2:
+                cb = ideals.initial_component(gens, n, d, mu, g)
+                yield f"n={n} mu={mu} not binomial", ideals.is_binomially_spanned(cb)
 
 
-def check_representation_dimensions(cap=None):
+@_check("modules")
+def check_representation_dimensions(cap):
     """Cyclic module dimensions equal pattern counts, n <= 4."""
-    cases = 0
     for n in _ns((2, 3, 4), cap):
         for label, A in weights.canonical_weight_systems(n):
             for lam in _dominant_weights(n, 2):
@@ -210,32 +196,27 @@ def check_representation_dimensions(cap=None):
                     continue
                 # a pattern basis has the pattern count as its dimension,
                 # so a module that passes is closed once
-                if not representations.fflv_basis_check(A, lam):
+                ok = representations.fflv_basis_check(A, lam)
+                failure = f"{label} n={n} lam={lam.coeffs}: "
+                if not ok:
                     want = fflv.count_patterns(lam)
                     got = representations.cyclic_module_dim(A, lam)
-                    if got != want:
-                        return False, f"{label} n={n} lam={lam.coeffs}: {got} != {want}"
-                    return False, f"{label} n={n} lam={lam.coeffs}: basis check"
-                cases += 1
-    return True, f"{cases} modules"
+                    failure += f"{got} != {want}" if got != want else "basis check"
+                yield failure, ok
 
 
-def check_monomial_annihilator(cap=None):
+@_check("weights")
+def check_monomial_annihilator(cap):
     """The annihilator of the cyclic vector is monomial for interior A, n=3."""
     n = 3
     A = weights.toric_weight_system(n)
-    lams = [
-        DominantWeight.fundamental(n, 1),
-        DominantWeight.fundamental(n, 2),
-        DominantWeight(n, (1, 1)),
-    ]
-    for lam in lams:
-        if not representations.annihilator_monomial_check(A, lam):
-            return False, f"lam={lam.coeffs}"
-    return True, f"{len(lams)} weights"
+    for coeffs in ((1, 0), (0, 1), (1, 1)):
+        lam = DominantWeight(n, coeffs)
+        yield f"lam={lam.coeffs}", representations.annihilator_monomial_check(A, lam)
 
 
-def check_tropical_cone(cap=None):
+@_check("conditions")
+def check_tropical_cone(cap):
     """Image of the cone lands in C, bounded membership tests pass,
     violations yield witnesses in the ideal with monomial initial parts,
     and the degree map is injective."""
@@ -244,17 +225,13 @@ def check_tropical_cone(cap=None):
         points += weights.random_cone_points(n, 50, bound=3, seed=10 + n)
         for A in points:
             ok, bad = tropical.cone_C_membership(tropical.map_h(A))
-            if not ok:
-                return False, f"h(A) outside C at n={n}: {bad}"
+            yield f"h(A) outside C at n={n}: {bad}", ok
     for n in _ns((3, 4), cap):
         d = tuple(range(1, n))
-        names = ("classical", "abelian", "toric")
         for label, A in weights.canonical_weight_systems(n):
-            if label not in names:
-                continue
-            s = tropical.map_h(A)
-            if not tropical.in_trop_necessary_check(s, d, 3):
-                return False, f"monomial found for {label}, n={n}"
+            if label in ("classical", "abelian", "toric"):
+                yield (f"monomial found for {label}, n={n}",
+                       tropical.in_trop_necessary_check(tropical.map_h(A), d, 3))
     bad_triangles = [
         (3, {(1, 2): 0, (2, 3): 0, (1, 3): 1}),
         (4, {(1, 2): 0, (2, 3): 0, (3, 4): 0, (1, 3): 2, (2, 4): 0, (1, 4): 0}),
@@ -264,40 +241,34 @@ def check_tropical_cone(cap=None):
         if cap is not None and n > cap:
             continue
         s = tropical.point_from_triangle(n, values)
-        ok, _ = tropical.cone_C_membership(s)
-        if ok:
-            return False, f"intended violation is in C, n={n}"
+        yield f"intended violation is in C, n={n}", not tropical.cone_C_membership(s)[0]
         w = tropical.maximality_witness(s)
-        if w is None:
-            return False, f"no witness, n={n}"
+        yield f"no witness, n={n}", w is not None
         d = tuple(range(1, n))
         init = ideals.initial_part(w, tropical.grading_from_point(s, d))
-        if len(init.terms) != 1:
-            return False, f"witness initial part not a monomial, n={n}"
-        if not representations.psi_substitution_check([w], n, d):
-            return False, f"witness not in the Pluecker ideal, n={n}"
+        yield f"witness initial part not a monomial, n={n}", len(init.terms) == 1
+        yield (f"witness not in the Pluecker ideal, n={n}",
+               representations.psi_substitution_check([w], n, d))
     for n in _ns((2, 3, 4, 5, 6), cap):
         want = n * (n - 1) // 2
         got = tropical.h_image_rank(n)
-        if got != want:
-            return False, f"rank of h at n={n}: {got} != {want}"
-    return True, "membership, bounded checks, witnesses, rank"
+        yield f"rank of h at n={n}: {got} != {want}", got == want
 
 
-def check_psi_substitution(cap=None):
+@_check("substitutions")
+def check_psi_substitution(cap):
     """Relations vanish under the substitution X_I -> z_k C_I, classical
     for n <= 4 and degenerate for n = 3."""
     for n in _ns((2, 3, 4), cap):
         d = tuple(range(1, n))
-        if not representations.psi_substitution_check(ideals.plucker_relations(n, d), n, d):
-            return False, f"classical relation survives, n={n}"
+        yield (f"classical relation survives, n={n}",
+               representations.psi_substitution_check(ideals.plucker_relations(n, d), n, d))
     n, d = 3, (1, 2)
     for label, A in weights.canonical_weight_systems(n):
         g = degrees.grading_vector(A, d)
         inits = [ideals.initial_part(rel, g) for rel in ideals.plucker_relations(n, d)]
-        if not representations.psi_substitution_check(inits, n, d, A):
-            return False, f"initial part survives for {label}"
-    return True, "classical and degenerate substitutions vanish"
+        yield (f"initial part survives for {label}",
+               representations.psi_substitution_check(inits, n, d, A))
 
 
 CHECKS = [

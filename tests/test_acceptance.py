@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from pbwdegen import suite
+from pbwdegen import ideals, representations, suite, tropical
 
 
 def _run(number, name, func):
@@ -20,6 +20,36 @@ def _run(number, name, func):
 )
 def test_acceptance(number, name, func):
     _run(number, name, func)
+
+
+def test_no_check_passes_without_a_case():
+    # below MIN_CAP some checks run no case; they must fail, not pass
+    vacuous = set()
+    for name, func in suite.CHECKS:
+        ok, detail = func(2)
+        if ok:
+            assert int(detail.split()[0]) > 0, (name, detail)
+        else:
+            assert detail == "no case ran", (name, detail)
+            vacuous.add(func.__name__)
+    assert {"check_initial_dimensions", "check_toric_detection", "check_cone_soundness"} <= vacuous
+
+
+def test_a_check_stops_at_its_first_failing_case(monkeypatch):
+    # the cases after a failing one assume it held: they would use the
+    # missing witness, or unpack the coordinate as one monomial
+    monkeypatch.setattr(tropical, "maximality_witness", lambda point: None)
+    assert suite.check_tropical_cone(cap=4) == (False, "no witness, n=3")
+
+    real = representations.exp_coordinates
+
+    def two_terms(n, k, A=None, cap=None):
+        coords = dict(real(n, k, A, cap))
+        coords[(1,)] = coords[(1,)] + ideals.GradedPolynomial({((("z", 1, 2), 1),): 1})
+        return coords
+
+    monkeypatch.setattr(representations, "exp_coordinates", two_terms)
+    assert suite.check_toric_detection(cap=4) == (False, "C_1 is not a monomial, n=3")
 
 
 @pytest.mark.parametrize("cap,drawn", [(3, 50), (4, 100), (None, 200)])

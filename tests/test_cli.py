@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import resource
 import shlex
 import subprocess
@@ -587,12 +588,46 @@ def test_module_checks_guard_the_weyl_dimension(action, tmp_path, capsys, monkey
     assert "PBWDEGEN_MAX_DIM" in capsys.readouterr().err
 
 
+# a PASS line of the suite: check name, case count, noun and seconds
+SUITE_PASS = re.compile(r"PASS  ([^:]+): (\d+) ([^,]+), \d+\.\d\ds")
+
+
+def _suite_counts(lines):
+    """{check: (count, noun)}; each of the 13 lines must pass with a
+    positive case count."""
+    matches = [SUITE_PASS.fullmatch(l) for l in lines if l.startswith(("PASS", "FAIL"))]
+    assert len(matches) == 13 and all(m and int(m[2]) > 0 for m in matches), lines
+    return {m[1]: (int(m[2]), m[3]) for m in matches}
+
+
 def test_suite_capped(capsys):
     assert cli.main(["suite", "--n", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
     passes = [l for l in lines if l.startswith("PASS")]
     assert len(passes) == 13
     assert not any("skipped" in l for l in lines)
+    _suite_counts(lines)
+
+
+def test_suite_counts_have_closed_forms(capsys):
+    assert cli.main(["suite"]) == 0
+    counts = _suite_counts(capsys.readouterr().out.splitlines())
+    # 50 triangles per n = 3..6; C(n + 2, 3) weights with coefficient sum
+    # <= 3 for n = 2..5, and C(n + 1, 2) with sum <= 2 for n = 2..4; C(n, 2)
+    # pairs omega_k + omega_m, k <= m < n, for n = 2..4
+    assert counts["cone soundness"] == (200, "triangles")
+    assert counts["dimension agreement"] == (69, "weights")
+    assert counts["bijection round-trip"] == (19, "shapes")
+    assert counts["Minkowski property"] == (10, "fundamental pairs")
+
+
+def test_suite_fails_a_check_that_ran_no_case(capsys, monkeypatch):
+    monkeypatch.setattr(cli.suite, "_flag_setups", lambda cap: [])
+    assert cli.main(["suite", "--n", "3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "FAIL  initial-ideal dimension: no case ran" in lines
+    assert "FAIL  classical recovery: no case ran" in lines
+    assert sum(l.startswith("PASS") for l in lines) == 11
 
 
 @pytest.mark.parametrize("cap", ["0", "1", "-3", "2"])
