@@ -12,11 +12,12 @@ are ordered as their pair monomials are, so outputs are deterministic.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement, repeat
 from math import comb, lcm
+from operator import add, eq
 
 from .degrees import all_indices, grading_vector, index_label
-from .linalg import Echelon, _eliminate, _integral, canonical_rows
+from .linalg import Echelon, _eliminate, _integral, canonical_rows, pivot_one
 from .weights import face_contains, face_signature, zero_weight_system
 
 
@@ -185,16 +186,24 @@ def _first_factors(i_set, block, placements, signs):
     for every rest: (sorted index, sign, entries removed) for each
     placement of the block in i that repeats no entry. X_i itself comes
     first, with the block as the entries removed and sign -1 against the
-    minus of the swaps. signs memoizes _sort_sign."""
+    minus of the swaps. signs memoizes _sort_sign.
+
+    The entries of i are distinct and so are those of the block, so a
+    placement repeats an entry exactly when it leaves a block entry that
+    is already in i at its own position. Those placements are skipped
+    before they are built, and every placement built gives a first factor.
+    """
     firsts = [(i_set, -1, block)]
+    held = {pos for pos, v in enumerate(i_set) if v in block}
     for positions in placements:
+        if not held.issubset(positions):
+            continue
         i_new = list(i_set)
         for m, pos in enumerate(positions):
             i_new[pos] = block[m]
         i_new = tuple(i_new)
         e1, s1 = signs.get(i_new) or signs.setdefault(i_new, _sort_sign(i_new))
-        if s1:
-            firsts.append((e1, s1, tuple(i_set[pos] for pos in positions)))
+        firsts.append((e1, s1, tuple(i_set[pos] for pos in positions)))
     return firsts
 
 
@@ -233,12 +242,15 @@ def plucker_relations(n, d, mu=None):
     polynomials. The result is cached, so it is a tuple: no caller can
     change it for the next one. It is marked with the ideal it generates,
     which _ideal_rows reads instead of building the relations to compare,
-    and with each relation's multidegree, which _spanning_rows reads.
+    and with each relation's multidegree, which _spanning_rows reads: the
+    terms are products X_e1 X_e2 of sizes p and q, so it is e_p + e_q.
     """
-    kept = {}
+    d = tuple(d)
+    kept = {}  # relation key -> (coefficients, multidegree)
     signs = {}  # few distinct sequences recur across the exchanges
     ground = range(1, n + 1)
-    for p, q in relation_pairs(tuple(d), mu):
+    for p, q in relation_pairs(d, mu):
+        nu = tuple((k == p) + (k == q) for k in d)
         lengths = range(1, min(q, p - 1) + 1)
         placements = {k: list(combinations(range(p), k)) for k in lengths}
         for i_set in combinations(ground, p):
@@ -269,10 +281,11 @@ def plucker_relations(n, d, mu=None):
                             m: Fraction(c, lead) if c % lead else c // lead
                             for m, c in rel.items()
                         }
-                        kept.setdefault(tuple(sorted(canon.items())), canon)
-    out = _Relations(GradedPolynomial(kept[key]) for key in sorted(kept))
-    out.d = d = tuple(d)
-    out.multidegrees = tuple(rel.multidegree(d) for rel in out)
+                        kept.setdefault(tuple(sorted(canon.items())), (canon, nu))
+    keys = sorted(kept)
+    out = _Relations(GradedPolynomial(kept[key][0]) for key in keys)
+    out.d = d
+    out.multidegrees = tuple(kept[key][1] for key in keys)
     if mu is None:
         out.ideal = (n, d)
     return out
@@ -348,14 +361,42 @@ def _echelon(rows):
     return ech
 
 
+class _ComponentRows(tuple):
+    """The integer RREF rows of a Pluecker component, as
+    _canonical_rows_cache holds them, with the tables initial_component
+    tests them by: flat, the columns of every row end to end, and pivots,
+    each row's pivot once per entry of the row."""
+
+    flat = pivots = ()
+    own = None
+
+    def homogeneous(self, grades):
+        """Whether every entry of every row has the grade of its row's
+        pivot, for the column grades; one pass in C, to the first entry
+        that differs."""
+        grade = grades.__getitem__
+        return all(map(eq, map(grade, self.flat), map(grade, self.pivots)))
+
+    def basis(self, n, d, mu, monomials):
+        """The component's own ComponentBasis: the rows with pivot 1.
+        It is built on first use and then shared by every caller, with
+        its span key, so it is read-only: no caller may change its rows."""
+        if self.own is None:
+            self.own = ComponentBasis(n, d, mu, monomials, pivot_one(self))
+        return self.own
+
+
 @lru_cache(maxsize=256)
 def _canonical_rows_cache(n, d, mu):
     """Monomial basis of the Pluecker ideal's component of multidegree mu
     and its integer RREF in column order, reduced once for every grading:
     primitive rows with a positive pivot, zero on every other row's pivot
-    column, sorted by pivot (Echelon.rref)."""
+    column, sorted by pivot (Echelon.rref), as a _ComponentRows."""
     basis, rows = _spanning_rows(plucker_relations(n, d), n, d, mu)
-    return basis, tuple(_echelon(rows).rref())
+    rows = _ComponentRows(_echelon(rows).rref())
+    rows.flat = tuple(chain.from_iterable(rows))
+    rows.pivots = tuple(chain.from_iterable(repeat(min(row), len(row)) for row in rows))
+    return basis, rows
 
 
 def _ideal_rows(gens, n, d, mu):
@@ -368,9 +409,13 @@ def _ideal_rows(gens, n, d, mu):
 
 
 def _column_grades(monomials, g, n, d):
-    """Grade of every id monomial over (n, d) under the degree table g."""
+    """Grade of every id monomial over (n, d) under the degree table g,
+    summed one position of the monomials at a time."""
     grade = [g[I] for I in all_indices(n, d)].__getitem__
-    return [sum(map(grade, m)) for m in monomials]
+    grades = [0] * len(monomials)
+    for ids in zip(*monomials):
+        grades = list(map(add, grades, map(grade, ids)))
+    return grades
 
 
 class ComponentBasis:
@@ -382,6 +427,7 @@ class ComponentBasis:
         self.mu = mu
         self.monomials = monomials  # ordered basis of the ring component, id tuples
         self.rows = rows  # RREF rows, sparse over column positions
+        self._key = None
 
     @property
     def rank(self):
@@ -392,12 +438,18 @@ class ComponentBasis:
         return [GradedPolynomial({pairs[c]: v for c, v in row.items()}) for row in self.rows]
 
     def span_key(self):
-        return canonical_rows(self.rows)
+        """canonical_rows of the rows, taken on the first call."""
+        if self._key is None:
+            self._key = canonical_rows(self.rows)
+        return self._key
 
 
 def component_basis(gens, n, d, mu):
-    """Row-reduced basis of the ideal component of multidegree mu."""
+    """Row-reduced basis of the ideal component of multidegree mu; on the
+    marked relations, the component's own cached basis."""
     basis, rows = _ideal_rows(gens, n, d, mu)
+    if type(rows) is _ComponentRows:
+        return rows.basis(n, d, mu, basis)
     return ComponentBasis(n, d, mu, basis, _echelon(rows).reduced_rows())
 
 
@@ -443,9 +495,21 @@ def _initial_rows(rows, grades):
 
 
 def initial_component(gens, n, d, mu, g):
-    """Basis of the initial-ideal component for grading g."""
+    """Basis of the initial-ideal component for grading g.
+
+    On the marked relations the rows are the component's cached RREF, and
+    the answer is the component's own basis when every row is homogeneous,
+    each entry of the grade of its row's pivot. Then each row is its own
+    initial part, so it lies in in(V). The rows have distinct pivots, so
+    they are dim V independent vectors of in(V), and dim in(V) = dim V
+    (_initial_rows), so they span it: in(V) = V. The RREF of a space is
+    unique, so it is the cached one, served as component_basis serves it.
+    """
     basis, rows = _ideal_rows(gens, n, d, mu)
-    return ComponentBasis(n, d, mu, basis, _initial_rows(rows, _column_grades(basis, g, n, d)))
+    grades = _column_grades(basis, g, n, d)
+    if type(rows) is _ComponentRows and rows.homogeneous(grades):
+        return rows.basis(n, d, mu, basis)
+    return ComponentBasis(n, d, mu, basis, _initial_rows(rows, grades))
 
 
 def contains_monomial(cb):

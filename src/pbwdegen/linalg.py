@@ -12,9 +12,10 @@ row, copied only when it changes, denominators cleared only if it has
 Fraction entries, and is reduced fraction-free in the spirit of Bareiss
 (Math. Comp. 22, 1968). One integer back-substitution,
 :meth:`Echelon.rref`, gives the reduced rows; Fractions are built in one
-place, the pivot-1 rows of :meth:`Echelon.reduced_rows`, once per
-distinct (entry, pivot coefficient) pair of a call. :func:`canonical_rows`
-keeps those rows as sorted tuples and hashes no Fraction.
+place, :func:`pivot_one`, which :meth:`Echelon.reduced_rows` calls, once
+per distinct (entry, pivot coefficient) pair of a call.
+:func:`canonical_rows` keeps those rows as sorted tuples and hashes no
+Fraction.
 """
 
 from fractions import Fraction
@@ -125,19 +126,25 @@ class Echelon:
     def reduced_rows(self):
         """Fully reduced (RREF) rows with pivot coefficient 1, as Fraction
         vectors sorted by pivot position."""
-        fractions = {}  # pivot coefficient -> {entry: Fraction}; mostly +-1, +-2
-        out = []
-        for row in self.rref():
-            p = row[min(row)]
-            memo = fractions.setdefault(p, {})
-            frac_row = {}
-            for c, v in row.items():
-                f = memo.get(v)
-                if f is None:
-                    f = memo[v] = Fraction(v, p)
-                frac_row[c] = f
-            out.append(frac_row)
-        return out
+        return pivot_one(self.rref())
+
+
+def pivot_one(rows):
+    """The integer rows, each divided by its pivot (least column) entry,
+    as Fraction vectors in the same order."""
+    fractions = {}  # pivot coefficient -> {entry: Fraction}; mostly +-1, +-2
+    out = []
+    for row in rows:
+        p = row[min(row)]
+        memo = fractions.setdefault(p, {})
+        frac_row = {}
+        for c, v in row.items():
+            f = memo.get(v)
+            if f is None:
+                f = memo[v] = Fraction(v, p)
+            frac_row[c] = f
+        out.append(frac_row)
+    return out
 
 
 def canonical_rows(rows):

@@ -14,6 +14,7 @@ from reference_components import component_monomials as reference_component_mono
 from pbwdegen import ideals
 from pbwdegen.degrees import all_indices, degree_s, grading_vector
 from pbwdegen.fflv import DominantWeight, weyl_dim
+from pbwdegen.linalg import canonical_rows, pivot_one
 from pbwdegen.ideals import (
     GradedPolynomial,
     classical_component,
@@ -39,6 +40,7 @@ from pbwdegen.weights import (
     face_contains,
     face_signature,
     is_interior,
+    random_cone_points,
     toric_weight_system,
     zero_weight_system,
 )
@@ -704,6 +706,154 @@ def test_initial_rows_of_fraction_rows():
     # whose initial part (0, 8, 9, 0), with (3, 2, 0, 0), spans in(V)
     want = [{0: 1, 2: Fraction(-3, 4)}, {1: 1, 2: Fraction(9, 8)}]
     assert ideals._initial_rows(rows, grades) == want == reference_initial_rows(rows, grades)
+
+
+def test_homogeneous_components_are_their_own_initial_components():
+    """Every canonical system on the full flag components of degree 2 and
+    3, n=4 and n=5: the initial component equals the Fraction reference,
+    and is the component's own shared basis exactly when every cached row
+    is homogeneous for the grading. The pairs where it is are pinned."""
+    for n, want_shared in [(4, (66, 112)), (5, (163, 330))]:
+        d = tuple(range(1, n))
+        gens = plucker_relations(n, d)
+        mus = [mu for mu in multidegrees_up_to(d, 3) if sum(mu) >= 2]
+        shared = {}
+        for label, A in canonical_weight_systems(n):
+            g = grading_vector(A, d)
+            for mu in mus:
+                basis, rows = ideals._canonical_rows_cache(n, d, mu)
+                grades = ideals._column_grades(basis, g, n, d)
+                got = initial_component(gens, n, d, mu, g)
+                assert got.rows == reference_initial_rows(rows, grades), (label, mu)
+                homogeneous = all(
+                    grades[c] == grades[min(row)] for row in rows for c in row)
+                own = component_basis(gens, n, d, mu)
+                assert (got is own) == homogeneous, (label, mu)
+                shared[label] = shared.get(label, 0) + (got is own)
+        assert (sum(shared.values()), len(mus) * len(shared)) == want_shared
+        if n == 5:
+            assert shared["classical"] == shared["pbw-locus-123"] == len(mus) == 30
+
+
+def test_a_grading_off_one_row_leaves_the_shortcut(monkeypatch):
+    """The classical grading on the n=4 component (1, 1, 1), its 96 column
+    grades all zero, with one column of one row raised off its pivot's
+    grade: the rows are no longer the answer, and the pass that files them
+    gives the Fraction reference for the perturbed grades."""
+    n, d, mu = 4, (1, 2, 3), (1, 1, 1)
+    gens = plucker_relations(n, d)
+    g = grading_vector(zero_weight_system(n), d)
+    own = initial_component(gens, n, d, mu, g)
+    assert own is component_basis(gens, n, d, mu)
+    basis, rows = ideals._canonical_rows_cache(n, d, mu)
+    row = rows[len(rows) // 2]
+    col = max(row)
+    assert col != min(row)
+    grades = [0] * len(basis)
+    grades[col] = 1
+    monkeypatch.setattr(ideals, "_column_grades", lambda *args: list(grades))
+    got = initial_component(gens, n, d, mu, g)
+    assert got is not own
+    assert got.rows == reference_initial_rows(rows, grades)
+    assert got.rank == own.rank and got.span_key() != own.span_key()
+    assert own.rows == pivot_one(rows)
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(st.integers(0, 2**32))
+def test_initial_components_at_random_cone_points(seed):
+    """A seeded cone point at n=4, faces included: on every full flag
+    component of degree <= 3 the quotient has the Weyl dimension, and the
+    rows equal the Fraction reference, shortcut or not."""
+    (A,) = random_cone_points(4, 1, seed=seed)
+    n, d = 4, (1, 2, 3)
+    gens = plucker_relations(n, d)
+    g = grading_vector(A, d)
+    for mu in multidegrees_up_to(d, 3):
+        basis, rows = ideals._canonical_rows_cache(n, d, mu)
+        got = initial_component(gens, n, d, mu, g)
+        assert len(basis) - got.rank == weyl_dim(DominantWeight(n, mu)), mu
+        grades = ideals._column_grades(basis, g, n, d)
+        assert got.rows == reference_initial_rows(rows, grades), mu
+
+
+def test_the_shared_component_basis_is_read_only():
+    """The component's own basis, served to every caller, still equals the
+    Fraction reference of the spanning rows after the checks and readers
+    that take it have run: face degeneration, quadratic generation, the
+    monomial test and the row polynomials."""
+    n, d = 4, (1, 2, 3)
+    gens = plucker_relations(n, d)
+    zero, abelian = zero_weight_system(n), abelian_weight_system(n)
+    for mu in [mu for mu in multidegrees_up_to(d, 3) if sum(mu) >= 2]:
+        _, spanning = ideals._spanning_rows(gens, n, d, mu)
+        ref = FractionEchelon()
+        for row in spanning:
+            ref.insert(row)
+        want = ref.reduced_rows()
+        shared = classical_component(n, d, mu)
+        assert shared is component_basis(gens, n, d, mu)
+        assert face_degeneration_check(zero, abelian, n, d, mu)
+        assert quadratic_generation_check(zero, n, d, mu)
+        contains_monomial(shared)
+        shared.row_polynomials()
+        assert component_basis(gens, n, d, mu) is shared
+        assert shared.rows == want, mu
+        assert shared.span_key() == canonical_rows(want)
+
+
+class _CountingSigns:
+    """The sign memo of plucker_relations, counting its lookups: one per
+    placement built."""
+
+    def __init__(self, signs):
+        self.signs = signs
+        self.gets = 0
+
+    def get(self, key):
+        self.gets += 1
+        return self.signs.get(key)
+
+    def setdefault(self, key, value):
+        return self.signs.setdefault(key, value)
+
+
+def _all_first_factors(i_set, block, placements):
+    """Every placement built and sorted, those that repeat an entry dropped."""
+    firsts = [(i_set, -1, block)]
+    for positions in placements:
+        i_new = list(i_set)
+        for m, pos in enumerate(positions):
+            i_new[pos] = block[m]
+        e1, s1 = ideals._sort_sign(i_new)
+        if s1:
+            firsts.append((e1, s1, tuple(i_set[pos] for pos in positions)))
+    return firsts
+
+
+def test_placements_that_repeat_an_entry_are_not_built(monkeypatch):
+    """At the n=6 full flag the first factors are those of building every
+    placement, but only the 4,260 placements that repeat no entry are
+    built, of the 6,900 offered (as the parent built them all). The
+    multidegrees, taken from the size pairs, are those of the terms."""
+    first_factors = ideals._first_factors
+    seen = {"calls": 0, "offered": 0, "built": 0}
+
+    def counting(i_set, block, placements, signs):
+        memo = _CountingSigns(signs)
+        out = first_factors(i_set, block, placements, memo)
+        assert out == _all_first_factors(i_set, block, placements)
+        seen["calls"] += 1
+        seen["offered"] += len(placements)
+        seen["built"] += memo.gets
+        return out
+
+    monkeypatch.setattr(ideals, "_first_factors", counting)
+    n, d = 6, (1, 2, 3, 4, 5)
+    rels = plucker_relations.__wrapped__(n, d)  # built afresh, not from the cache
+    assert seen == {"calls": 1671, "offered": 6900, "built": 4260}
+    assert len(rels) == 509
+    assert rels.multidegrees == tuple(rel.multidegree(d) for rel in rels)
 
 
 def test_relations_carry_their_multidegrees(monkeypatch):
