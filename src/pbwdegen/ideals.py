@@ -363,27 +363,17 @@ def _echelon(rows):
 
 class _ComponentRows(tuple):
     """The integer RREF rows of a Pluecker component, as
-    _canonical_rows_cache holds them, with the tables initial_component
-    tests them by: flat, the columns of every row end to end, and pivots,
-    each row's pivot once per entry of the row."""
+    _canonical_rows_cache holds them, with the tables _own_basis tests
+    them by: flat, the columns of every row end to end, and pivots, each
+    row's pivot once per entry of the row. own is the component's own
+    ComponentBasis once _own_basis has built it."""
 
-    flat = pivots = ()
-    own = None
-
-    def homogeneous(self, grades):
-        """Whether every entry of every row has the grade of its row's
-        pivot, for the column grades; one pass in C, to the first entry
-        that differs."""
-        grade = grades.__getitem__
-        return all(map(eq, map(grade, self.flat), map(grade, self.pivots)))
-
-    def basis(self, n, d, mu, monomials):
-        """The component's own ComponentBasis: the rows with pivot 1.
-        It is built on first use and then shared by every caller, with
-        its span key, so it is read-only: no caller may change its rows."""
-        if self.own is None:
-            self.own = ComponentBasis(n, d, mu, monomials, pivot_one(self))
-        return self.own
+    def __new__(cls, rows):
+        self = super().__new__(cls, rows)
+        self.flat = tuple(chain.from_iterable(self))
+        self.pivots = tuple(chain.from_iterable(repeat(min(row), len(row)) for row in self))
+        self.own = None
+        return self
 
 
 @lru_cache(maxsize=256)
@@ -393,10 +383,7 @@ def _canonical_rows_cache(n, d, mu):
     primitive rows with a positive pivot, zero on every other row's pivot
     column, sorted by pivot (Echelon.rref), as a _ComponentRows."""
     basis, rows = _spanning_rows(plucker_relations(n, d), n, d, mu)
-    rows = _ComponentRows(_echelon(rows).rref())
-    rows.flat = tuple(chain.from_iterable(rows))
-    rows.pivots = tuple(chain.from_iterable(repeat(min(row), len(row)) for row in rows))
-    return basis, rows
+    return basis, _ComponentRows(_echelon(rows).rref())
 
 
 def _ideal_rows(gens, n, d, mu):
@@ -406,6 +393,25 @@ def _ideal_rows(gens, n, d, mu):
     if getattr(gens, "ideal", None) == (n, d):
         return _canonical_rows_cache(n, d, mu)
     return _spanning_rows(gens, n, d, mu)
+
+
+def _own_basis(rows, n, d, mu, monomials, grades=None):
+    """The component's own ComponentBasis, the rows with pivot 1, when the
+    rows are its cached RREF, as _ideal_rows returns them for the marked
+    relations, and, for the column grades if given, every entry of every
+    row has the grade of its row's pivot (one pass in C, to the first
+    entry that differs); otherwise None. The basis is built on first use
+    and then shared by every caller, with its span key, so it is
+    read-only: no caller may change its rows."""
+    if type(rows) is not _ComponentRows:
+        return None
+    if grades is not None:
+        grade = grades.__getitem__
+        if not all(map(eq, map(grade, rows.flat), map(grade, rows.pivots))):
+            return None
+    if rows.own is None:
+        rows.own = ComponentBasis(n, d, mu, monomials, pivot_one(rows))
+    return rows.own
 
 
 def _column_grades(monomials, g, n, d):
@@ -448,9 +454,9 @@ def component_basis(gens, n, d, mu):
     """Row-reduced basis of the ideal component of multidegree mu; on the
     marked relations, the component's own cached basis."""
     basis, rows = _ideal_rows(gens, n, d, mu)
-    if type(rows) is _ComponentRows:
-        return rows.basis(n, d, mu, basis)
-    return ComponentBasis(n, d, mu, basis, _echelon(rows).reduced_rows())
+    return _own_basis(rows, n, d, mu, basis) or ComponentBasis(
+        n, d, mu, basis, _echelon(rows).reduced_rows()
+    )
 
 
 def _initial_rows(rows, grades):
@@ -507,9 +513,9 @@ def initial_component(gens, n, d, mu, g):
     """
     basis, rows = _ideal_rows(gens, n, d, mu)
     grades = _column_grades(basis, g, n, d)
-    if type(rows) is _ComponentRows and rows.homogeneous(grades):
-        return rows.basis(n, d, mu, basis)
-    return ComponentBasis(n, d, mu, basis, _initial_rows(rows, grades))
+    return _own_basis(rows, n, d, mu, basis, grades) or ComponentBasis(
+        n, d, mu, basis, _initial_rows(rows, grades)
+    )
 
 
 def contains_monomial(cb):

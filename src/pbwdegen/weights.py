@@ -102,29 +102,6 @@ class WeightSystem(Triangle):
     def from_function(cls, n, func):
         return cls(n, tuple(func(i, j) for i, j in triangle_pairs(n)))
 
-    @classmethod
-    def from_slacks(cls, n, superdiagonal, slacks):
-        """The system with a_{i,i+1} = superdiagonal[i-1] whose defining
-        inequalities have the given slacks, read one per inequality: (a) at
-        i = 1..n-2, which fixes a_{i,i+2}, then (b) at (i, j) by increasing
-        j - i, then i, which fixes a_{i,j+1} from entries nearer the
-        diagonal. So every integer point of the cone arises once, from
-        nonnegative slacks, and a zero slack makes its inequality tight."""
-        if len(superdiagonal) != n - 1:
-            raise ValueError(f"need {n - 1} superdiagonal entries")
-        slack = iter(slacks).__next__
-        a = {(i, i + 1): superdiagonal[i - 1] for i in range(1, n)}
-        try:
-            for i in range(1, n - 1):
-                a[(i, i + 2)] = a[(i, i + 1)] + a[(i + 1, i + 2)] - slack()
-            for diff in range(2, n - 1):
-                for i in range(1, n - diff):
-                    j = i + diff
-                    a[(i, j + 1)] = a[(i, j)] + a[(i + 1, j + 1)] - a[(i + 1, j)] - slack()
-        except StopIteration:
-            raise ValueError("fewer slacks than inequalities") from None
-        return cls.from_map(n, a)
-
     def to_json(self):
         return {
             "n": self.n,
@@ -268,11 +245,10 @@ def _pbw_locus_representative(n, tight):
     """A weight system with all (b) tight and (a) tight exactly on ``tight``.
 
     With every (b) an equality one has a_{i,j} = u_i (column independent);
-    inequality (a) at position i then reads u_{i+1} >= 0, with slack
-    u_{i+1}, and is tight iff u_{i+1} = 0. The first row keeps u_1 = 1.
+    inequality (a) at position i then reads u_{i+1} >= 0 and is tight iff
+    u_{i+1} = 0. The first row keeps u_1 = 1.
     """
-    u = [1] + [0 if i in tight else 1 for i in ineq_a_indices(n)]
-    return WeightSystem.from_slacks(n, u, u[1:] + [0] * len(ineq_b_indices(n)))
+    return WeightSystem.from_function(n, lambda i, j: 0 if i - 1 in tight else 1)
 
 
 def canonical_weight_systems(n):

@@ -93,9 +93,17 @@ def test_degree_requires_cone_membership():
 
 def slack_point(n, superdiagonal, slack):
     """The integer point of the cone with the entries a_{i,i+1} taken from
-    superdiagonal and the slack of each inequality drawn by slack(), in
-    the order WeightSystem.from_slacks reads them."""
-    A = WeightSystem.from_slacks(n, superdiagonal, iter(slack, None))
+    superdiagonal and every other entry the bound that its inequality (a)
+    or (b) puts on it minus slack(): each inequality is used once, (a)
+    first, and a zero slack makes it tight."""
+    a = {(i, i + 1): superdiagonal[i - 1] for i in range(1, n)}
+    for i in range(1, n - 1):
+        a[(i, i + 2)] = a[(i, i + 1)] + a[(i + 1, i + 2)] - slack()
+    for diff in range(3, n):
+        for i in range(1, n - diff + 1):
+            j = i + diff - 1
+            a[(i, j + 1)] = a[(i, j)] + a[(i + 1, j + 1)] - a[(i + 1, j)] - slack()
+    A = WeightSystem.from_map(n, a)
     assert check_cone_membership(A)
     return A
 

@@ -10,7 +10,6 @@ from pbwdegen.weights import (
     derived_inequalities_hold,
     face_contains,
     face_signature,
-    ineq_a_indices,
     ineq_b_indices,
     is_interior,
     random_cone_points,
@@ -88,30 +87,6 @@ def test_canonical_weight_systems_labels():
         assert len(set(labels)) == len(labels)
         for _, A in systems:
             assert check_cone_membership(A)
-
-
-def test_from_slacks_inverts_the_slacks():
-    """A cone point is rebuilt from its superdiagonal and its slacks, (a)
-    first, then (b) by j - i and i; too few slacks or superdiagonal
-    entries are refused."""
-    for n in (2, 3, 4, 5, 6):
-        for A in random_cone_points(n, 20, seed=n) + [toric_weight_system(n)]:
-            slack_a = [A.a(i, i + 1) + A.a(i + 1, i + 2) - A.a(i, i + 2)
-                       for i in ineq_a_indices(n)]
-            slack_b = [A.a(i, j) + A.a(i + 1, j + 1) - A.a(i, j + 1) - A.a(i + 1, j)
-                       for i, j in sorted(ineq_b_indices(n), key=lambda p: (p[1] - p[0], p[0]))]
-            superdiagonal = [A.a(i, i + 1) for i in range(1, n)]
-            assert WeightSystem.from_slacks(n, superdiagonal, slack_a + slack_b) == A
-            if slack_a:
-                with pytest.raises(ValueError):
-                    WeightSystem.from_slacks(n, superdiagonal, (slack_a + slack_b)[:-1])
-            with pytest.raises(ValueError):
-                WeightSystem.from_slacks(n, superdiagonal[1:], slack_a + slack_b)
-    # a column-independent system a_{i,j} = u_i, as the pbw-locus labels use
-    u = [1, 0, 1, 0]
-    A = WeightSystem.from_slacks(5, u, u[1:] + [0] * len(ineq_b_indices(5)))
-    assert A == WeightSystem.from_function(5, lambda i, j: u[i - 1])
-    assert dict(canonical_weight_systems(5))["pbw-locus-13"] == A
 
 
 def test_random_cone_points_deterministic():
