@@ -74,7 +74,7 @@ def _guard_substitution(rels, images):
             terms = 1
             for elems, e in mono:
                 size += e
-                count = len(images[elems].terms) if elems in images else 0
+                count = len(images.get(elems, ()))
                 terms = min(terms * count ** min(e, power), bound + 1)
             size += terms
         _guard_size(f"psi expansion of relation {number} (products plus terms, "
@@ -183,7 +183,8 @@ class Run:
 def _rel_from_json(entry, n, d):
     """One relation as written by ``ideal gen``. Every variable must be a
     Pluecker index of [1, n] whose size is in d, with a positive integer
-    exponent; coefficients are read as in tropical points."""
+    exponent, and a monomial's variables strictly increasing, so one
+    monomial has one spelling; coefficients are read as in tropical points."""
     terms = {}
     for item in entry:
         mono = []
@@ -194,6 +195,8 @@ def _rel_from_json(entry, n, d):
             if weights.json_int(x, "an exponent") < 1:
                 raise ValueError(f"exponent {x} of {list(elems)} is not positive")
             mono.append((elems, x))
+        if any(a >= b for (a, _), (b, _) in zip(mono, mono[1:])):
+            raise ValueError(f"variables of {item['monomial']} are not strictly increasing")
         if tuple(mono) in terms:
             raise ValueError(f"monomial {item['monomial']} appears twice")
         terms[tuple(mono)] = weights.json_rational(item["coeff"], "a coefficient")

@@ -2,9 +2,8 @@
 
 Polynomials live in the multigraded coordinate ring with one variable
 per Pluecker index of each size in d; coefficients are exact rationals.
-A GradedPolynomial's monomial is a sorted tuple of (variable, exponent)
-pairs, also on the other side of the substitution psi, whose variables
-are keys such as ("z", i, j) and ("col", k). A component's column is the
+A GradedPolynomial's monomial is a sorted tuple of (index tuple, exponent)
+pairs, one per Pluecker variable it contains. A component's column is the
 sorted tuple of its variables' ids, each repeated by its exponent, the
 id of X_I being the position of I in degrees.all_indices(n, d). Columns
 are ordered as their pair monomials are, so outputs are deterministic.
@@ -40,15 +39,7 @@ def _sort_sign(seq):
 
 
 # -- monomials ---------------------------------------------------------------
-# GradedPolynomial's monomials: (variable, exponent) pairs sorted by variable.
-# The helpers below other than mono_mul read Pluecker variables: index tuples.
-
-
-def mono_mul(m1, m2):
-    exps = {}
-    for elems, e in m1 + m2:
-        exps[elems] = exps.get(elems, 0) + e
-    return tuple(sorted(exps.items()))
+# GradedPolynomial's monomials: (index tuple, exponent) pairs sorted by index.
 
 
 def mono_multidegree(m, d):
@@ -71,8 +62,8 @@ def mono_str(m):
 
 
 class GradedPolynomial:
-    """Sparse polynomial {monomial: Fraction} in any mutually sortable
-    variables; the package's one implementation of polynomial arithmetic."""
+    """Sparse polynomial {monomial: Fraction} in the Pluecker variables:
+    relations, their initial parts and the rows of components."""
 
     def __init__(self, terms=None):
         self.terms = {}
@@ -82,43 +73,15 @@ class GradedPolynomial:
             if c:
                 self.terms[m] = c
 
-    @classmethod
-    def variable(cls, I):
-        return cls({((I, 1),): Fraction(1)})
-
     def __bool__(self):
         return bool(self.terms)
 
     def __eq__(self, other):
         return isinstance(other, GradedPolynomial) and self.terms == other.terms
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            new = out.get(m, Fraction(0)) + c
-            if new:
-                out[m] = new
-            else:
-                out.pop(m, None)
-        return GradedPolynomial(out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
     def scale(self, c):
         c = Fraction(c)
         return GradedPolynomial({m: c * v for m, v in self.terms.items()})
-
-    def mul_monomial(self, m, c=Fraction(1)):
-        return GradedPolynomial({mono_mul(t, m): c * v for t, v in self.terms.items()})
-
-    def __mul__(self, other):
-        out = {}
-        for m, c in other.terms.items():
-            for t, v in self.terms.items():
-                prod = mono_mul(t, m)
-                out[prod] = out.get(prod, 0) + v * c
-        return GradedPolynomial(out)
 
     def multidegree(self, d):
         degs = {mono_multidegree(m, d) for m in self.terms}

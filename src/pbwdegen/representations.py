@@ -5,7 +5,7 @@ generator survives on a wedge basis vector exactly when the coordinate
 degrees match up. Everything is exact on explicit bases: module vectors
 have integer coefficients, generators act through per-computation action
 tables, and the polynomial coordinates of nilpotent exponentials are
-rational ``ideals.GradedPolynomial``s.
+rational polynomials keyed by sorted words of generator positions.
 """
 
 from bisect import bisect
@@ -14,7 +14,6 @@ from functools import lru_cache
 
 from .degrees import all_indices, grading_vector
 from .fflv import pattern_entries
-from .ideals import GradedPolynomial
 from .linalg import Echelon
 from .weights import NotInConeError, is_interior, triangle_pairs
 
@@ -212,13 +211,16 @@ def annihilator_monomial_check(A, lam):
 
 
 # -- exponential coordinates and the substitution oracle ---------------------
-# Polynomials in the variables z_{i,j} (one per generator, keyed ("z", i, j))
-# and z_k (one per column size, keyed ("col", k)) are GradedPolynomials.
+# A polynomial in the variables z_{i,j} (one per generator) and z_k (one per
+# column size) is a dict {word: Fraction}. A word is the sorted tuple of the
+# positions x in triangle_pairs(n) of its z_{i,j}, each repeated by its
+# exponent; psi_images appends the marker id m + p of z_k, with
+# m = len(triangle_pairs(n)) and p the position of k in d.
 
 
 def exp_coordinates(n, k, A=None, cap=None):
     """Coordinates of exp(sum z_{i,j} f_{i,j}) applied to the highest
-    wedge vector, as {elems: GradedPolynomial in the z_{i,j}}.
+    wedge vector, as {elems: {word: Fraction}} over the z_{i,j}.
 
     The classical mode uses the full action, the degenerate mode (weight
     system given) its graded slice, both read from :func:`wedge_maps`; the
@@ -229,26 +231,33 @@ def exp_coordinates(n, k, A=None, cap=None):
     the order they are met, before the next.
     """
     maps = wedge_maps(A, n, (k,))
-    term = {0: GradedPolynomial({(): 1})}  # the id of e_(1..k)
-    total = dict(term)
+    term = {0: {(): Fraction(1)}}  # the id of e_(1..k)
+    total = {0: dict(term[0])}
     built = 1
     order = 1
     while term:
-        parts = {}  # new coordinate -> (poly, pair, sign) sending a term to it
+        parts = {}  # new coordinate -> (poly, position, sign) sending a term to it
         for i, poly in term.items():
-            for pair, images in maps.items():
+            for x, images in enumerate(maps.values()):
                 res = images.get(i)
                 if res is not None:
-                    parts.setdefault(res[0], []).append((poly, pair, res[1]))
+                    parts.setdefault(res[0], []).append((poly, x, res[1]))
         term = {}
         for new, sources in parts.items():
-            coord = sum((poly.mul_monomial(((("z",) + pair, 1),), Fraction(sign, order))
-                         for poly, pair, sign in sources), GradedPolynomial())
+            coord = {}
+            for poly, x, sign in sources:
+                c = Fraction(sign, order)
+                for word, v in poly.items():
+                    u = bisect(word, x)
+                    key = word[:u] + (x,) + word[u:]
+                    coord[key] = coord.get(key, 0) + c * v
+            coord = {word: v for word, v in coord.items() if v}
             if not coord:
                 continue
             term[new] = coord
-            total[new] = total.get(new, GradedPolynomial()) + coord
-            built += len(coord.terms)
+            # the words of one power have its degree, so powers never meet
+            total.setdefault(new, {}).update(coord)
+            built += len(coord)
             if cap is not None and built > cap:
                 raise ValueError(f"exponential coordinates of size {k} pass {cap} terms: "
                                  f"{built} built")
@@ -265,29 +274,34 @@ def psi_images(n, d, A=None, cap=None):
     cap, a ValueError is raised once more than cap terms are built in
     all, counted after each coordinate of each power of the action, so a
     build that cannot fit stops early."""
+    marker = len(triangle_pairs(n))
     images = {}
     built = 0
-    for k in d:
+    for p, k in enumerate(d):
         coords = exp_coordinates(n, k, A, None if cap is None else cap - built)
         for elems, coord in coords.items():
-            images[elems] = coord.mul_monomial(((("col", k), 1),))
-            built += len(coord.terms)
+            # the marker id is past every position, so the word stays sorted
+            images[elems] = {word + (marker + p,): c for word, c in coord.items()}
+            built += len(coord)
     return images
 
 
 def psi_vanishes(polys, images):
     """Whether psi, given by psi_images, maps every polynomial of a list
-    to zero."""
-    zero = GradedPolynomial()
+    to zero. The products of a polynomial's terms are summed into one dict
+    keyed by their sorted words."""
     for f in polys:
-        total = GradedPolynomial()
+        total = {}
         for mono, coeff in f.terms.items():
-            prod = GradedPolynomial({(): coeff})
+            prod = [((), coeff)]
             for elems, e in mono:
+                image = images.get(elems, {}).items()
                 for _ in range(e):
-                    prod = prod * images.get(elems, zero)
-            total = total + prod
-        if total:
+                    prod = [(T + U, a * b) for T, a in prod for U, b in image]
+            for T, c in prod:
+                word = tuple(sorted(T))
+                total[word] = total.get(word, 0) + c
+        if any(total.values()):
             return False
     return True
 

@@ -176,10 +176,10 @@ def in_trop_necessary_check(point, d, degree_bound):
 
 
 def _quad(plus, minus1, minus2):
-    """X_a X_b - X_c X_d - X_e X_f for the index pairs (a, b), (c, d), (e, f)."""
-    x = GradedPolynomial.variable
-    (a, b), (c, d), (e, f) = plus, minus1, minus2
-    return x(a) * x(b) - x(c) * x(d) - x(e) * x(f)
+    """X_a X_b - X_c X_d - X_e X_f for the index pairs (a, b), (c, d), (e, f),
+    each of two distinct indices."""
+    return GradedPolynomial({tuple(sorted(((a, 1), (b, 1)))): c
+                             for (a, b), c in ((plus, 1), (minus1, -1), (minus2, -1))})
 
 
 def maximality_witness(point):

@@ -3,14 +3,21 @@
 This is the package's original ``component_monomials`` and
 ``_column_grades``: a monomial is a sorted tuple of (index tuple,
 exponent) pairs, built by multiplying the factors of each size with
-``mono_mul``, and its grade sums the degree table over the pairs. The
+its own ``mono_mul``, and its grade sums the degree table over the pairs. The
 tests compare the id-tuple bases of ``pbwdegen.ideals`` against them.
 """
 
 from itertools import combinations_with_replacement
 
 from pbwdegen.degrees import all_indices
-from pbwdegen.ideals import mono_mul
+
+
+def mono_mul(m1, m2):
+    """Product of two sorted (variable, exponent) monomials."""
+    exps = {}
+    for elems, e in m1 + m2:
+        exps[elems] = exps.get(elems, 0) + e
+    return tuple(sorted(exps.items()))
 
 
 def component_monomials(n, d, mu):

@@ -4,8 +4,9 @@ This is the package's original ``exp_coordinates`` and
 ``psi_substitution_check``: polynomials in the variables z_{i,j} (one
 per generator) and z_k (one per column size) are plain dicts, sorted
 ((var, exponent), ...) tuples -> Fraction, with their own add, scale and
-multiply. The tests compare the ``GradedPolynomial`` versions of
-``pbwdegen.representations`` against them.
+multiply. The tests compare the sorted-word versions of
+``pbwdegen.representations`` against them, after writing each word of
+generator positions as such a tuple.
 """
 
 from fractions import Fraction

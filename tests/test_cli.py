@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -768,6 +769,8 @@ def test_weights_size_guard_bound_is_inclusive(argv, size, capsys, monkeypatch):
     [[{"coeff": "1", "monomial": [[[1], 1.5]]}]],  # non-integer exponent
     [[{"coeff": "1", "monomial": [[[1], 1]]},
       {"coeff": "-1", "monomial": [[[1], 1]]}]],  # a monomial twice
+    [[{"coeff": "1", "monomial": [[[2], 1], [[1], 1]]}]],  # variables out of order
+    [[{"coeff": "1", "monomial": [[[1], 1], [[1], 1]]}]],  # a variable twice
 ])
 def test_malformed_relations_exit_two(relations, tmp_path, capsys):
     path = _write(tmp_path, "rels.json", relations)
@@ -783,6 +786,17 @@ def test_psi_check_reads_relations_written_by_ideal_gen(tmp_path, capsys):
     argv = ["rep", "psi-check", "--n", "4", "--d", "1,2", "--relations", path]
     assert cli.main(argv) == 0
     assert "psi=true" in capsys.readouterr().out
+
+
+def test_psi_check_fails_a_relation_with_one_sign_flipped(tmp_path, capsys):
+    assert cli.main(["--format", "json", "ideal", "gen", "--n", "4", "--d", "1,2"]) == 0
+    rels = json.loads(capsys.readouterr().out)["result"]
+    term = rels[-1][-1]
+    term["coeff"] = str(-Fraction(term["coeff"]))
+    path = _write(tmp_path, "rels.json", rels)
+    argv = ["rep", "psi-check", "--n", "4", "--d", "1,2", "--relations", path]
+    assert cli.main(argv) == 1
+    assert "psi=false" in capsys.readouterr().out
 
 
 def _refuse_substitution(*args):

@@ -11,6 +11,7 @@ from fraction_echelon import FractionEchelon
 from fraction_relations import exchange_relation, fraction_plucker_relations, normalize_index
 from reference_components import column_grades as reference_column_grades
 from reference_components import component_monomials as reference_component_monomials
+from reference_components import mono_mul
 from pbwdegen import ideals
 from pbwdegen.degrees import all_indices, degree_s, grading_vector
 from pbwdegen.fflv import DominantWeight, weyl_dim
@@ -205,8 +206,8 @@ def test_other_generators_do_not_build_the_relations(monkeypatch):
     copy = [GradedPolynomial(dict(r.terms)) for r in rels]
     assert component_basis(copy, n, d, mu).span_key() == want
     assert initial_component(copy, n, d, mu, g).span_key() == want_initial
-    x = GradedPolynomial.variable
-    assert component_basis([x((1, 2)) * x((3, 4))], n, d, mu).rank == 1
+    x12_x34 = GradedPolynomial({(((1, 2), 1), ((3, 4), 1)): 1})
+    assert component_basis([x12_x34], n, d, mu).rank == 1
     # n=9, d=(4): the relation set would take seconds to build
     assert component_basis([], 9, (4,), (1,)).rank == 0
 
@@ -515,41 +516,16 @@ def test_multidegrees_up_to():
 
 def test_polynomial_algebra():
     (rel,) = plucker_relations(3, (1, 2))
-    doubled = rel + rel
+    doubled = GradedPolynomial({m: c + c for m, c in rel.terms.items()})
     assert doubled == rel.scale(2)
-    assert not (rel - rel)
+    assert not GradedPolynomial({m: c - c for m, c in rel.terms.items()})
     assert rel.canonical().terms[min(rel.terms)] == 1
 
 
-_variables = st.sampled_from([(1,), (2,), (1, 2), (1, 3), (2, 3)])
-_polys = st.dictionaries(
-    st.lists(st.tuples(_variables, st.integers(1, 2)), max_size=3).map(
-        lambda pairs: tuple(sorted(dict(pairs).items()))
-    ),
-    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2)),
-    max_size=4,
-).map(GradedPolynomial)
-
-
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(_polys, _polys)
-def test_product_is_the_sum_of_monomial_multiples(p, q):
-    """One accumulating product equals adding the multiples of p by the
-    terms of q one at a time, cancellations included."""
-    want = GradedPolynomial()
-    for m, c in q.terms.items():
-        want = want + p.mul_monomial(m, c)
-    got = p * q
-    assert got == want
-    assert all(type(c) is Fraction and c for c in got.terms.values())
-    assert (p + q) * (p - q) == p * p - q * q
-
-
 def test_multihomogeneity_error():
-    x = GradedPolynomial.variable((1,))
-    y = GradedPolynomial.variable((1, 2))
+    x_plus_y = GradedPolynomial({(((1,), 1),): 1, (((1, 2), 1),): 1})
     with pytest.raises(ValueError):
-        (x + y).multidegree((1, 2))
+        x_plus_y.multidegree((1, 2))
 
 
 def reference_initial_rows(rows, grades):
@@ -620,7 +596,7 @@ def test_fraction_generators_span_their_own_multiples():
         col = {m: c for c, m in enumerate(pair_monomials(n, d, cb.monomials))}
         ref = FractionEchelon()
         for m in pair_monomials(n, d, component_monomials(n, d, (mu[0] - 1, mu[1] - 1))):
-            ref.insert({col[t]: v for t, v in p.mul_monomial(m).terms.items()})
+            ref.insert({col[mono_mul(t, m)]: v for t, v in p.terms.items()})
         assert cb.rows == ref.reduced_rows()
 
 
@@ -875,7 +851,7 @@ def test_relations_carry_their_multidegrees(monkeypatch):
     with pytest.raises(AssertionError):
         ideals._spanning_rows(list(gens), n, d, (1, 1, 1))
     monkeypatch.undo()
-    mixed = GradedPolynomial.variable((1,)) + GradedPolynomial.variable((1, 2))
+    mixed = GradedPolynomial({(((1,), 1),): 1, (((1, 2), 1),): 1})
     with pytest.raises(ValueError):
         ideals._spanning_rows([mixed], n, d, (1, 1, 1))
 

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import accumulate, product
 from math import comb
+from random import Random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from pbwdegen import linalg, representations
 from pbwdegen.fflv import DominantWeight, enumerate_patterns, pattern_entries, weyl_dim
 from pbwdegen.ideals import GradedPolynomial, initial_part, plucker_relations
-from pbwdegen.degrees import all_indices, grading_vector
+from pbwdegen.degrees import all_indices, fundamental_pattern, grading_vector
 from pbwdegen.representations import (
     annihilator_monomial_check,
     apply_generator,
@@ -32,6 +33,7 @@ from pbwdegen.weights import (
     is_interior,
     random_cone_points,
     toric_weight_system,
+    triangle_pairs,
     zero_weight_system,
 )
 from lie_structure import graded_bracket, verify_lie_structure
@@ -88,13 +90,14 @@ def test_degenerate_exp_is_min_grade_slice_of_classical():
             for k in range(1, n):
                 classical = exp_coordinates(n, k)
                 degenerate = exp_coordinates(n, k, A)
+                pairs = triangle_pairs(n)
                 for elems, poly in classical.items():
-                    def zgrade(mono):
-                        return sum(e * A.a(v[1], v[2]) for v, e in mono)
+                    def zgrade(word):
+                        return sum(A.a(*pairs[x]) for x in word)
 
-                    low = min(zgrade(m) for m in poly.terms)
-                    slice_ = {m: c for m, c in poly.terms.items() if zgrade(m) == low}
-                    assert degenerate.get(elems, GradedPolynomial()).terms == slice_
+                    low = min(zgrade(w) for w in poly)
+                    slice_ = {w: c for w, c in poly.items() if zgrade(w) == low}
+                    assert degenerate.get(elems, {}) == slice_
 
 
 def test_cyclic_dimensions_classical_limit():
@@ -137,11 +140,22 @@ def test_equal_factors_collapse_with_the_derivation_coefficient():
     assert apply_generator(maps, {(e1, e1): 1}, (1, 2)) == {(e1, e2): 2}
 
 
+def _pair_keys(n, coords):
+    """Exponential coordinates with each word written as the reference
+    writes a z-monomial: sorted ((("z", i, j), exponent), ...) pairs."""
+    pairs = triangle_pairs(n)
+
+    def key(word):
+        return tuple((("z",) + pairs[x], word.count(x)) for x in sorted(set(word)))
+
+    return {elems: {key(w): c for w, c in poly.items()} for elems, poly in coords.items()}
+
+
 def test_exp_coordinates_classical_n3():
-    coords = exp_coordinates(3, 1)
-    assert coords[(1,)].terms == {(): Fraction(1)}
-    assert coords[(2,)].terms == {((("z", 1, 2), 1),): Fraction(1)}
-    assert coords[(3,)].terms == {
+    coords = _pair_keys(3, exp_coordinates(3, 1))
+    assert coords[(1,)] == {(): Fraction(1)}
+    assert coords[(2,)] == {((("z", 1, 2), 1),): Fraction(1)}
+    assert coords[(3,)] == {
         ((("z", 1, 3), 1),): Fraction(1),
         ((("z", 1, 2), 1), (("z", 2, 3), 1)): Fraction(1, 2),
     }
@@ -149,15 +163,15 @@ def test_exp_coordinates_classical_n3():
 
 def test_exp_coordinates_toric_are_monomial():
     A = toric_weight_system(3)
-    coords = exp_coordinates(3, 1, A)
-    assert coords[(3,)].terms == {((("z", 1, 3), 1),): Fraction(1)}
+    coords = _pair_keys(3, exp_coordinates(3, 1, A))
+    assert coords[(3,)] == {((("z", 1, 3), 1),): Fraction(1)}
 
 
 def test_psi_kills_relations_and_detects_sign_errors():
     n, d = 3, (1, 2)
     (rel,) = plucker_relations(n, d)
     assert psi_substitution_check([rel], n, d)
-    broken = rel + rel.scale(Fraction(0))  # copy
+    broken = GradedPolynomial(dict(rel.terms))
     m = max(broken.terms)
     broken.terms[m] = -broken.terms[m]
     assert not psi_substitution_check([broken], n, d)
@@ -178,13 +192,41 @@ def _systems_and_classical(n):
     return [None] + [A for _, A in canonical_weight_systems(n)]
 
 
+def test_interior_exp_coordinates_are_fundamental_pattern_monomials():
+    """Under an interior system every coordinate C_I is one monomial with
+    coefficient +-1, whose word is the support of the fundamental pattern
+    of I: the toric system and seeded interior sums
+    toric * (1 + c) + c_abelian + u_i, for n = 3, 4, 5."""
+    for n in (3, 4, 5):
+        rng = Random(n)
+        toric = toric_weight_system(n)
+        systems = [toric]
+        for _ in range(10):
+            c, c_ab = rng.randint(0, 2), rng.randint(0, 2)
+            u = [rng.randint(0, 2) for _ in range(n)]
+            A = WeightSystem.from_function(
+                n, lambda i, j: (1 + c) * toric.a(i, j) + c_ab + u[i - 1])
+            assert check_cone_membership(A) and is_interior(A)
+            systems.append(A)
+        pairs = triangle_pairs(n)
+        for A in systems:
+            for k in range(1, n):
+                coords = exp_coordinates(n, k, A)
+                assert set(coords) == set(all_indices(n, (k,)))
+                for I, poly in coords.items():
+                    T = fundamental_pattern(n, I)
+                    word = tuple(x for x, pair in enumerate(pairs) if T.a(*pair))
+                    assert list(poly) == [word]
+                    assert abs(poly[word]) == 1
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_exp_coordinates_match_reference(n):
     for A in _systems_and_classical(n):
         for k in range(1, n):
             ours = exp_coordinates(n, k, A)
             want = reference_exp_coordinates(n, k, A)
-            assert {elems: poly.terms for elems, poly in ours.items()} == want
+            assert _pair_keys(n, ours) == want
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -200,7 +242,7 @@ def test_psi_verdicts_match_reference(n):
     verdicts = set()
     for f, A in cases:
         m = max(f.terms)
-        flipped = f - GradedPolynomial({m: 2 * f.terms[m]})
+        flipped = GradedPolynomial({**f.terms, m: -f.terms[m]})
         for poly in (f, flipped):
             ours = psi_substitution_check([poly], n, d, A)
             assert ours == reference_psi_check(poly, n, d, A)
@@ -228,7 +270,7 @@ def test_psi_images_count_their_terms_up_to_the_cap():
     n, d = 4, (1, 2, 3)
     for A in _systems_and_classical(n):
         images = psi_images(n, d, A)
-        total = sum(len(poly.terms) for poly in images.values())
+        total = sum(len(poly) for poly in images.values())
         assert psi_images(n, d, A, total) == images
         with pytest.raises(ValueError):
             psi_images(n, d, A, total - 1)

@@ -138,8 +138,8 @@ def test_suite_refuses_witness_outside_the_ideal(monkeypatch):
     # the old [v] witness X_{2,3}X_{1,4} - X_{2,4}X_{1,3} - X_{3,4}X_{1,2}
     # at n=4, i=1, j=3 has one sign wrong: its initial part is still a
     # monomial, but it does not vanish under psi
-    x = GradedPolynomial.variable
-    wrong = x((2, 3)) * x((1, 4)) - x((2, 4)) * x((1, 3)) - x((3, 4)) * x((1, 2))
+    wrong = GradedPolynomial({(((1, 4), 1), ((2, 3), 1)): 1, (((1, 3), 1), ((2, 4), 1)): -1,
+                              (((1, 2), 1), ((3, 4), 1)): -1})
     real = tropical.maximality_witness
 
     def old_witness(point):
