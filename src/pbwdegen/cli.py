@@ -497,22 +497,17 @@ ACTIONS = {
 INT_FLAGS = ("n", "count", "seed", "degree-bound")
 
 
-def build_parser():
-    """One subparser per action, holding exactly that action's flags."""
-    parser = argparse.ArgumentParser(
-        prog="pbwdegen",
-        description="Weighted PBW degenerations of type-A flag varieties.",
-    )
-    parser.add_argument("--format", choices=("json", "text"), default="text")
-    sub = parser.add_subparsers(dest="command", required=True)
-    commands = {name: sub.add_parser(name, help=h, description=h) for name, h in COMMANDS.items()}
-    actions = {}
-    for (command, action), (_, required, optional) in ACTIONS.items():
-        p = commands[command]
+def _add_actions(parser, command):
+    """The actions of command on its parser, each holding exactly its flags."""
+    actions = None
+    for (name, action), (_, required, optional) in ACTIONS.items():
+        if name != command:
+            continue
+        p = parser
         if action is not None:
-            if command not in actions:
-                actions[command] = p.add_subparsers(dest="action", required=True)
-            p = actions[command].add_parser(action)
+            if actions is None:
+                actions = parser.add_subparsers(dest="action", required=True)
+            p = actions.add_parser(action)
         for flag in required + tuple(optional):
             names = [f"--{flag}"]
             if (command, flag) == ("weights", "weights"):
@@ -521,6 +516,33 @@ def build_parser():
             need = "required" if flag in required else None
             p.add_argument(*names, type=kind, default=optional.get(flag), help=need)
         p.set_defaults(key=(command, action))
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser; the actions of the command unbuilt, if set, are
+    added once argparse hands it the command's arguments."""
+
+    unbuilt = None
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.unbuilt:
+            _add_actions(self, self.unbuilt)
+            self.unbuilt = None
+        return super().parse_known_args(args, namespace)
+
+
+def build_parser():
+    """One subparser per action, holding exactly that action's flags. A
+    command's actions are built once argparse has picked the command, so a
+    run builds those of the command it names."""
+    parser = argparse.ArgumentParser(
+        prog="pbwdegen",
+        description="Weighted PBW degenerations of type-A flag varieties.",
+    )
+    parser.add_argument("--format", choices=("json", "text"), default="text")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    for name, h in COMMANDS.items():
+        sub.add_parser(name, help=h, description=h).unbuilt = name
     return parser
 
 

@@ -191,18 +191,18 @@ def check_toric_detection(cap):
 def check_representation_dimensions(cap):
     """Cyclic module dimensions equal pattern counts, n <= 4."""
     for n in _ns((2, 3, 4), cap):
+        # the patterns of each weight, walked once for all systems
+        lams = [(lam, fflv.pattern_entries(lam)) for lam in _dominant_weights(n, 2) if lam.total()]
         for label, A in weights.canonical_weight_systems(n):
-            for lam in _dominant_weights(n, 2):
-                if lam.total() == 0:
-                    continue
-                # a pattern basis has the pattern count as its dimension,
-                # so a module that passes is closed once
-                ok = representations.fflv_basis_check(A, lam)
+            for lam, patterns in lams:
+                # fflv_basis_check on the walked patterns: a pattern basis
+                # has the pattern count as its dimension, so a module that
+                # passes is closed once
+                ok = representations.essential_closure(A, lam)[0] == patterns
                 failure = f"{label} n={n} lam={lam.coeffs}: "
                 if not ok:
-                    want = fflv.count_patterns(lam)
                     got = representations.cyclic_module_dim(A, lam)
-                    failure += f"{got} != {want}" if got != want else "basis check"
+                    failure += f"{got} != {len(patterns)}" if got != len(patterns) else "basis check"
                 yield failure, ok
 
 

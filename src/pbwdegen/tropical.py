@@ -11,6 +11,7 @@ point leaves the tropical variety.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .degrees import all_indices, degree_table, index_label
 from .ideals import (
@@ -22,12 +23,14 @@ from .ideals import (
 )
 from .linalg import Echelon, _integral
 from .weights import (Triangle, _cone_rows, _slacks, ineq_a_indices, ineq_b_indices,
-                      json_int, json_rational, require_cone_membership, triangle_pairs)
+                      json_int, json_keys, json_rational, require_cone_membership,
+                      triangle_pairs)
 
 
 @dataclass(frozen=True)
 class TropicalPoint:
-    """Rational coordinates over all proper nonempty subsets of [1, n]."""
+    """Rational coordinates over all proper nonempty subsets of [1, n],
+    kept as Fractions in the order of all_indices(n, range(1, n))."""
 
     n: int
     s: dict
@@ -39,11 +42,9 @@ class TropicalPoint:
         # count the keys before listing the subsets, by bit length first
         # so that a huge n never builds 2^n
         if ((count + 2).bit_length() != n + 1 or count != 2**n - 2
-                or set(self.s) != set(all_indices(n, range(1, n)))):
+                or set(self.s) != set(subsets := all_indices(n, range(1, n)))):
             raise ValueError("need one coordinate per proper nonempty subset")
-        object.__setattr__(
-            self, "s", {k: Fraction(v) for k, v in self.s.items()}
-        )
+        object.__setattr__(self, "s", {I: Fraction(self.s[I]) for I in subsets})
 
     def to_json(self):
         out = {}
@@ -56,16 +57,13 @@ class TropicalPoint:
     def from_json(cls, data):
         """Parse {"n": n, "s": {"i,j,...": value}}. A value is a JSON
         integer or a string such as "1/3"; floats and bools are refused,
-        since they would be read as the binary float's exact value."""
+        since they would be read as the binary float's exact value. A key
+        is spelled as to_json spells it, so one subset has one key."""
         n = json_int(data["n"], "n")
         if not isinstance(data["s"], dict):
             raise TypeError("'s' must map \"i,j,...\" keys to rationals")
-        s = {}
-        for key, val in data["s"].items():
-            elems = tuple(int(t) for t in key.split(","))
-            if elems in s:
-                raise ValueError(f"key {key!r} repeats the subset {list(elems)}")
-            s[elems] = json_rational(val, f"s[{key!r}]")
+        s = {elems: json_rational(data["s"][key], f"s[{key!r}]")
+             for elems, key in json_keys(data["s"], "subset").items()}
         return cls(n, s)
 
 
@@ -78,65 +76,57 @@ def point_from_triangle(n, values):
 
 
 def map_h(A):
-    """Degrees of all Pluecker coordinates of an admissible weight system."""
+    """Degrees of all Pluecker coordinates of an admissible weight system.
+    The point is built unchecked: the table lists every subset in order."""
     require_cone_membership(A)
-    return TropicalPoint(A.n, degree_table(A, all_indices(A.n, range(1, A.n))))
-
-
-def _prefix(m):
-    return tuple(range(1, m + 1))
-
-
-def _normalized(n, t):
-    """t shifted on each cardinality so that the leading subsets (1..k)
-    sit at 0; t itself when they already do, as for every image of map_h."""
-    shifts = {k: t[_prefix(k)] for k in range(1, n)}
-    if not any(shifts.values()):
-        return t
-    return {elems: v - shifts[len(elems)] for elems, v in t.items()}
+    table = degree_table(A, all_indices(A.n, range(1, A.n)))
+    value = {v: Fraction(v) for v in set(table.values())}
+    point = object.__new__(TropicalPoint)
+    point.__dict__.update(n=A.n, s={I: value[v] for I, v in table.items()})
+    return point
 
 
 def _violations(point):
     """The conditions [ii]-[v] that fail at the point, in order, each as
     its label and, for [iv] and [v], the index pairs (a, b), (c, d), (e, f)
     of the relation X_a X_b - X_c X_d - X_e X_f whose initial part is then
-    a single monomial. They are read at the normalized primitive integer
-    multiple s of the point: the conditions are homogeneous linear, so
-    they read the same there, and [i] holds by normalization."""
+    a single monomial. They are read at a positive integer multiple s of
+    the point, shifted on each cardinality so that the leading subsets
+    (1..k) sit at 0: the conditions are homogeneous linear, so they read
+    the same there, and [i] holds by the shift."""
     n = point.n
-    s = _normalized(n, _integral(point.s))
+    p = [tuple(range(1, m + 1)) for m in range(n)]  # p[m] = (1..m)
+    den = lcm(*[v.denominator for v in point.s.values()])
+    s = {I: v.numerator * (den // v.denominator) for I, v in point.s.items()}
+    shifts = [0] + [s[prefix] for prefix in p[1:]]
+    if any(shifts):
+        s = {I: v - shifts[len(I)] for I, v in s.items()}
     violations = []
     for i in range(1, n + 1):
         for j in range(i + 2, n + 1):
-            idxs = [
-                _prefix(i - 1) + tuple(range(i + 1, k + 1)) + (j,)
-                for k in range(i, j)
-            ]
-            vals = {s[idx] for idx in idxs}
-            if len(vals) > 1:
+            if len({s[p[i - 1] + p[k][i:] + (j,)] for k in range(i, j)}) > 1:
                 violations.append((f"[ii] i={i} j={j}", None))
     # [iii]: s_I is the degree of I under the triangle whose entry at
-    # (p, q) is the coordinate of {1..p-1, q}
-    T = Triangle(n, tuple(s[_prefix(p - 1) + (q,)] for p, q in triangle_pairs(n)))
-    for I, total in degree_table(T, all_indices(n, range(1, n))).items():
+    # (p, q) is the coordinate of {1..p-1, q}; s lists every subset
+    T = Triangle(n, tuple([s[p[a - 1] + (b,)] for a, b in triangle_pairs(n)]))
+    for I, total in degree_table(T, s).items():
         if s[I] != total:
             violations.append((f"[iii] I={index_label(I)}", None))
     # [iv] at i is (a) at i on T, and [v] at (i, j) is (b) at (i, j)
     slacks = _slacks(T.entries, *_cone_rows(n))
-    p = _prefix
     for i, slack in zip(ineq_a_indices(n), slacks):
         if slack < 0:
             violations.append((f"[iv] i={i}", (
-                (p(i) + (i + 2,), p(i - 1) + (i + 1,)),
-                (p(i) + (i + 1,), p(i - 1) + (i + 2,)),
-                (p(i - 1) + (i + 1, i + 2), p(i)),
+                (p[i] + (i + 2,), p[i - 1] + (i + 1,)),
+                (p[i] + (i + 1,), p[i - 1] + (i + 2,)),
+                (p[i - 1] + (i + 1, i + 2), p[i]),
             )))
     for (i, j), slack in zip(ineq_b_indices(n), slacks):
         if slack < 0:
             violations.append((f"[v] i={i} j={j}", (
-                (p(i - 1) + (i + 1, j + 1), p(i) + (j,)),
-                (p(i - 1) + (i + 1, j), p(i) + (j + 1,)),
-                (p(i - 1) + (j, j + 1), p(i) + (i + 1,)),
+                (p[i - 1] + (i + 1, j + 1), p[i] + (j,)),
+                (p[i - 1] + (i + 1, j), p[i] + (j + 1,)),
+                (p[i - 1] + (j, j + 1), p[i] + (i + 1,)),
             )))
     return violations
 

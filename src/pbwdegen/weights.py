@@ -40,6 +40,21 @@ def json_rational(val, what):
         raise ValueError(f"{what} has a zero denominator")
 
 
+def json_keys(obj, what):
+    """{elems: key} over the keys of a JSON object, each the comma-joined
+    integers elems; ValueError, at the first key that is met, for a key
+    repeating an earlier key's elems or not spelled as the package writes it."""
+    keys = {}
+    for key in obj:
+        elems = tuple(int(t) for t in key.split(","))
+        if elems in keys:
+            raise ValueError(f"key {key!r} repeats the {what} {list(elems)} of key {keys[elems]!r}")
+        if key != ",".join(map(str, elems)):
+            raise ValueError(f"key {key!r} is not spelled {','.join(map(str, elems))}")
+        keys[elems] = key
+    return keys
+
+
 class NotInConeError(ValueError):
     """Raised when an operation requires an admissible weight system."""
 
@@ -111,7 +126,8 @@ class WeightSystem(Triangle):
     @classmethod
     def from_json(cls, data):
         """Parse {"n": n, "a": {"i,j": a_ij}}. Every value must be a JSON
-        integer and the keys must be exactly the pairs of the triangle."""
+        integer and the keys must be exactly the pairs of the triangle,
+        spelled as to_json spells them."""
         n = json_int(data["n"], "n")
         entries = data["a"]
         if not isinstance(entries, dict):
@@ -120,11 +136,10 @@ class WeightSystem(Triangle):
         if len(entries) != pairs:
             raise ValueError(f"{len(entries)} keys for the {pairs} pairs of a triangle")
         a = {}
-        for key, val in entries.items():
-            i, j = (int(t) for t in key.split(","))
+        for (i, j), key in json_keys(entries, "pair").items():
             if not 1 <= i < j <= n:
                 raise ValueError(f"key {key!r} lies outside the triangle for n={n}")
-            a[(i, j)] = json_int(val, f"a[{key!r}]")
+            a[(i, j)] = json_int(entries[key], f"a[{key!r}]")
         return cls.from_map(n, a)
 
 
@@ -152,9 +167,9 @@ def _cone_rows(n):
     """The defining inequalities as entry positions: (a) at each i of
     ineq_a_indices as (p, q, r), slack e[p] + e[q] - e[r], and (b) at each
     (i, j) of ineq_b_indices as (p, q, r, s), slack e[p] + e[q] - e[r] - e[s]."""
-    pos = {pair: k for k, pair in enumerate(triangle_pairs(n))}
-    rows_a = [(pos[i, i + 1], pos[i + 1, i + 2], pos[i, i + 2]) for i in ineq_a_indices(n)]
-    rows_b = [(pos[i, j], pos[i + 1, j + 1], pos[i, j + 1], pos[i + 1, j])
+    off = Triangle.offsets(n)
+    rows_a = [(off[i] + i + 1, off[i + 1] + i + 2, off[i] + i + 2) for i in ineq_a_indices(n)]
+    rows_b = [(off[i] + j, off[i + 1] + j + 1, off[i] + j + 1, off[i + 1] + j)
               for i, j in ineq_b_indices(n)]
     return rows_a, rows_b
 
@@ -167,14 +182,13 @@ def _slacks(e, rows_a, rows_b):
         yield e[p] + e[q] - e[r] - e[s]
 
 
-def _in_cone(r, rows_a, rows_b, shift=0):
-    """The cone test on r, each entry plus shift: (a) reads r_p + r_q -
-    r_r >= shift, and (b), where the shifts cancel, is unchanged."""
+def _in_cone(e, rows_a, rows_b):
+    """The cone test on the entries e."""
     for p, q, t in rows_a:
-        if r[p] + r[q] - r[t] < shift:
+        if e[p] + e[q] < e[t]:
             return False
     for p, q, t, u in rows_b:
-        if r[p] + r[q] < r[t] + r[u]:
+        if e[p] + e[q] < e[t] + e[u]:
             return False
     return True
 
@@ -278,7 +292,8 @@ _DRAW_WORDS = 4096
 
 def _accepted_draws(rng, top):
     """Endless blocks of the draws in [0, top] that getrandbits(k), k the
-    bit length of top + 1, gives one at a time, those above top dropped.
+    bit length of top + 1, gives one at a time, those above top dropped,
+    each draw as (k + 7) // 8 little-endian bytes.
 
     getrandbits(32 * m) holds m consecutive 32-bit outputs, the first in
     the lowest bits, and getrandbits(k) for k <= 32 is the top k bits of
@@ -289,13 +304,51 @@ def _accepted_draws(rng, top):
     k = (top + 1).bit_length()
     m = _DRAW_WORDS
     if k > 8:
+        depth = (k + 7) // 8
         while True:
-            yield [r for r in (rng.getrandbits(k) for _ in range(m)) if r <= top]
+            draws = (rng.getrandbits(k) for _ in range(m))
+            yield b"".join(r.to_bytes(depth, "little") for r in draws if r <= top)
     table = bytes(b >> (8 - k) for b in range(256))
     rejects = bytes(b for b in range(256) if b >> (8 - k) > top)
     while True:
         words = rng.getrandbits(32 * m).to_bytes(4 * m, "little")
         yield words[3::4].translate(table, rejects)
+
+
+def _cone_members(block, count, size, depth, bound, rows_a, rows_b):
+    """The indices, in order, of the cone's candidates among the first count
+    of a block, each size draws r = entry + bound in [0, 2 * bound] of depth
+    little-endian bytes.
+
+    All are tested at once. Draw p of all candidates is one int C_p, a
+    w-byte field each, w least with 4 * bound < F = 2^(8w - 1). (a) is read
+    on C_p + C_q + (F - bound) - C_t and (b) on C_p + C_q + F - C_t - C_u,
+    adding first. Each field then stays within [F - 4 * bound, F + 4 * bound],
+    inside [0, 2F), so no field carries or borrows: a result field is its
+    inequality's slack at the entries plus F, and its top bit, worth F, is
+    set exactly when the slack is >= 0. The AND of the results with the
+    top bits keeps those of the members, found by bytes.find.
+    """
+    width = (4 * bound).bit_length() // 8 + 1
+    ones = int.from_bytes((b"\1" + bytes(width - 1)) * count, "little")
+    mask = ones << (8 * width - 1)
+    fill = bytearray(width * count)
+    cols = []
+    for p in range(size):
+        for j in range(depth):
+            fill[j::width] = block[p * depth + j:count * size * depth:size * depth]
+        cols.append(int.from_bytes(fill, "little"))
+    shifted = mask - bound * ones
+    acc = mask
+    for p, q, t in rows_a:
+        acc &= cols[p] + cols[q] + shifted - cols[t]
+    for p, q, t, u in rows_b:
+        acc &= cols[p] + cols[q] + mask - cols[t] - cols[u]
+    flags = acc.to_bytes(width * count, "little")  # 0x80 or 0 in each top byte
+    at = flags.find(0x80)
+    while at >= 0:
+        yield at // width
+        at = flags.find(0x80, at + 1)
 
 
 def random_cone_points(n, count, bound=3, seed=0):
@@ -305,7 +358,7 @@ def random_cone_points(n, count, bound=3, seed=0):
     getrandbits of the bit length of 2*bound+1, redrawn above 2*bound.
 
     The draws r = entry + bound are taken from the same stream in bulk,
-    and each candidate is tested for the cone on its draws.
+    and the whole candidates of a block are tested at once.
     """
     if count <= 0:
         return []
@@ -315,16 +368,17 @@ def random_cone_points(n, count, bound=3, seed=0):
         raise ValueError("need n >= 2")
     size = len(triangle_pairs(n))
     rows_a, rows_b = _cone_rows(n)
+    depth = ((2 * bound + 1).bit_length() + 7) // 8
+    stride = size * depth
     found = []
-    pending = None
+    pending = b""
     for block in _accepted_draws(random.Random(seed), 2 * bound):
-        if pending:
-            block = pending + block
-        stop = len(block) - len(block) % size
-        for start in range(0, stop, size):
-            r = block[start:start + size]
-            if _in_cone(r, rows_a, rows_b, bound):
-                found.append(WeightSystem(n, tuple([x - bound for x in r])))
-                if len(found) == count:
-                    return found
-        pending = block[stop:]
+        block = pending + block
+        whole = len(block) // stride
+        for i in _cone_members(block, whole, size, depth, bound, rows_a, rows_b):
+            r = [int.from_bytes(block[x:x + depth], "little")
+                 for x in range(i * stride, (i + 1) * stride, depth)]
+            found.append(WeightSystem(n, tuple([x - bound for x in r])))
+            if len(found) == count:
+                return found
+        pending = block[whole * stride:]

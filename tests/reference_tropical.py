@@ -1,14 +1,16 @@
 """Reference tropical cone tests over Fractions, kept for the tests only.
 
-These are the package's original ``cone_C_membership`` and
-``in_trop_necessary_check``: the conditions [i]-[v] are evaluated on the
-normalized point's Fraction coordinates, and the initial components are
-taken for the grading of the point's own coordinates. The tests compare
-the integer-scaled versions of ``pbwdegen.tropical`` against them.
+These are the package's original ``cone_C_membership``,
+``maximality_witness`` and ``in_trop_necessary_check``: the conditions
+[i]-[v] are evaluated on the normalized point's Fraction coordinates, and
+the initial components are taken for the grading of the point's own
+coordinates. The tests compare the integer-scaled versions of
+``pbwdegen.tropical`` against them.
 """
 
 from pbwdegen.degrees import all_indices, degree_table, index_label
 from pbwdegen.ideals import (
+    GradedPolynomial,
     contains_monomial,
     initial_component,
     multidegrees_up_to,
@@ -65,6 +67,33 @@ def cone_C_membership(point):
             violations.append(f"[iii] I={index_label(I)}")
     violations += [label for label, holds in _inequalities(point) if not holds]
     return not violations, violations
+
+
+def maximality_witness(point):
+    """X_a X_b - X_c X_d - X_e X_f for the first of [iv] and [v] that fails
+    at the normalized point, with [iv] at i read on a = {1..i-1, i+1},
+    b = {1..i, i+2} and c = {1..i-1, i+2}, and [v] at (i, j) on
+    a = {1..i-1, j}, b = {1..i, j+1}, c = {1..i-1, j+1} and e = {1..i, j};
+    None when both hold, ValueError when one of [i]-[iii] fails."""
+    ok, violations = cone_C_membership(point)
+    linear = [v for v in violations if v.split()[0] in ("[i]", "[ii]", "[iii]")]
+    if linear:
+        raise ValueError(f"conditions [i]-[iii] must hold first: {linear}")
+    if ok:
+        return None
+    label = violations[0]
+    p = _prefix
+    if label.startswith("[iv]"):
+        i = int(label.split("=")[1])
+        a, b, c = p(i - 1) + (i + 1,), p(i) + (i + 2,), p(i - 1) + (i + 2,)
+        pairs = (b, a), (p(i) + (i + 1,), c), (p(i - 1) + (i + 1, i + 2), p(i))
+    else:
+        i, j = (int(part.split("=")[1]) for part in label.split()[1:])
+        b, e = p(i) + (j + 1,), p(i) + (j,)
+        pairs = ((p(i - 1) + (i + 1, j + 1), e), (p(i - 1) + (i + 1, j), b),
+                 (p(i - 1) + (j, j + 1), p(i) + (i + 1,)))
+    return GradedPolynomial({tuple(sorted(((x, 1), (y, 1)))): c
+                             for (x, y), c in zip(pairs, (1, -1, -1))})
 
 
 def in_trop_necessary_check(point, d, degree_bound):

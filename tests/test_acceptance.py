@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from pbwdegen import representations, suite, tropical
+from pbwdegen import fflv, representations, suite, tropical
 
 
 def _run(number, name, func):
@@ -51,6 +51,30 @@ def test_a_check_stops_at_its_first_failing_case(monkeypatch):
 
     monkeypatch.setattr(representations, "exp_coordinates", two_terms)
     assert suite.check_toric_detection(cap=4) == (False, "C_1 is not a monomial, n=3")
+
+
+def test_representation_dimensions_walk_each_weight_once(monkeypatch):
+    walked = []
+    real = fflv.pattern_entries
+    monkeypatch.setattr(fflv, "pattern_entries", lambda lam: walked.append(lam.coeffs) or real(lam))
+    ok, detail = suite.check_representation_dimensions()
+    assert ok and detail.startswith("96 modules, ")
+    assert len(walked) == len(set(walked)) == 16
+
+
+@pytest.mark.parametrize("change, text", [
+    (lambda essential: set(sorted(essential)[1:]), "1 != 2"),
+    (lambda essential: set(sorted(essential)[1:]) | {(7,)}, "basis check"),
+])
+def test_representation_dimensions_failure_texts(change, text, monkeypatch):
+    real = representations.essential_closure
+
+    def changed(A, lam):
+        essential, dependent = real(A, lam)
+        return change(essential), dependent
+
+    monkeypatch.setattr(representations, "essential_closure", changed)
+    assert suite.check_representation_dimensions() == (False, f"classical n=2 lam=(1,): {text}")
 
 
 @pytest.mark.parametrize("cap,drawn", [(3, 50), (4, 100), (None, 200)])

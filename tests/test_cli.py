@@ -846,6 +846,48 @@ def test_trop_check_non_rational_point_exits_two(value, tmp_path, capsys):
     assert "bad tropical point" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spelling", [" 2,3", "2, 3", "+2,3", "02,3", "2,3 ", "2_0,3"])
+def test_weight_key_spelled_otherwise_exits_two(spelling, tmp_path, capsys):
+    path = _write(tmp_path, "w.json", {"n": 3, "a": {"1,2": 0, "1,3": 0, spelling: 0}})
+    assert cli.main(["weights", "check", "--weights", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    want = "2,3" if spelling != "2_0,3" else "20,3"
+    assert captured.err == f"error: bad weight system in {path}: key {spelling!r} is not spelled {want}\n"
+
+
+def test_weight_pair_spelled_twice_is_a_repeat(tmp_path, capsys):
+    path = _write(tmp_path, "w.json", {"n": 3, "a": {"1,2": 0, "2,3": 0, "01,2": 0}})
+    assert cli.main(["weights", "check", "--weights", path]) == 2
+    assert capsys.readouterr().err == (
+        f"error: bad weight system in {path}: key '01,2' repeats the pair [1, 2] of key '1,2'\n")
+
+
+@pytest.mark.parametrize("action", ["check", "witness"])
+@pytest.mark.parametrize("spelling", [" 2,3", "2, 3", "+2,3", "02,3", "2,3,"])
+def test_point_key_spelled_otherwise_exits_two(action, spelling, tmp_path, capsys):
+    data = map_h(abelian_weight_system(3)).to_json()
+    data["s"] = {spelling if k == "2,3" else k: v for k, v in data["s"].items()}
+    path = _write(tmp_path, "pt.json", data)
+    assert cli.main(["trop", action, "--point", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if spelling == "2,3,":  # int("") fails before the spelling is read
+        assert captured.err.startswith(f"error: bad tropical point in {path}: invalid literal")
+    else:
+        assert captured.err == (
+            f"error: bad tropical point in {path}: key {spelling!r} is not spelled 2,3\n")
+
+
+def test_point_subset_spelled_twice_is_a_repeat(tmp_path, capsys):
+    data = map_h(abelian_weight_system(3)).to_json()
+    data["s"]["02,3"] = 0
+    path = _write(tmp_path, "pt.json", data)
+    assert cli.main(["trop", "check", "--point", path]) == 2
+    assert capsys.readouterr().err == (
+        f"error: bad tropical point in {path}: key '02,3' repeats the subset [2, 3] of key '2,3'\n")
+
+
 def _argv(key, skip=None):
     """A command line giving every required flag of an action but `skip`."""
     argv = [part for part in key if part is not None]
@@ -887,6 +929,27 @@ def test_flag_of_a_sibling_action_exits_two(key, flag, capsys):
         cli.main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_a_run_builds_the_actions_of_its_command_only(monkeypatch, capsys):
+    built = []
+    real = cli._add_actions
+    monkeypatch.setattr(cli, "_add_actions",
+                        lambda parser, command: built.append(command) or real(parser, command))
+    assert cli.main(["fflv", "dim", "--lam", "1,1"]) == 0
+    assert built == ["fflv"]
+    # a flag value that spells another command picks nothing
+    built.clear()
+    assert cli.main(["weights", "check", "--file", "suite"]) == 2
+    assert built == ["weights"]
+    assert "cannot read suite" in capsys.readouterr().err
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert "{" + ",".join(cli.COMMANDS) + "}" in capsys.readouterr().out
 
 
 def test_readme_command_lines_parse():

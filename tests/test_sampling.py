@@ -2,6 +2,7 @@
 definitions of ``tests/reference_sampling.py``."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -88,6 +89,61 @@ def test_sampler_with_draws_wider_than_a_byte(words, monkeypatch):
         assert _entries(random_cone_points(3, 5, bound=200, seed=seed)) == _entries(want)
     want = ref.random_cone_points(3, 4, bound=127, seed=2)  # 255 values: 8 bits
     assert _entries(random_cone_points(3, 4, bound=127, seed=2)) == _entries(want)
+
+
+# bounds around the field widths of the bit-parallel test: one-byte fields
+# up to 31, two-byte fields from 32; draws of 7 bits up to 63, of 8 bits
+# up to 127, and wider from 128
+EDGE_BOUNDS = [0, 1, 3, 31, 32, 63, 64, 127, 128, 200]
+
+
+@pytest.mark.parametrize("words", [1, 2, 7, 64])
+@pytest.mark.parametrize("bound", EDGE_BOUNDS)
+def test_sampler_matches_reference_at_the_field_width_edges(bound, words, monkeypatch):
+    # with 1, 2 or 7 words every candidate straddles draws
+    monkeypatch.setattr(weights, "_DRAW_WORDS", words)
+    for n, count, seed in [(3, 5, bound), (4, 3, bound + 1)]:
+        want = ref.random_cone_points(n, count, bound, seed)
+        assert _entries(random_cone_points(n, count, bound, seed)) == _entries(want)
+
+
+def _members(block, n, bound):
+    """The candidates of a block that the bit-parallel test keeps, and
+    those that _in_cone keeps, each tested alone on its entries."""
+    size = len(triangle_pairs(n))
+    rows = weights._cone_rows(n)
+    depth = ((2 * bound + 1).bit_length() + 7) // 8
+    count = len(block) // (size * depth)
+    got = list(weights._cone_members(block, count, size, depth, bound, *rows))
+    e = [int.from_bytes(block[x:x + depth], "little") - bound for x in range(0, len(block), depth)]
+    want = [i for i in range(count) if weights._in_cone(e[i * size:(i + 1) * size], *rows)]
+    return got, want, count
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("bound", EDGE_BOUNDS)
+def test_bit_parallel_verdicts_match_the_cone_test(n, bound):
+    # every candidate of three draws
+    blocks = weights._accepted_draws(random.Random(n + bound), 2 * bound)
+    kept = total = 0
+    for _ in range(3):
+        got, want, count = _members(next(blocks), n, bound)
+        assert got == want
+        kept, total = kept + len(got), total + count
+    if n in (3, 4) and bound:
+        assert 0 < kept < total
+
+
+@pytest.mark.parametrize("bound", EDGE_BOUNDS)
+def test_bit_parallel_verdicts_at_the_extreme_draws(bound):
+    # every candidate with draws 0, bound and 2 * bound alone, where the
+    # slacks reach -4 * bound and 4 * bound, the ends of a field
+    depth = ((2 * bound + 1).bit_length() + 7) // 8
+    for n in (3, 4):
+        draws = product((0, bound, 2 * bound), repeat=len(triangle_pairs(n)))
+        block = b"".join(r.to_bytes(depth, "little") for c in draws for r in c)
+        got, want, _ = _members(block, n, bound)
+        assert got == want
 
 
 def test_no_count_draws_nothing_whatever_the_bound():

@@ -1,5 +1,7 @@
 import random
+import re
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -232,6 +234,18 @@ def test_json_refuses_repeated_subsets_and_non_integer_n():
         TropicalPoint.from_json(data)
 
 
+@pytest.mark.parametrize("spelling", [" 2,3", "2, 3", "+2,3", "02,3", "2,03", "2,3 "])
+def test_json_refuses_keys_spelled_otherwise(spelling):
+    data = map_h(abelian_weight_system(3)).to_json()
+    data["s"] = {spelling if k == "2,3" else k: v for k, v in data["s"].items()}
+    with pytest.raises(ValueError, match=re.escape(f"key {spelling!r} is not spelled 2,3")):
+        TropicalPoint.from_json(data)
+    # after the usual key it is a repeat
+    data["s"] = {**map_h(abelian_weight_system(3)).to_json()["s"], spelling: 0}
+    with pytest.raises(ValueError, match=re.escape(f"key {spelling!r} repeats the subset [2, 3]")):
+        TropicalPoint.from_json(data)
+
+
 # the intended violations of suite.check_tropical_cone
 BAD_TRIANGLES = [
     (3, {(1, 2): 0, (2, 3): 0, (1, 3): 1}),
@@ -280,6 +294,42 @@ def _reference_points(ns):
             point = point_from_triangle(n, values)
             out += [point] + _shifted(point, Fraction(5, 2)) + _shifted(point, Fraction(1, 3))
     return out
+
+
+def _with_multiples(ns):
+    """The reference points and, for each with a denominator, its integer
+    multiple and that multiple shifted by 2: the same verdicts, read on
+    integer coordinates."""
+    out = []
+    for point in _reference_points(ns):
+        out.append(point)
+        den = lcm(*[v.denominator for v in point.s.values()])
+        if den > 1:
+            multiple = TropicalPoint(point.n, {I: v * den for I, v in point.s.items()})
+            out += [multiple] + _shifted(multiple, 2)
+    return out
+
+
+def test_integer_and_fraction_points_match_the_fraction_reference():
+    kinds, witnesses, shifted, integral = set(), set(), 0, set()
+    for point in _with_multiples((3, 4, 5, 6)):
+        integral.add(all(v.denominator == 1 for v in point.s.values()))
+        got = cone_C_membership(point)
+        assert got == reference_tropical.cone_C_membership(point), point
+        kinds.update(v.split()[0] for v in got[1])
+        shifted += any(point.s[tuple(range(1, k + 1))] for k in range(1, point.n))
+        try:
+            want = reference_tropical.maximality_witness(point)
+        except ValueError:
+            with pytest.raises(ValueError, match="must hold first"):
+                maximality_witness(point)
+            witnesses.add("refused")
+            continue
+        assert maximality_witness(point) == want, point
+        witnesses.add(want is not None)
+    assert kinds == {"[ii]", "[iii]", "[iv]", "[v]"}
+    assert witnesses == {"refused", True, False}
+    assert shifted and integral == {True, False}
 
 
 def test_cone_membership_matches_the_fraction_reference():

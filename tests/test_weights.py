@@ -114,7 +114,12 @@ def test_json_round_trip():
     ({"a": {"1,2": 0, "1,3": 0, "3,4": 0}}, "outside the triangle"),
     ({"a": {"1,2": 0, "1,3": 0, "2,2": 0}}, "outside the triangle"),
     ({"a": {"2,1": 0, "1,3": 0, "2,3": 0}}, "outside the triangle"),
-    ({"a": {"1,2": 0, "01,2": 0, "1,3": 0}}, "missing entries"),
+    ({"a": {"1,2": 0, "01,2": 0, "1,3": 0}}, "repeats the pair"),
+    ({"a": {"01,2": 0, "1,2": 0, "1,3": 0}}, "is not spelled 1,2"),
+    ({"a": {"1,2": 0, "1,3": 0, " 2,3": 0}}, "is not spelled 2,3"),
+    ({"a": {"1,2": 0, "1,3": 0, "2, 3": 0}}, "is not spelled 2,3"),
+    ({"a": {"1,2": 0, "1,3": 0, "+2,3": 0}}, "is not spelled 2,3"),
+    ({"a": {"1,2": 0, "1,3": 0, "02,3": 0}}, "is not spelled 2,3"),
 ])
 def test_json_is_strict(change, message):
     data = {"n": 3, "a": {"1,2": 0, "1,3": 0, "2,3": 0}}
