@@ -121,7 +121,7 @@ class Run:
         self.hashes[path] = hashlib.sha256(blob).hexdigest()
         try:
             return json.loads(blob)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, bad UTF-8 or a too long integer
             raise InputError(f"{path} is not valid JSON: {exc}")
 
     def load_weights(self, path):
@@ -268,7 +268,11 @@ def degrees_grading(run, args):
 
 def fflv_dim(run, args):
     dim = fflv.weyl_dim(run.lam(args.lam))
-    return run.emit(dim, [str(dim)])
+    try:
+        text = str(dim)  # JSON writes it the same way, so both formats fail here
+    except ValueError as exc:
+        raise InputError(f"Weyl dimension cannot be printed: {exc}")
+    return run.emit(dim, [text])
 
 
 def _enumerable_lam(run, args):
@@ -373,6 +377,9 @@ def rep_annihilator_check(run, args):
 
 def rep_psi_check(run, args):
     n, d = run.rank_and_sizes(args)
+    # psi_images acts with every generator on every wedge basis vector first
+    _guard_size("psi action table (generators times wedge basis vectors)",
+                comb(n, 2) * sum(comb(n, k) for k in d))
     A = None if args.weights is None else run.load_admissible(args.weights, n)
     if args.relations is None:
         _guard_relations(n, d)

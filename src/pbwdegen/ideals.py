@@ -115,10 +115,12 @@ class GradedPolynomial:
 
 
 def relation_pairs(d, mu=None):
-    """The size pairs p >= q of d that Pluecker relations come from; with
-    mu, only those whose relations, of multidegree e_p + e_q, fit into mu."""
+    """The size pairs p >= q of d that Pluecker relations come from, p >= 2
+    since an exchange moves a block of k <= p - 1 entries; with mu, only
+    those whose relations, of multidegree e_p + e_q, fit into mu."""
     deg = dict(zip(d, (2,) * len(d) if mu is None else mu))  # 2 of each fits every pair
-    return [(p, q) for p in d for q in d if p >= q and deg[q] >= 1 and deg[p] >= 1 + (p == q)]
+    return [(p, q) for p in d for q in d
+            if p >= q and p >= 2 and deg[q] >= 1 and deg[p] >= 1 + (p == q)]
 
 
 def relation_exchanges(n, d, mu=None):

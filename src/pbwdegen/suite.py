@@ -223,7 +223,7 @@ def check_tropical_cone(cap):
     and the degree map is injective."""
     for n in _ns((3, 4, 5), cap):
         points = [A for _, A in weights.canonical_weight_systems(n)]
-        points += weights.random_cone_points(n, 50, bound=3, seed=10 + n)
+        points += weights.random_cone_points(n, 50, seed=10 + n)
         for A in points:
             ok, bad = tropical.cone_C_membership(tropical.map_h(A))
             yield f"h(A) outside C at n={n}: {bad}", ok

@@ -182,20 +182,9 @@ def _slacks(e, rows_a, rows_b):
         yield e[p] + e[q] - e[r] - e[s]
 
 
-def _in_cone(e, rows_a, rows_b):
-    """The cone test on the entries e."""
-    for p, q, t in rows_a:
-        if e[p] + e[q] < e[t]:
-            return False
-    for p, q, t, u in rows_b:
-        if e[p] + e[q] < e[t] + e[u]:
-            return False
-    return True
-
-
 def check_cone_membership(A):
     """True iff every defining inequality (a), (b) holds."""
-    return _in_cone(A.entries, *_cone_rows(A.n))
+    return all(s >= 0 for s in _slacks(A.entries, *_cone_rows(A.n)))
 
 
 def derived_inequalities_hold(A):
@@ -286,99 +275,80 @@ def canonical_weight_systems(n):
     return out
 
 
+# Entries of random_cone_points are drawn from [-BOX, BOX]; the draw and
+# field widths of the sampler below hold for this box only.
+BOX = 3
 # Words of the Mersenne Twister taken per bulk draw of random_cone_points.
 _DRAW_WORDS = 4096
 
 
-def _accepted_draws(rng, top):
-    """Endless blocks of the draws in [0, top] that getrandbits(k), k the
-    bit length of top + 1, gives one at a time, those above top dropped,
-    each draw as (k + 7) // 8 little-endian bytes.
+def _accepted_draws(rng):
+    """Endless blocks of the draws r = entry + 3 in [0, 6] that
+    getrandbits(3) gives one at a time, the 7s dropped, one byte each.
 
     getrandbits(32 * m) holds m consecutive 32-bit outputs, the first in
-    the lowest bits, and getrandbits(k) for k <= 32 is the top k bits of
-    one output. For k <= 8 that is the top byte of each output shifted,
-    so a byte table maps and drops the draws in C; wider draws are taken
-    one at a time.
+    the lowest bits, and getrandbits(3) is the top 3 bits of one output:
+    the top byte of each output shifted by 5, which a byte table maps
+    and drops in C.
     """
-    k = (top + 1).bit_length()
-    m = _DRAW_WORDS
-    if k > 8:
-        depth = (k + 7) // 8
-        while True:
-            draws = (rng.getrandbits(k) for _ in range(m))
-            yield b"".join(r.to_bytes(depth, "little") for r in draws if r <= top)
-    table = bytes(b >> (8 - k) for b in range(256))
-    rejects = bytes(b for b in range(256) if b >> (8 - k) > top)
+    table = bytes(b >> 5 for b in range(256))
+    rejects = bytes(range(7 << 5, 256))
     while True:
-        words = rng.getrandbits(32 * m).to_bytes(4 * m, "little")
+        words = rng.getrandbits(32 * _DRAW_WORDS).to_bytes(4 * _DRAW_WORDS, "little")
         yield words[3::4].translate(table, rejects)
 
 
-def _cone_members(block, count, size, depth, bound, rows_a, rows_b):
+def _cone_members(block, count, size, rows_a, rows_b):
     """The indices, in order, of the cone's candidates among the first count
-    of a block, each size draws r = entry + bound in [0, 2 * bound] of depth
-    little-endian bytes.
+    of a block, each size one-byte draws r = entry + 3 in [0, 6].
 
     All are tested at once. Draw p of all candidates is one int C_p, a
-    w-byte field each, w least with 4 * bound < F = 2^(8w - 1). (a) is read
-    on C_p + C_q + (F - bound) - C_t and (b) on C_p + C_q + F - C_t - C_u,
-    adding first. Each field then stays within [F - 4 * bound, F + 4 * bound],
-    inside [0, 2F), so no field carries or borrows: a result field is its
-    inequality's slack at the entries plus F, and its top bit, worth F, is
-    set exactly when the slack is >= 0. The AND of the results with the
-    top bits keeps those of the members, found by bytes.find.
+    byte field each. (a) is read on C_p + C_q + (F - 3) - C_t and (b) on
+    C_p + C_q + F - C_t - C_u with F = 128, adding first. Each field then
+    stays within [116, 140], inside [0, 256), so no field carries or
+    borrows: a result field is its inequality's slack at the entries plus
+    F, and its top bit, worth F, is set exactly when the slack is >= 0.
+    The AND of the results with the top bits keeps those of the members,
+    found by bytes.find.
     """
-    width = (4 * bound).bit_length() // 8 + 1
-    ones = int.from_bytes((b"\1" + bytes(width - 1)) * count, "little")
-    mask = ones << (8 * width - 1)
-    fill = bytearray(width * count)
-    cols = []
-    for p in range(size):
-        for j in range(depth):
-            fill[j::width] = block[p * depth + j:count * size * depth:size * depth]
-        cols.append(int.from_bytes(fill, "little"))
-    shifted = mask - bound * ones
+    mask = int.from_bytes(b"\x80" * count, "little")
+    cols = [int.from_bytes(block[p:count * size:size], "little") for p in range(size)]
+    shifted = int.from_bytes(bytes([128 - BOX]) * count, "little")
     acc = mask
     for p, q, t in rows_a:
         acc &= cols[p] + cols[q] + shifted - cols[t]
     for p, q, t, u in rows_b:
         acc &= cols[p] + cols[q] + mask - cols[t] - cols[u]
-    flags = acc.to_bytes(width * count, "little")  # 0x80 or 0 in each top byte
+    flags = acc.to_bytes(count, "little")  # 0x80 or 0 in each byte
     at = flags.find(0x80)
     while at >= 0:
-        yield at // width
+        yield at
         at = flags.find(0x80, at + 1)
 
 
-def random_cone_points(n, count, bound=3, seed=0):
+def random_cone_points(n, count, seed=0):
     """The first count admissible triangles among uniform integer triangles
-    with entries in [-bound, bound] drawn from random.Random(seed). Each
-    entry is drawn as randint(-bound, bound) draws it in CPython 3.10-3.12:
-    getrandbits of the bit length of 2*bound+1, redrawn above 2*bound.
+    with entries in [-BOX, BOX] drawn from random.Random(seed). Each entry
+    is drawn as randint(-3, 3) draws it in CPython 3.10-3.12:
+    getrandbits(3), redrawn at 7.
 
-    The draws r = entry + bound are taken from the same stream in bulk,
+    The draws r = entry + 3 are taken from the same stream in bulk,
     and the whole candidates of a block are tested at once.
     """
     if count <= 0:
         return []
-    if bound < 0:
-        raise ValueError(f"empty range [{-bound}, {bound}]")
     if n < 2:
         raise ValueError("need n >= 2")
     size = len(triangle_pairs(n))
     rows_a, rows_b = _cone_rows(n)
-    depth = ((2 * bound + 1).bit_length() + 7) // 8
-    stride = size * depth
     found = []
     pending = b""
-    for block in _accepted_draws(random.Random(seed), 2 * bound):
+    for block in _accepted_draws(random.Random(seed)):
         block = pending + block
-        whole = len(block) // stride
-        for i in _cone_members(block, whole, size, depth, bound, rows_a, rows_b):
-            r = [int.from_bytes(block[x:x + depth], "little")
-                 for x in range(i * stride, (i + 1) * stride, depth)]
-            found.append(WeightSystem(n, tuple([x - bound for x in r])))
+        whole = len(block) // size
+        for i in _cone_members(block, whole, size, rows_a, rows_b):
+            r = block[i * size:(i + 1) * size]
+            found.append(WeightSystem(n, tuple([x - BOX for x in r])))
             if len(found) == count:
                 return found
-        pending = block[whole * stride:]
+        pending = block[whole * size:]

@@ -54,6 +54,29 @@ def test_malformed_input_exits_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, blob", [
+    (["weights", "check", "--weights"], b'{"n": 2, "a": {"1,2": "\xff"}}'),  # not UTF-8
+    (["weights", "check", "--weights"], b'{"n": 2, "a": {"1,2": ' + b"1" * 5001 + b"}}"),
+    (["trop", "map", "--weights"], b'{"n": 2, "a": {"1,2": ' + b"1" * 5001 + b"}}"),
+], ids=["check-not-utf8", "check-long-int", "map-long-int"])
+def test_json_that_json_loads_refuses_exits_two(argv, blob, tmp_path, capsys):
+    path = tmp_path / "w.json"
+    path.write_bytes(blob)
+    assert cli.main(argv + [str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "is not valid JSON" in captured.err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_fflv_dim_too_long_to_print_exits_two(fmt, capsys):
+    big = "1" + "0" * 2000
+    assert cli.main(["--format", fmt, "fflv", "dim", "--lam", f"{big},{big}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "Weyl dimension cannot be printed" in captured.err
+
+
 def test_missing_required_flag_exits_two(capsys):
     assert cli.main(["weights", "check"]) == 2
 
@@ -540,6 +563,22 @@ def test_ideal_initial_at_n12_ends_quickly(tmp_path):
     assert proc.returncode in (0, 2), proc.stderr
 
 
+def test_ideal_gen_of_size_one_walks_no_index(tmp_path):
+    # size 1 alone has no relation, and generation does not look at the n indices
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pbwdegen", "--format", "json", "ideal", "gen",
+         "--n", "1000000000", "--d", "1"],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert time.monotonic() - start < 1.0
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"] == []
+
+
 def test_relation_guard_bound_is_inclusive(capsys, monkeypatch):
     # 6 indices i, 2 blocks of one entry off i each, 1 rest off both: 12
     argv = ["ideal", "gen", "--n", "4", "--d", "2"]
@@ -818,15 +857,26 @@ def test_psi_check_bounds_the_expansion_first(n, variable, exponent, tmp_path, c
 
 def test_psi_check_stops_the_image_build_at_the_cap(tmp_path, capsys, monkeypatch):
     # classically C_j of size 1 has 2^(j-2) terms, 32,768 in all at n=16;
-    # the build stops after the power of the action that passes 1,000
+    # the build stops after the power of the action that passes 2,000, and
+    # the action tables, 120 generators on 16 basis vectors, fit that cap
     path = _write(tmp_path, "rels.json", [[{"coeff": "1", "monomial": [[[1], 1]]}]])
-    monkeypatch.setenv("PBWDEGEN_MAX_DIM", "1000")
+    monkeypatch.setenv("PBWDEGEN_MAX_DIM", "2000")
     monkeypatch.setattr(cli.representations, "psi_vanishes", _refuse_substitution)
     start = time.monotonic()
     assert cli.main(["rep", "psi-check", "--n", "16", "--d", "1", "--relations", path]) == 2
     assert time.monotonic() - start < 0.5
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "psi images have more terms than PBWDEGEN_MAX_DIM=1000" in err
+    assert err.count("\n") == 1 and "psi images have more terms than PBWDEGEN_MAX_DIM=2000" in err
+
+
+def test_psi_check_guards_the_action_tables_before_building_them(tmp_path, capsys, monkeypatch):
+    # 4,950 generators on 100 wedge basis vectors: 495,000 action calls
+    path = _write(tmp_path, "rels.json", [])
+    monkeypatch.setattr(cli.representations, "psi_images", _refuse)
+    monkeypatch.delenv("PBWDEGEN_MAX_DIM", raising=False)
+    assert cli.main(["rep", "psi-check", "--n", "100", "--d", "1", "--relations", path]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "psi action table" in err and "495000 exceeds" in err
 
 
 def test_psi_check_passes_the_relations_of_n5(tmp_path, capsys):

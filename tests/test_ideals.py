@@ -214,7 +214,7 @@ def test_other_generators_do_not_build_the_relations(monkeypatch):
 
 def test_relation_pairs_that_fit_mu():
     d = (1, 2, 3)
-    assert relation_pairs(d) == [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)]
+    assert relation_pairs(d) == [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3)]  # (1, 1) has no block
     # e_p + e_q <= mu: a pair of equal sizes needs that size twice
     assert relation_pairs(d, (1, 1, 0)) == [(2, 1)]
     assert relation_pairs(d, (0, 2, 1)) == [(2, 2), (3, 2)]
