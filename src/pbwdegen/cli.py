@@ -54,7 +54,31 @@ def _max_dim():
 def _guard_size(what, size):
     max_dim = _max_dim()
     if size > max_dim:
-        raise InputError(f"{what} {size} exceeds PBWDEGEN_MAX_DIM={max_dim}")
+        # str refuses ints past 4,300 digits: a long size is named by its bit length
+        shown = size if size.bit_length() <= 64 else f"of {size.bit_length()} bits"
+        raise InputError(f"{what} {shown} exceeds PBWDEGEN_MAX_DIM={max_dim}")
+
+
+def _guard_bits(what, bits):
+    """Refuse what, of size at least 2^bits, before that size is formed."""
+    max_dim = _max_dim()
+    if bits >= max_dim.bit_length():
+        raise InputError(f"{what} exceeds PBWDEGEN_MAX_DIM={max_dim} (at least 2^{bits})")
+
+
+def _binomial(what, a, b):
+    """C(a, b), at most the size of what, refused unformed past the bound: it
+    is the product over i <= k = min(b, a - b) of (a - k + i) / i, each >= 2."""
+    _guard_bits(what, min(b, a - b))
+    return comb(a, b)
+
+
+def _guard_dyck_paths(n):
+    """The pattern walk's Dyck paths, one bit field each: (n-1-m) Catalan(m)
+    of m + 1 rows for m <= n - 2, so at least Catalan(n-2) >= 2^(n-3)."""
+    _guard_bits(f"Dyck paths of the pattern walk at n={n}", n - 3)
+    _guard_size("Dyck paths of the pattern walk",
+                sum((n - 1 - m) * comb(2 * m, m) // (m + 1) for m in range(n - 1)))
 
 
 def _guard_relations(n, d, mu=None):
@@ -230,11 +254,7 @@ def _weights_rank(run, args):
 
 def weights_canonical(run, args):
     n = _weights_rank(run, args)
-    # 2^(n-2) + 3 systems; past the bit length of the bound the power is
-    # known to exceed it and is not built
-    max_dim = _max_dim()
-    if n - 2 >= max_dim.bit_length():
-        raise InputError(f"2^{n - 2}+3 weight systems exceed PBWDEGEN_MAX_DIM={max_dim}")
+    _guard_bits("canonical weight systems", n - 2)  # 2^(n-2) + 3 of them
     _guard_size("canonical weight systems", 2 ** (n - 2) + 3)
     out = [
         {"label": label, "weights": A.to_json()}
@@ -275,21 +295,23 @@ def fflv_dim(run, args):
     return run.emit(dim, [text])
 
 
-def _enumerable_lam(run, args):
+def _enumerable_lam(run, args, walks=False):
     """--lam, refused before any enumeration or module closure when its
-    Weyl dimension is too large."""
+    Weyl dimension, or the Dyck paths of a walk of its patterns, are too many."""
     lam = run.lam(args.lam)
     _guard_size("Weyl dimension", fflv.weyl_dim(lam))
+    if walks:
+        _guard_dyck_paths(lam.n)
     return lam
 
 
 def fflv_count(run, args):
-    count = fflv.count_patterns(_enumerable_lam(run, args))
+    count = fflv.count_patterns(_enumerable_lam(run, args, walks=True))
     return run.emit(count, [str(count)])
 
 
 def fflv_patterns(run, args):
-    out = [T.to_json() for T in fflv.enumerate_patterns(_enumerable_lam(run, args))]
+    out = [T.to_json() for T in fflv.enumerate_patterns(_enumerable_lam(run, args, walks=True))]
     return run.emit(out, [json.dumps(e, sort_keys=True) for e in out])
 
 
@@ -299,7 +321,7 @@ def tableaux_count(run, args):
 
 
 def tableaux_roundtrip(run, args):
-    ok = tableaux.bijection_failure(_enumerable_lam(run, args)) is None
+    ok = tableaux.bijection_failure(_enumerable_lam(run, args, walks=True)) is None
     return run.verdict("roundtrip", ok, "roundtrip")
 
 
@@ -320,7 +342,9 @@ def _component(run, args):
         raise InputError("--mu entries must be nonnegative")
     run.params["mu"] = list(mu)
     # the monomials of multidegree mu, counted without listing them
-    _guard_size("component dimension", prod(comb(comb(n, k) + m - 1, m) for k, m in zip(d, mu)))
+    what = "component dimension"
+    _guard_size(what, prod(_binomial(what, _binomial(what, n, k) + m - 1, m)
+                           for k, m in zip(d, mu) if m))
     return n, d, mu, run.load_admissible(args.weights, n)
 
 
@@ -352,9 +376,9 @@ def ideal_check_face_degeneration(run, args):
     return run.verdict("face_degeneration", ok, "face-degeneration")
 
 
-def _module(run, args):
+def _module(run, args, walks=False):
     """The weight system (None without --weights) and --lam of a module."""
-    lam = _enumerable_lam(run, args)
+    lam = _enumerable_lam(run, args, walks)
     if args.weights is None:
         return None, lam
     return run.load_admissible(args.weights, lam.n, "--lam"), lam
@@ -366,20 +390,20 @@ def rep_dim(run, args):
 
 
 def rep_fflv_check(run, args):
-    ok = representations.fflv_basis_check(*_module(run, args))
+    ok = representations.fflv_basis_check(*_module(run, args, walks=True))
     return run.verdict("fflv_basis", ok, "fflv-basis")
 
 
 def rep_annihilator_check(run, args):
-    ok = representations.annihilator_monomial_check(*_module(run, args))
+    ok = representations.annihilator_monomial_check(*_module(run, args, walks=True))
     return run.verdict("annihilator", ok, "annihilator-monomial")
 
 
 def rep_psi_check(run, args):
     n, d = run.rank_and_sizes(args)
     # psi_images acts with every generator on every wedge basis vector first
-    _guard_size("psi action table (generators times wedge basis vectors)",
-                comb(n, 2) * sum(comb(n, k) for k in d))
+    what = "psi action table (generators times wedge basis vectors)"
+    _guard_size(what, comb(n, 2) * sum(_binomial(what, n, k) for k in d))
     A = None if args.weights is None else run.load_admissible(args.weights, n)
     if args.relations is None:
         _guard_relations(n, d)
@@ -420,10 +444,12 @@ def trop_check(run, args):
     if ok and bound is not None:
         run.params["degree_bound"] = bound
         # the components of degree 2 to bound together: the monomials of
-        # degree <= bound in N variables, less those of degree 0 and 1
+        # degree <= bound in N variables, less those of degree 0 and 1; those
+        # of degree bound alone number C(N + bound - 1, bound)
         N = sum(comb(point.n, k) for k in d)
-        _guard_size(f"components of degree 2 to {bound}, total dimension",
-                    comb(N + bound, bound) - 1 - N)
+        what = f"components of degree 2 to {bound}, total dimension"
+        _guard_bits(what, min(bound, N - 1))
+        _guard_size(what, comb(N + bound, bound) - 1 - N)
         _guard_relations(point.n, d)
         no_mono = tropical.in_trop_necessary_check(point, d, bound)
         verdicts["bounded_no_monomial"] = payload["no_monomial_up_to_bound"] = no_mono

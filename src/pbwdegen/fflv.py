@@ -239,11 +239,18 @@ def count_patterns(lam):
 
 
 def weyl_dim(lam):
-    """Dimension of the irreducible sl_n module by the product formula, in integers."""
+    """Dimension of the irreducible sl_n module by the product formula, in
+    integers. A pair (i, j) whose a_i + ... + a_{j-1} is 0 has factor 1 and
+    is skipped: j starts past the first t >= i with a_t > 0."""
+    prefix = list(accumulate(lam.coeffs, initial=0))  # prefix[t] = a_1 + ... + a_t
     num = den = 1
-    for i, j in triangle_pairs(lam.n):
-        num *= sum(lam.coeffs[i - 1:j - 1]) + j - i
-        den *= j - i
+    start = lam.n + 1
+    for i in range(lam.n - 1, 0, -1):
+        if lam.coeffs[i - 1]:
+            start = i + 1
+        for j in range(start, lam.n + 1):
+            num *= prefix[j - 1] - prefix[i - 1] + j - i
+            den *= j - i
     dim, rem = divmod(num, den)
     if rem:
         raise RuntimeError(f"Weyl dimension formula gave the non-integer {Fraction(num, den)}")

@@ -206,9 +206,10 @@ def plucker_relations(n, d, mu=None):
     scaled to lead coefficient 1; only the kept ones become Fraction
     polynomials. The result is cached, so it is a tuple: no caller can
     change it for the next one. It is marked with the ideal it generates,
-    which _ideal_rows reads instead of building the relations to compare,
-    and with each relation's multidegree, which _spanning_rows reads: the
-    terms are products X_e1 X_e2 of sizes p and q, so it is e_p + e_q.
+    which initial_component reads instead of building the relations to
+    compare, and with each relation's multidegree, which _spanning_rows
+    reads: the terms are products X_e1 X_e2 of sizes p and q, so it is
+    e_p + e_q.
     """
     d = tuple(d)
     kept = {}  # relation key -> (coefficients, multidegree)
@@ -319,19 +320,12 @@ def _spanning_rows(gens, n, d, mu):
     return basis, rows
 
 
-def _echelon(rows):
-    ech = Echelon()
-    for row in rows:
-        ech.insert(row)
-    return ech
-
-
 class _ComponentRows(tuple):
     """The integer RREF rows of a Pluecker component, as
-    _canonical_rows_cache holds them, with the tables _own_basis tests
-    them by: flat, the columns of every row end to end, and pivots, each
-    row's pivot once per entry of the row. own is the component's own
-    ComponentBasis once _own_basis has built it."""
+    _canonical_rows_cache holds them, with the tables initial_component
+    tests them by: flat, the columns of every row end to end, and pivots,
+    each row's pivot once per entry of the row. own is the component's own
+    ComponentBasis once initial_component has built it."""
 
     def __new__(cls, rows):
         self = super().__new__(cls, rows)
@@ -348,35 +342,10 @@ def _canonical_rows_cache(n, d, mu):
     primitive rows with a positive pivot, zero on every other row's pivot
     column, sorted by pivot (Echelon.rref), as a _ComponentRows."""
     basis, rows = _spanning_rows(plucker_relations(n, d), n, d, mu)
-    return basis, _ComponentRows(_echelon(rows).rref())
-
-
-def _ideal_rows(gens, n, d, mu):
-    """Monomial basis and integer rows spanning the ideal component; the
-    Pluecker ideal, recognized by the mark plucker_relations puts on its
-    relations, has an echelon basis cached per mu."""
-    if getattr(gens, "ideal", None) == (n, d):
-        return _canonical_rows_cache(n, d, mu)
-    return _spanning_rows(gens, n, d, mu)
-
-
-def _own_basis(rows, n, d, mu, monomials, grades=None):
-    """The component's own ComponentBasis, the rows with pivot 1, when the
-    rows are its cached RREF, as _ideal_rows returns them for the marked
-    relations, and, for the column grades if given, every entry of every
-    row has the grade of its row's pivot (one pass in C, to the first
-    entry that differs); otherwise None. The basis is built on first use
-    and then shared by every caller, with its span key, so it is
-    read-only: no caller may change its rows."""
-    if type(rows) is not _ComponentRows:
-        return None
-    if grades is not None:
-        grade = grades.__getitem__
-        if not all(map(eq, map(grade, rows.flat), map(grade, rows.pivots))):
-            return None
-    if rows.own is None:
-        rows.own = ComponentBasis(n, d, mu, monomials, pivot_one(rows))
-    return rows.own
+    ech = Echelon()
+    for row in rows:
+        ech.insert(row)
+    return basis, _ComponentRows(ech.rref())
 
 
 def _column_grades(monomials, g, n, d):
@@ -416,12 +385,13 @@ class ComponentBasis:
 
 
 def component_basis(gens, n, d, mu):
-    """Row-reduced basis of the ideal component of multidegree mu; on the
-    marked relations, the component's own cached basis."""
-    basis, rows = _ideal_rows(gens, n, d, mu)
-    return _own_basis(rows, n, d, mu, basis) or ComponentBasis(
-        n, d, mu, basis, _echelon(rows).reduced_rows()
-    )
+    """Row-reduced basis of the ideal component of multidegree mu: its
+    initial component for the zero grading. Under a constant grading every
+    row is its own initial part, and _initial_rows files each row by its
+    least column, so it returns the RREF of the span; on the marked
+    relations every cached row is homogeneous, so it is the component's
+    own cached basis."""
+    return initial_component(gens, n, d, mu, dict.fromkeys(all_indices(n, d), 0))
 
 
 def _initial_rows(rows, grades):
@@ -474,13 +444,19 @@ def initial_component(gens, n, d, mu, g):
     initial part, so it lies in in(V). The rows have distinct pivots, so
     they are dim V independent vectors of in(V), and dim in(V) = dim V
     (_initial_rows), so they span it: in(V) = V. The RREF of a space is
-    unique, so it is the cached one, served as component_basis serves it.
+    unique, so it is the cached one. The basis is built on first use and
+    then shared by every caller, with its span key, so it is read-only: no
+    caller may change its rows. Any other generators are spanned afresh.
     """
-    basis, rows = _ideal_rows(gens, n, d, mu)
+    marked = getattr(gens, "ideal", None) == (n, d)
+    basis, rows = _canonical_rows_cache(n, d, mu) if marked else _spanning_rows(gens, n, d, mu)
     grades = _column_grades(basis, g, n, d)
-    return _own_basis(rows, n, d, mu, basis, grades) or ComponentBasis(
-        n, d, mu, basis, _initial_rows(rows, grades)
-    )
+    grade = grades.__getitem__
+    if marked and all(map(eq, map(grade, rows.flat), map(grade, rows.pivots))):
+        if rows.own is None:
+            rows.own = ComponentBasis(n, d, mu, basis, pivot_one(rows))
+        return rows.own
+    return ComponentBasis(n, d, mu, basis, _initial_rows(rows, grades))
 
 
 def contains_monomial(cb):
@@ -539,17 +515,9 @@ def classical_component(n, d, mu):
 
 
 def multidegrees_up_to(d, bound):
-    """All nonzero multidegrees over d of total degree <= bound."""
-    out = []
-
-    def build(pos, left, acc):
-        if pos == len(d):
-            if any(acc):
-                out.append(tuple(acc))
-            return
-        for v in range(left + 1):
-            build(pos + 1, left - v, acc + [v])
-
-    build(0, bound, [])
-    out.sort(key=lambda mu: (sum(mu), mu))
-    return out
+    """All nonzero multidegrees over d of total degree <= bound, by total
+    degree and then lexicographically."""
+    out = [()]
+    for _ in d:
+        out = [mu + (v,) for mu in out for v in range(bound + 1 - sum(mu))]
+    return sorted((mu for mu in out if any(mu)), key=lambda mu: (sum(mu), mu))

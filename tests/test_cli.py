@@ -652,10 +652,11 @@ def test_suite_capped(capsys):
 def test_suite_counts_have_closed_forms(capsys):
     assert cli.main(["suite"]) == 0
     counts = _suite_counts(capsys.readouterr().out.splitlines())
-    # 50 triangles per n = 3..6; C(n + 2, 3) weights with coefficient sum
+    # 50 cone points each at n = 3, 4 and 2^(n-2) + 3 canonical systems
+    # at n = 5, 6; C(n + 2, 3) weights with coefficient sum
     # <= 3 for n = 2..5, and C(n + 1, 2) with sum <= 2 for n = 2..4; C(n, 2)
     # pairs omega_k + omega_m, k <= m < n, for n = 2..4
-    assert counts["cone soundness"] == (200, "triangles")
+    assert counts["cone soundness"] == (130, "triangles")
     assert counts["dimension agreement"] == (69, "weights")
     assert counts["bijection round-trip"] == (19, "shapes")
     assert counts["Minkowski property"] == (10, "fundamental pairs")
@@ -877,6 +878,92 @@ def test_psi_check_guards_the_action_tables_before_building_them(tmp_path, capsy
     assert cli.main(["rep", "psi-check", "--n", "100", "--d", "1", "--relations", path]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "psi action table" in err and "495000 exceeds" in err
+
+
+HUGE = "1" + "0" * 1500  # a size past 4,300 digits comes of it
+
+
+@pytest.mark.parametrize("argv", [
+    # binomials of at least 2^17 > 100,000, refused before they are formed
+    ["rep", "psi-check", "--n", "20000", "--d", "10000"],
+    ["rep", "psi-check", "--n", "1000000", "--d", "500000"],
+    ["ideal", "initial", "--n", "100", "--d", "50", "--mu", "1000", "--weights", "A"],
+    ["ideal", "initial", "--n", "20000", "--d", "10000", "--mu", "1", "--weights", "A"],
+    ["ideal", "initial", "--n", "1000000", "--d", "500000", "--mu", "1", "--weights", "A"],
+    ["trop", "check", "--point", "P", "--degree-bound", "100000"],
+    # sizes too long to print, named by their bit length
+    ["rep", "psi-check", "--n", HUGE, "--d", "1"],
+    ["ideal", "gen", "--n", HUGE, "--d", "1,2"],
+], ids=lambda argv: " ".join(a[:8] for a in argv[:4]))
+def test_huge_sizes_exit_two_at_once(argv, tmp_path, capsys, monkeypatch):
+    files = {"A": _write(tmp_path, "zero3.json", zero_weight_system(3).to_json()),
+             "P": _write(tmp_path, "toric12.json", map_h(toric_weight_system(12)).to_json())}
+    monkeypatch.delenv("PBWDEGEN_MAX_DIM", raising=False)
+    start = time.monotonic()
+    assert cli.main([files.get(a, a) for a in argv]) == 2
+    assert time.monotonic() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "exceeds PBWDEGEN_MAX_DIM=100000" in captured.err
+
+
+def test_a_zero_entry_of_mu_adds_no_binomial(tmp_path, capsys, monkeypatch):
+    # C(10, 5) >= 2^5 > 10 indices of size 5, none in a monomial of mu=(1, 0):
+    # the component holds the 10 variables of size 1
+    path = _write(tmp_path, "zero10.json", zero_weight_system(10).to_json())
+    monkeypatch.setenv("PBWDEGEN_MAX_DIM", "10")
+    argv = ["ideal", "initial", "--n", "10", "--d", "1,5", "--mu", "1,0", "--weights", path]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "rank=0"
+    monkeypatch.setenv("PBWDEGEN_MAX_DIM", "9")
+    assert cli.main(argv) == 2
+    assert "component dimension 10 exceeds" in capsys.readouterr().err
+
+
+WALKS = ["fflv count", "fflv patterns", "tableaux roundtrip", "rep fflv-check",
+         "rep annihilator-check"]
+
+
+@pytest.mark.parametrize("action", WALKS + ["tableaux count", "rep dim", "fflv dim"])
+def test_pattern_walks_guard_their_dyck_paths(action, tmp_path, capsys, monkeypatch):
+    # n=7, lam = omega_1: Weyl dimension 7, but the walk keeps 104 Dyck paths
+    path = _write(tmp_path, "toric7.json", toric_weight_system(7).to_json())
+    argv = action.split() + ["--lam", "1,0,0,0,0,0"]
+    if action in ("rep fflv-check", "rep annihilator-check"):
+        argv += ["--weights", path]
+    monkeypatch.setenv("PBWDEGEN_MAX_DIM", "103")
+    if action in WALKS:
+        monkeypatch.setattr(cli.fflv, "dyck_paths", _refuse)
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: Dyck paths of the pattern walk 104 exceeds PBWDEGEN_MAX_DIM=103\n"
+        monkeypatch.undo()
+        monkeypatch.setenv("PBWDEGEN_MAX_DIM", "104")
+    assert cli.main(argv) == 0
+
+
+def test_dyck_path_guard_is_the_closed_form(monkeypatch):
+    from pbwdegen.fflv import dyck_paths
+    cases = [(n, len(dyck_paths(n))) for n in range(2, 10)] + [(12, 33615), (13, 116115)]
+    for n, paths in cases:
+        monkeypatch.setenv("PBWDEGEN_MAX_DIM", str(paths))
+        cli._guard_dyck_paths(n)
+        monkeypatch.setenv("PBWDEGEN_MAX_DIM", str(paths - 1))
+        with pytest.raises(cli.InputError, match=f"walk {paths} exceeds"):
+            cli._guard_dyck_paths(n)
+
+
+def test_fflv_count_at_n14_exits_two_at_once(capsys, monkeypatch):
+    # Weyl dimension 14, but 406,627 Dyck paths; the walk took 44 s
+    monkeypatch.delenv("PBWDEGEN_MAX_DIM", raising=False)
+    monkeypatch.setattr(cli.fflv, "dyck_paths", _refuse)
+    start = time.monotonic()
+    assert cli.main(["fflv", "count", "--lam", ",".join(["1"] + ["0"] * 12)]) == 2
+    assert time.monotonic() - start < 1.0
+    assert "Dyck paths of the pattern walk 406627 exceeds" in capsys.readouterr().err
+    # a rank too large for the sum to be formed is refused by its last Catalan term
+    assert cli.main(["fflv", "count", "--lam", ",".join(["0"] * 10000)]) == 2
+    assert "(at least 2^9998)" in capsys.readouterr().err
 
 
 def test_psi_check_passes_the_relations_of_n5(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -88,6 +89,14 @@ def test_integer_weyl_dim_matches_the_fraction_formula():
             assert type(got) is int and got == want, coeffs
             count += 1
     assert count == 1364
+    # n=448, the weight zero and fundamental weights omega_k, of dimension
+    # C(n, k): the pairs of zero coefficient sum are skipped, not multiplied
+    n = 448
+    start = time.monotonic()
+    for k in (0, 1, 200, 447):
+        lam = DominantWeight(n, tuple(int(t == k) for t in range(1, n)))
+        assert weyl_dim(lam) == comb(n, k), k
+    assert time.monotonic() - start < 1.0
 
 
 def test_membership_respects_path_bounds():

@@ -602,9 +602,10 @@ def test_fraction_generators_span_their_own_multiples():
 
 def test_cached_echelon_rows_match_the_spanning_rows():
     """The Pluecker component is reduced once and shared by every grading:
-    each grading's initial component, and the plain component, agree with
-    the Fraction references applied to the raw spanning rows. Every
-    canonical system at n=4 (degree <= 3) and n=5 (degree 2)."""
+    each grading's initial component, and the plain component of the
+    marked relations and of an unmarked copy, agree with the Fraction
+    references applied to the raw spanning rows. Every canonical system at
+    n=4 (degree <= 3) and n=5 (degree 2)."""
     for n, degrees in [(4, (1, 2, 3)), (5, (2,))]:
         d = tuple(range(1, n))
         gens = plucker_relations(n, d)
@@ -614,9 +615,10 @@ def test_cached_echelon_rows_match_the_spanning_rows():
             ref = FractionEchelon()
             for row in rows:
                 ref.insert(row)
-            plain = component_basis(gens, n, d, mu)
-            assert plain.monomials == basis
-            assert plain.rows == ref.reduced_rows(), mu
+            for spanned in (gens, list(gens)):  # the cached rows, and all rows afresh
+                plain = component_basis(spanned, n, d, mu)
+                assert plain.monomials == basis
+                assert plain.rows == ref.reduced_rows(), mu
             cached_basis, cached_rows = ideals._canonical_rows_cache(n, d, mu)
             assert cached_basis == basis and len(cached_rows) == ref.rank
             # integer RREF: primitive, positive pivot, zero on every other
