@@ -81,7 +81,13 @@ def _guard_dyck_paths(n):
                 sum((n - 1 - m) * comb(2 * m, m) // (m + 1) for m in range(n - 1)))
 
 
+def _guard_indices(n, sizes):
+    """The Pluecker indices of the given sizes, counted before any is listed."""
+    _guard_size("Pluecker indices", sum(_binomial("Pluecker indices", n, k) for k in sizes))
+
+
 def _guard_relations(n, d, mu=None):
+    _guard_indices(n, {k for pair in ideals.relation_pairs(d, mu) for k in pair})
     _guard_size("Pluecker relation exchanges", ideals.relation_exchanges(n, d, mu))
 
 
@@ -281,7 +287,9 @@ def weights_random(run, args):
 
 def degrees_grading(run, args):
     A = run.load_admissible(args.weights)
-    g = degrees.grading_vector(A, run.sizes(A.n, args.d))
+    d = run.sizes(A.n, args.d)
+    _guard_indices(A.n, d)
+    g = degrees.grading_vector(A, d)
     out = dict(sorted((degrees.index_label(I), v) for I, v in g.items()))
     return run.emit(out, [f"{k} {v}" for k, v in out.items()])
 
@@ -350,6 +358,9 @@ def _component(run, args):
 
 def ideal_initial(run, args):
     n, d, mu, A = _component(run, args)
+    if any(mu):  # only the sizes of mu's variables are listed and graded
+        d, mu = tuple(k for k, m in zip(d, mu) if m), tuple(m for m in mu if m)
+    _guard_indices(n, d)  # all of d for mu = 0, a component of dimension 1
     _guard_relations(n, d, mu)  # only the relations that fit mu are built
     gens = ideals.plucker_relations(n, d, mu)
     cb = ideals.initial_component(gens, n, d, mu, degrees.grading_vector(A, d))

@@ -13,11 +13,13 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, combinations_with_replacement, repeat
 from math import comb, lcm
-from operator import add, eq
+from operator import add, eq, lt
 
 from .degrees import all_indices, grading_vector, index_label
 from .linalg import Echelon, _eliminate, _integral, canonical_rows, pivot_one
 from .weights import face_contains, face_signature, zero_weight_system
+
+_CERTIFICATES = 64  # kept for one cached component at most (initial_component)
 
 
 def _sort_sign(seq):
@@ -322,16 +324,16 @@ def _spanning_rows(gens, n, d, mu):
 
 class _ComponentRows(tuple):
     """The integer RREF rows of a Pluecker component, as
-    _canonical_rows_cache holds them, with the tables initial_component
-    tests them by: flat, the columns of every row end to end, and pivots,
-    each row's pivot once per entry of the row. own is the component's own
-    ComponentBasis once initial_component has built it."""
+    _canonical_rows_cache holds them, with positions, its monomials
+    transposed for _column_grades, and certificates (initial_component),
+    the first the rows' own, serving the component's own basis."""
 
-    def __new__(cls, rows):
+    def __new__(cls, rows, basis, own):
         self = super().__new__(cls, rows)
-        self.flat = tuple(chain.from_iterable(self))
-        self.pivots = tuple(chain.from_iterable(repeat(min(row), len(row)) for row in self))
-        self.own = None
+        self.positions = tuple(zip(*basis))
+        inside = tuple(chain.from_iterable(self))
+        leads = tuple(chain.from_iterable(repeat(min(row), len(row)) for row in self))
+        self.certificates = [(inside, leads, (), (), own)]
         return self
 
 
@@ -345,15 +347,16 @@ def _canonical_rows_cache(n, d, mu):
     ech = Echelon()
     for row in rows:
         ech.insert(row)
-    return basis, _ComponentRows(ech.rref())
+    rows = ech.rref()
+    return basis, _ComponentRows(rows, basis, ComponentBasis(n, d, mu, basis, pivot_one(rows)))
 
 
-def _column_grades(monomials, g, n, d):
-    """Grade of every id monomial over (n, d) under the degree table g,
-    summed one position of the monomials at a time."""
+def _column_grades(monomials, g, n, d, positions=None):
+    """Grade of every id monomial over (n, d) under the degree table g, summed
+    one position at a time (positions: the monomials transposed, if given)."""
     grade = [g[I] for I in all_indices(n, d)].__getitem__
     grades = [0] * len(monomials)
-    for ids in zip(*monomials):
+    for ids in zip(*monomials) if positions is None else positions:
         grades = list(map(add, grades, map(grade, ids)))
     return grades
 
@@ -367,7 +370,6 @@ class ComponentBasis:
         self.mu = mu
         self.monomials = monomials  # ordered basis of the ring component, id tuples
         self.rows = rows  # RREF rows, sparse over column positions
-        self._key = None
 
     @property
     def rank(self):
@@ -378,25 +380,23 @@ class ComponentBasis:
         return [GradedPolynomial({pairs[c]: v for c, v in row.items()}) for row in self.rows]
 
     def span_key(self):
-        """canonical_rows of the rows, taken on the first call."""
-        if self._key is None:
-            self._key = canonical_rows(self.rows)
-        return self._key
+        """canonical_rows of the rows, taken afresh: a shared basis keeps no copy."""
+        return canonical_rows(self.rows)
 
 
 def component_basis(gens, n, d, mu):
     """Row-reduced basis of the ideal component of multidegree mu: its
     initial component for the zero grading. Under a constant grading every
     row is its own initial part, and _initial_rows files each row by its
-    least column, so it returns the RREF of the span; on the marked
-    relations every cached row is homogeneous, so it is the component's
-    own cached basis."""
+    least column, so it returns the RREF of the span: on the marked
+    relations, the component's own basis."""
     return initial_component(gens, n, d, mu, dict.fromkeys(all_indices(n, d), 0))
 
 
-def _initial_rows(rows, grades):
+def _initial_rows(rows, grades, filed=None):
     """RREF rows spanning the initial parts of the span V of rows, for the
-    column grades.
+    column grades. filed, if given, is an empty dict that receives the
+    reduced basis of V the initial parts come from, {leading column: row}.
 
     The leading term of a row is its least (grade, column) entry: least
     grade first, then least column. Each row is filed under the column of
@@ -405,6 +405,8 @@ def _initial_rows(rows, grades):
     greater terms, until it is filed or vanishes. So the filed rows have
     distinct leading terms and form an echelon basis of V in (grade,
     column) order. A cached RREF row rarely collides and is filed as is.
+    Back-substitution, greatest leading term first, clears each filed row
+    on the other leading columns, all past its own and reduced already.
 
     The initial part of a filed row, its entries of least grade, contains
     the leading term, and lies in in(V). It lies inside one grade class,
@@ -413,50 +415,76 @@ def _initial_rows(rows, grades):
     column is also the least column of the initial part, and the dim V
     initial parts, with distinct pivots, form an echelon basis in column
     order: they are independent, and dim in(V) = dim V, so they span
-    in(V). Their back-substitution is the RREF, which is unique.
+    in(V). Zero on each other's pivots, scaled to pivot 1 they are the
+    RREF, which is unique.
     """
     grade = grades.__getitem__
-    filed = {}  # leading column -> (its grade, row)
+    filed = {} if filed is None else filed
     for vec in rows:
         row = _integral(vec)  # Fraction rows, as face_degeneration_check passes
         while row:
-            lowest, lead = min(zip(map(grade, row), row))
+            _, lead = min(zip(map(grade, row), row))
             other = filed.get(lead)
             if other is None:
-                filed[lead] = lowest, row
+                filed[lead] = row
                 break
             if row is vec:
                 row = dict(vec)
-            _eliminate(row, other[1], lead)
-    out = Echelon()
-    for lead, (lowest, row) in filed.items():
-        sign = 1 if row[lead] > 0 else -1
-        out.rows[lead] = {c: sign * v for c, v in row.items() if grade(c) == lowest}
-    return out.reduced_rows()
+            _eliminate(row, other, lead)
+    for lead in sorted(filed, key=lambda c: (grade(c), c), reverse=True):
+        cols = filed[lead].keys() & filed.keys()
+        cols.discard(lead)
+        if cols:
+            row = filed[lead] = dict(filed[lead])
+            for col in cols:
+                _eliminate(row, filed[col], col)
+    return pivot_one([{c: v for c, v in filed[lead].items() if grade(c) == grade(lead)}
+                      for lead in sorted(filed)])
 
 
 def initial_component(gens, n, d, mu, g):
     """Basis of the initial-ideal component for grading g.
 
-    On the marked relations the rows are the component's cached RREF, and
-    the answer is the component's own basis when every row is homogeneous,
-    each entry of the grade of its row's pivot. Then each row is its own
-    initial part, so it lies in in(V). The rows have distinct pivots, so
-    they are dim V independent vectors of in(V), and dim in(V) = dim V
-    (_initial_rows), so they span it: in(V) = V. The RREF of a space is
-    unique, so it is the cached one. The basis is built on first use and
-    then shared by every caller, with its span key, so it is read-only: no
-    caller may change its rows. Any other generators are spanned afresh.
+    On the marked relations the rows span the cached component V, which
+    keeps a certificate for each initial component computed from it. For
+    a grading g0, _initial_rows files a reduced basis E of V: each e in E
+    has a lead l_e, a column zero in every other e, and an initial part
+    in_g0(e) of least g0-grade. The certificate pairs each column of each
+    e with l_e, inside if in in_g0(e), else outside, and holds the basis
+    of in_g0(V). g satisfies it if every inside column has the g-grade of
+    its lead and every outside one a greater g-grade. Then in_g(e) =
+    in_g0(e) for every e; those span in_g0(V) (_initial_rows), which so
+    lies in in_g(V), of the same dimension: they are equal, and the RREF
+    is unique. Conversely, if in_g(V) = in_g0(V), in_g(e), in it and zero
+    on every other lead, is a nonzero multiple of in_g0(e) and a part of
+    e: it is in_g0(e). The first certificate is the RREF's own, each row
+    whole: it holds where every row is homogeneous, and serves V's basis.
+    At most _CERTIFICATES are kept a component: each holds its basis until
+    the cache is cleared, and a grading with a new initial component tests
+    them all. Served bases are shared, so read-only. Any other generators
+    are spanned afresh.
     """
-    marked = getattr(gens, "ideal", None) == (n, d)
-    basis, rows = _canonical_rows_cache(n, d, mu) if marked else _spanning_rows(gens, n, d, mu)
-    grades = _column_grades(basis, g, n, d)
+    if getattr(gens, "ideal", None) != (n, d):
+        basis, rows = _spanning_rows(gens, n, d, mu)
+        return ComponentBasis(n, d, mu, basis, _initial_rows(rows, _column_grades(basis, g, n, d)))
+    basis, rows = _canonical_rows_cache(n, d, mu)
+    grades = _column_grades(basis, g, n, d, rows.positions)
     grade = grades.__getitem__
-    if marked and all(map(eq, map(grade, rows.flat), map(grade, rows.pivots))):
-        if rows.own is None:
-            rows.own = ComponentBasis(n, d, mu, basis, pivot_one(rows))
-        return rows.own
-    return ComponentBasis(n, d, mu, basis, _initial_rows(rows, grades))
+    for inside, inside_leads, outside, outside_leads, served in rows.certificates:
+        if (all(map(eq, map(grade, inside), map(grade, inside_leads)))
+                and all(map(lt, map(grade, outside_leads), map(grade, outside)))):
+            return served
+    filed = {}
+    cb = ComponentBasis(n, d, mu, basis, _initial_rows(rows, grades, filed))
+    if len(rows.certificates) < _CERTIFICATES:
+        sides = ([], [], [], [])  # inside, their leads, outside, their leads
+        for lead, row in filed.items():
+            for c in row:
+                side = 2 * (grade(c) > grade(lead))
+                sides[side].append(c)
+                sides[side + 1].append(lead)
+        rows.certificates.append((*map(tuple, sides), cb))
+    return cb
 
 
 def contains_monomial(cb):

@@ -14,6 +14,8 @@ from pathlib import Path
 import pytest
 
 from pbwdegen import cli
+from pbwdegen.degrees import grading_vector
+from pbwdegen.ideals import initial_component, plucker_relations
 from pbwdegen.tropical import map_h, point_from_triangle
 from pbwdegen.weights import (
     WeightSystem,
@@ -918,6 +920,75 @@ def test_a_zero_entry_of_mu_adds_no_binomial(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PBWDEGEN_MAX_DIM", "9")
     assert cli.main(argv) == 2
     assert "component dimension 10 exceeds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    # C(100, 50) >= 2^50 indices of size 50, and C(20000, 10000) >= 2^10000
+    ["degrees", "--weights", "Z", "--d", "50"],
+    ["ideal", "gen", "--n", "20000", "--d", "10000"],
+    ["ideal", "initial", "--n", "100", "--d", "50", "--mu", "0", "--weights", "Z"],
+], ids=["degrees", "ideal gen", "ideal initial mu=0"])
+def test_index_counts_are_refused_before_any_index_is_listed(argv, tmp_path, capsys,
+                                                             monkeypatch):
+    monkeypatch.setattr(cli.degrees, "all_indices", _refuse)
+    monkeypatch.setattr(cli.ideals, "relation_exchanges", _refuse)
+    monkeypatch.delenv("PBWDEGEN_MAX_DIM", raising=False)
+    path = _write(tmp_path, "zero100.json", zero_weight_system(100).to_json())
+    start = time.monotonic()
+    assert cli.main([path if a == "Z" else a for a in argv]) == 2
+    assert time.monotonic() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(
+        "error: Pluecker indices exceeds PBWDEGEN_MAX_DIM=100000 (at least 2^")
+
+
+def test_index_count_bound_is_inclusive(tmp_path, capsys, monkeypatch):
+    # 10 + 10 indices of sizes 2 and 3 at n=5, one grade each
+    path = _write(tmp_path, "zero5.json", zero_weight_system(5).to_json())
+    argv = ["degrees", "--weights", path, "--d", "2,3"]
+    monkeypatch.setenv("PBWDEGEN_MAX_DIM", "20")
+    assert cli.main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 21  # and the manifest
+    monkeypatch.setenv("PBWDEGEN_MAX_DIM", "19")
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: Pluecker indices 20 exceeds PBWDEGEN_MAX_DIM=19\n"
+
+
+def test_relation_guard_counts_the_indices_first(capsys, monkeypatch):
+    # the size pairs (2, 1) and (2, 2) walk the 5 + 10 indices of n=5
+    monkeypatch.setattr(cli.ideals, "relation_exchanges", _refuse)
+    monkeypatch.setenv("PBWDEGEN_MAX_DIM", "14")
+    assert cli.main(["ideal", "gen", "--n", "5", "--d", "1,2"]) == 2
+    assert "Pluecker indices 15 exceeds" in capsys.readouterr().err
+
+
+def test_ideal_initial_lists_only_the_sizes_of_mu(tmp_path, capsys):
+    # the 5,050 monomials of degree 2 in the 100 variables of size 1 hold no
+    # relation; the C(100, 50) indices of size 50 were listed and graded
+    path = _write(tmp_path, "zero100.json", zero_weight_system(100).to_json())
+    argv = ["ideal", "initial", "--n", "100", "--d", "1,50", "--mu", "2,0", "--weights", path]
+    start = time.monotonic()
+    assert cli.main(argv) == 0
+    assert time.monotonic() - start < 1.0
+    assert capsys.readouterr().out.splitlines()[0] == "rank=0"
+
+
+@pytest.mark.parametrize("mu, rank", [((1, 0, 1), 1), ((0, 2, 0), 1), ((2, 0, 1), 4),
+                                      ((0, 0, 0), 0)])
+def test_ideal_initial_without_the_unused_sizes_is_the_full_component(mu, rank, tmp_path,
+                                                                      capsys):
+    # the component as the library gives it over every size of --d
+    n, d = 4, (1, 2, 3)
+    A = toric_weight_system(n)
+    path = _write(tmp_path, "toric4.json", A.to_json())
+    argv = ["--format", "json", "ideal", "initial", "--n", "4", "--d", "1,2,3",
+            "--mu", ",".join(map(str, mu)), "--weights", path]
+    assert cli.main(argv) == 0
+    got = json.loads(capsys.readouterr().out)["result"]
+    cb = initial_component(plucker_relations(n, d), n, d, mu, grading_vector(A, d))
+    assert got == {"rank": rank, "rows": [p.to_json() for p in cb.row_polynomials()]}
 
 
 WALKS = ["fflv count", "fflv patterns", "tableaux roundtrip", "rep fflv-check",

@@ -43,6 +43,7 @@ from pbwdegen.weights import (
     is_interior,
     random_cone_points,
     toric_weight_system,
+    WeightSystem,
     zero_weight_system,
 )
 from test_degrees import slack_point
@@ -757,13 +758,15 @@ def test_initial_components_at_random_cone_points(seed):
 
 
 def test_the_shared_component_basis_is_read_only():
-    """The component's own basis, served to every caller, still equals the
-    Fraction reference of the spanning rows after the checks and readers
-    that take it have run: face degeneration, quadratic generation, the
-    monomial test and the row polynomials."""
+    """The component's own basis, served to every caller, and the basis of
+    the abelian grading, served by its certificate once it is computed,
+    still equal the Fraction references of the spanning rows after the
+    checks and readers that take them have run: face degeneration,
+    quadratic generation, the monomial test and the row polynomials."""
     n, d = 4, (1, 2, 3)
     gens = plucker_relations(n, d)
     zero, abelian = zero_weight_system(n), abelian_weight_system(n)
+    g = grading_vector(abelian, d)
     for mu in [mu for mu in multidegrees_up_to(d, 3) if sum(mu) >= 2]:
         _, spanning = ideals._spanning_rows(gens, n, d, mu)
         ref = FractionEchelon()
@@ -772,13 +775,103 @@ def test_the_shared_component_basis_is_read_only():
         want = ref.reduced_rows()
         shared = classical_component(n, d, mu)
         assert shared is component_basis(gens, n, d, mu)
+        served = initial_component(gens, n, d, mu, g)
+        assert initial_component(gens, n, d, mu, g) is served
         assert face_degeneration_check(zero, abelian, n, d, mu)
         assert quadratic_generation_check(zero, n, d, mu)
-        contains_monomial(shared)
-        shared.row_polynomials()
+        assert quadratic_generation_check(abelian, n, d, mu)
+        for basis in (shared, served):
+            contains_monomial(basis)
+            basis.row_polynomials()
         assert component_basis(gens, n, d, mu) is shared
+        assert initial_component(gens, n, d, mu, g) is served
         assert shared.rows == want, mu
         assert shared.span_key() == canonical_rows(want)
+        grades = reference_column_grades(pair_monomials(n, d, served.monomials), g)
+        assert served.rows == reference_initial_rows(spanning, grades), mu
+
+
+def _toric_combination(n, rng):
+    """The toric system plus a seeded nonnegative integer combination of
+    cone points: abelian, toric and a_{i,j} = u_i with u_i >= 0."""
+    c_toric, c_abelian = rng.randint(0, 2), rng.randint(0, 2)
+    u = [rng.randint(0, 2) for _ in range(n)]
+    A = WeightSystem.from_function(
+        n, lambda i, j: (1 + c_toric) * (j - i + 1) * (n - j) + c_abelian + u[i - 1])
+    assert is_interior(A)
+    return A
+
+
+def test_certificates_serve_the_reference_rows(monkeypatch):
+    """From cold caches, on the components of degree <= 3 at n=4 and of
+    degree 2 and 3 at n=5: every canonical system, then two interior
+    points, the toric system plus seeded nonnegative combinations of cone
+    points, then 10 random cone points. Every basis, served by a
+    certificate or computed, equals the Fraction reference on grades taken
+    afresh. Once the toric system has run on a component, the interior
+    points are served without one more leading-term pass; some calls of
+    the canonical and random stages are served by a certificate that is
+    not the rows' own, and some are computed."""
+    calls = []
+    initial_rows = ideals._initial_rows
+    monkeypatch.setattr(ideals, "_initial_rows", lambda *a: calls.append(1) or initial_rows(*a))
+    ideals._canonical_rows_cache.cache_clear()
+    for n, degrees in [(4, (1, 2, 3)), (5, (2, 3))]:
+        d = tuple(range(1, n))
+        gens = plucker_relations(n, d)
+        mus = [mu for mu in multidegrees_up_to(d, 3) if sum(mu) in degrees]
+        rng = Random(n)
+        stages = [
+            [A for _, A in canonical_weight_systems(n)],
+            [_toric_combination(n, rng) for _ in range(2)],
+            random_cone_points(n, 10, seed=n),
+        ]
+        for stage, systems in enumerate(stages):
+            computed = by_certificate = 0
+            for A in systems:
+                g = grading_vector(A, d)
+                for mu in mus:
+                    before = len(calls)
+                    got = initial_component(gens, n, d, mu, g)
+                    _, rows = ideals._canonical_rows_cache(n, d, mu)
+                    grades = reference_column_grades(pair_monomials(n, d, got.monomials), g)
+                    assert got.rows == reference_initial_rows(rows, grades), (n, stage, mu)
+                    computed += len(calls) > before
+                    by_certificate += (len(calls) == before
+                                       and got is not component_basis(gens, n, d, mu))
+            if stage == 1:
+                assert computed == 0, n
+            else:
+                assert computed and by_certificate, (n, stage)
+
+
+def test_a_grading_that_moves_one_initial_support_is_not_served(monkeypatch):
+    """The toric grading on the n=4 component (1, 1, 1), with one column of
+    an initial support of its certificate raised by one: that row's
+    initial part changes, so the certificate no longer holds, and the
+    component is computed afresh and equals the Fraction reference for the
+    perturbed grades."""
+    n, d, mu = 4, (1, 2, 3), (1, 1, 1)
+    gens = plucker_relations(n, d)
+    ideals._canonical_rows_cache.cache_clear()
+    g = grading_vector(toric_weight_system(n), d)
+    toric = initial_component(gens, n, d, mu, g)
+    assert initial_component(gens, n, d, mu, g) is toric
+    basis, rows = ideals._canonical_rows_cache(n, d, mu)
+    assert len(rows.certificates) == 2  # the rows' own and the toric grading's
+    inside, leads, outside, _, served = rows.certificates[1]
+    assert served is toric and outside
+    col = next(c for c, lead in zip(inside, leads) if c != lead)
+    grades = ideals._column_grades(basis, g, n, d)
+    grades[col] += 1
+    calls = []
+    initial_rows = ideals._initial_rows
+    monkeypatch.setattr(ideals, "_initial_rows", lambda *a: calls.append(1) or initial_rows(*a))
+    monkeypatch.setattr(ideals, "_column_grades", lambda *args: list(grades))
+    got = initial_component(gens, n, d, mu, g)
+    assert calls == [1] and got is not toric
+    assert got.rows == reference_initial_rows(rows, grades)
+    assert got.span_key() != toric.span_key()
 
 
 class _CountingSigns:
