@@ -87,8 +87,11 @@ def _guard_indices(n, sizes):
 
 
 def _guard_relations(n, d, mu=None):
-    _guard_indices(n, {k for pair in ideals.relation_pairs(d, mu) for k in pair})
+    """Relation generation's indices, exchanges and index entries, counted first."""
+    sizes = {k for pair in ideals.relation_pairs(d, mu) for k in pair}
+    _guard_indices(n, sizes)
     _guard_size("Pluecker relation exchanges", ideals.relation_exchanges(n, d, mu))
+    _guard_size("Pluecker index entries", sum(k * comb(n, k) for k in sizes))
 
 
 def _guard_substitution(rels, images):

@@ -16,8 +16,8 @@ from math import comb, lcm
 from operator import add, eq, lt
 
 from .degrees import all_indices, grading_vector, index_label
-from .linalg import Echelon, _eliminate, _integral, canonical_rows, pivot_one
-from .weights import face_contains, face_signature, zero_weight_system
+from .linalg import Echelon, canonical_rows, pivot_one
+from .weights import face_contains, face_signature
 
 _CERTIFICATES = 64  # kept for one cached component at most (initial_component)
 
@@ -134,7 +134,7 @@ def relation_exchanges(n, d, mu=None):
         comb(n, p) * comb(p, t) * comb(n - p, k - t) * comb(n - p - k + t, q - k)
         for p, q in relation_pairs(d, mu)
         for k in range(1, min(q, p - 1) + 1)
-        for t in range(max(0, k - n + p), k)  # no more than n - p entries off i
+        for t in range(max(0, k - n + p, q - n + p), k)  # room for k - t off i, q - k off both
     )
 
 
@@ -387,58 +387,34 @@ class ComponentBasis:
 def component_basis(gens, n, d, mu):
     """Row-reduced basis of the ideal component of multidegree mu: its
     initial component for the zero grading. Under a constant grading every
-    row is its own initial part, and _initial_rows files each row by its
-    least column, so it returns the RREF of the span: on the marked
-    relations, the component's own basis."""
+    row is its own initial part, and the (grade, column) order of
+    _initial_rows is the column order, so it returns the RREF of the span:
+    on the marked relations, the component's own basis."""
     return initial_component(gens, n, d, mu, dict.fromkeys(all_indices(n, d), 0))
 
 
 def _initial_rows(rows, grades, filed=None):
     """RREF rows spanning the initial parts of the span V of rows, for the
     column grades. filed, if given, is an empty dict that receives the
-    reduced basis of V the initial parts come from, {leading column: row}.
+    reduced basis E of V the initial parts come from, {leading column: row}:
+    the RREF of V in (grade, column) order, the columns ranked by a stable
+    sort on grade, which unlike grade * width + column keeps Fraction
+    grades apart.
 
-    The leading term of a row is its least (grade, column) entry: least
-    grade first, then least column. Each row is filed under the column of
-    its leading term; a row whose leading column is taken is reduced
-    against the filed row, which clears that column and leaves only
-    greater terms, until it is filed or vanishes. So the filed rows have
-    distinct leading terms and form an echelon basis of V in (grade,
-    column) order. A cached RREF row rarely collides and is filed as is.
-    Back-substitution, greatest leading term first, clears each filed row
-    on the other leading columns, all past its own and reduced already.
-
-    The initial part of a filed row, its entries of least grade, contains
-    the leading term, and lies in in(V). It lies inside one grade class,
-    and distinct grade classes have disjoint column supports; within a
-    class the (grade, column) order is the column order. So the leading
-    column is also the least column of the initial part, and the dim V
-    initial parts, with distinct pivots, form an echelon basis in column
-    order: they are independent, and dim in(V) = dim V, so they span
-    in(V). Zero on each other's pivots, scaled to pivot 1 they are the
-    RREF, which is unique.
+    The initial part of a row of E, its entries of least grade, contains
+    the row's leading term and lies in in(V), inside one grade class, where
+    the (grade, column) order is the column order. So the dim V initial
+    parts have distinct least columns: they are independent, so they span
+    in(V), of dimension dim V, and scaled to pivot 1 they are its RREF.
     """
-    grade = grades.__getitem__
+    by_grade = sorted(range(len(grades)), key=grades.__getitem__)
+    order = sorted(range(len(grades)), key=by_grade.__getitem__).__getitem__
+    ech = Echelon(order)
+    for row in rows:
+        ech.insert(row)
     filed = {} if filed is None else filed
-    for vec in rows:
-        row = _integral(vec)  # Fraction rows, as face_degeneration_check passes
-        while row:
-            _, lead = min(zip(map(grade, row), row))
-            other = filed.get(lead)
-            if other is None:
-                filed[lead] = row
-                break
-            if row is vec:
-                row = dict(vec)
-            _eliminate(row, other, lead)
-    for lead in sorted(filed, key=lambda c: (grade(c), c), reverse=True):
-        cols = filed[lead].keys() & filed.keys()
-        cols.discard(lead)
-        if cols:
-            row = filed[lead] = dict(filed[lead])
-            for col in cols:
-                _eliminate(row, filed[col], col)
-    return pivot_one([{c: v for c, v in filed[lead].items() if grade(c) == grade(lead)}
+    filed.update(zip(sorted(ech.rows, key=order), ech.rref()))
+    return pivot_one([{c: v for c, v in filed[lead].items() if grades[c] == grades[lead]}
                       for lead in sorted(filed)])
 
 
@@ -447,11 +423,11 @@ def initial_component(gens, n, d, mu, g):
 
     On the marked relations the rows span the cached component V, which
     keeps a certificate for each initial component computed from it. For
-    a grading g0, _initial_rows files a reduced basis E of V: each e in E
-    has a lead l_e, a column zero in every other e, and an initial part
-    in_g0(e) of least g0-grade. The certificate pairs each column of each
-    e with l_e, inside if in in_g0(e), else outside, and holds the basis
-    of in_g0(V). g satisfies it if every inside column has the g-grade of
+    a grading g0, _initial_rows takes the RREF E of V in (grade, column)
+    order: each e in E has a lead l_e, a column zero in every other e,
+    and an initial part in_g0(e) of least g0-grade. The certificate pairs
+    each column of each e with l_e, inside if in in_g0(e), else outside,
+    and holds the basis of in_g0(V). g satisfies it if every inside column has the g-grade of
     its lead and every outside one a greater g-grade. Then in_g(e) =
     in_g0(e) for every e; those span in_g0(V) (_initial_rows), which so
     lies in in_g(V), of the same dimension: they are equal, and the RREF
@@ -533,13 +509,6 @@ def face_degeneration_check(A, B, n, d, mu):
     lhs = canonical_rows(_initial_rows(ideal_A.rows, grades_B))
     rhs = initial_component(gens, n, d, mu, gB).span_key()
     return lhs == rhs
-
-
-def classical_component(n, d, mu):
-    """Component basis with the zero grading (classical recovery)."""
-    d = tuple(d)
-    g = grading_vector(zero_weight_system(n), d)
-    return initial_component(plucker_relations(n, d), n, d, tuple(mu), g)
 
 
 def multidegrees_up_to(d, bound):

@@ -2,9 +2,8 @@
 
 Vectors are dicts mapping a sortable column label to a nonzero int or
 Fraction. :class:`Echelon` keeps an echelon basis of the inserted vectors
-in the order of the labels. A caller with another column order, such as
-the (grade, column) order of an initial ideal, files its own rows by
-leading term and clears a collision with :func:`_eliminate`.
+in a column order: the order of the labels, or that of a key on them,
+such as the (grade, column) order of an initial ideal.
 
 Rows enter as integers on the hot paths (ideal components, module
 closures) and stay integers: each vector becomes a primitive integer
@@ -19,6 +18,7 @@ Fraction.
 """
 
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 
 
@@ -45,9 +45,8 @@ def _integral(vec):
 def _eliminate(vec, row, col):
     """Clear column col of the integer vector vec with row, in place:
     vec := (b/g)*vec - (a/g)*row with a = vec[col], b = row[col] and
-    g = gcd(a, b) > 0, made primitive unless b = 1. b may be negative, as
-    under a leading term that is not the row's pivot; then the entries of
-    vec off row's support change sign."""
+    g = gcd(a, b) > 0, made primitive unless b = 1. A negative b flips the
+    sign of the entries of vec off row's support."""
     a, b = vec[col], row[col]
     if b != 1:
         g = gcd(a, b)
@@ -69,16 +68,19 @@ def _eliminate(vec, row, col):
 class Echelon:
     """Incremental echelon basis of sparse rational vectors.
 
-    The pivot of a vector is its least column label. Stored rows are
-    integer vectors with a positive pivot, keyed by pivot; :meth:`insert`
-    stores them primitive. A caller that already holds integer rows with
-    distinct positive pivots may put them into ``rows`` directly. Stored
-    rows are never changed; a primitive integer row that needs no
-    reduction is stored as inserted, so a caller must not change it
-    afterwards.
+    The pivot of a vector is its least column under ``order``, a key
+    with distinct values on distinct column labels (None: the labels' own
+    order). Stored rows are integer vectors with a positive pivot, keyed
+    by pivot; :meth:`insert` stores them primitive. A caller that already
+    holds integer rows with distinct positive pivots may put them into
+    ``rows`` directly. Stored rows are never changed; a primitive integer
+    row that needs no reduction is stored as inserted, so a caller must
+    not change it afterwards.
     """
 
-    def __init__(self):
+    def __init__(self, order=None):
+        self.order = order
+        self.least = min if order is None else partial(min, key=order)  # the pivot of a row
         self.rows = {}  # pivot column -> primitive integer row
 
     @property
@@ -88,9 +90,9 @@ class Echelon:
     def insert(self, vec):
         """Insert vec, left unchanged; return its pivot column, or None if dependent."""
         new = _integral(vec)
-        rows = self.rows
+        rows, least = self.rows, self.least
         while new:
-            pivot = min(new)
+            pivot = least(new)
             row = rows.get(pivot)
             if row is None:
                 if new is not vec:  # _eliminate makes it primitive only if b != 1
@@ -103,11 +105,11 @@ class Echelon:
         return None
 
     def rref(self):
-        """The integer reduced rows, sorted by pivot position: with a
-        positive pivot and zero on every other row's pivot column, and
-        primitive if the stored rows are, as insert stores them. A stored
-        row that needs no reduction is returned as stored."""
-        pivots = sorted(self.rows)
+        """The integer reduced rows, sorted by pivot in the column order:
+        with a positive pivot and zero on every other row's pivot column,
+        and primitive if the stored rows are, as insert stores them. A
+        stored row that needs no reduction is returned as stored."""
+        pivots = sorted(self.rows, key=self.order)
         reduced = {}
         for pivot in reversed(pivots):
             row = self.rows[pivot]
@@ -125,17 +127,18 @@ class Echelon:
 
     def reduced_rows(self):
         """Fully reduced (RREF) rows with pivot coefficient 1, as Fraction
-        vectors sorted by pivot position."""
-        return pivot_one(self.rref())
+        vectors sorted by pivot in the column order."""
+        return pivot_one(self.rref(), self.least)
 
 
-def pivot_one(rows):
-    """The integer rows, each divided by its pivot (least column) entry,
-    as Fraction vectors in the same order."""
+def pivot_one(rows, least=min):
+    """The integer rows, each divided by its pivot entry, at the column
+    least(row) (the least label by default), as Fraction vectors in the
+    same order."""
     fractions = {}  # pivot coefficient -> {entry: Fraction}; mostly +-1, +-2
     out = []
     for row in rows:
-        p = row[min(row)]
+        p = row[least(row)]
         memo = fractions.setdefault(p, {})
         frac_row = {}
         for c, v in row.items():

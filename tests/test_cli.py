@@ -581,6 +581,23 @@ def test_ideal_gen_of_size_one_walks_no_index(tmp_path):
     assert json.loads(proc.stdout)["result"] == []
 
 
+def test_ideal_gen_counts_index_entries_before_listing_them(tmp_path):
+    # 100,000 indices pass, no exchange of size 99,999 has a rest off both
+    # factors, and the indices hold 9,999,900,000 entries
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PBWDEGEN_MAX_DIM"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pbwdegen", "ideal", "gen", "--n", "100000", "--d", "99999"],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert time.monotonic() - start < 1.0
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (
+        "error: Pluecker index entries 9999900000 exceeds PBWDEGEN_MAX_DIM=100000\n")
+
+
 def test_relation_guard_bound_is_inclusive(capsys, monkeypatch):
     # 6 indices i, 2 blocks of one entry off i each, 1 rest off both: 12
     argv = ["ideal", "gen", "--n", "4", "--d", "2"]

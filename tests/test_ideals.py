@@ -12,13 +12,13 @@ from fraction_relations import exchange_relation, fraction_plucker_relations, no
 from reference_components import column_grades as reference_column_grades
 from reference_components import component_monomials as reference_component_monomials
 from reference_components import mono_mul
-from pbwdegen import ideals
+from pbwdegen import ideals, linalg, tropical
 from pbwdegen.degrees import all_indices, degree_s, grading_vector
 from pbwdegen.fflv import DominantWeight, weyl_dim
 from pbwdegen.linalg import canonical_rows, pivot_one
+from pbwdegen.tropical import TropicalPoint, map_h
 from pbwdegen.ideals import (
     GradedPolynomial,
-    classical_component,
     component_basis,
     component_monomials,
     contains_monomial,
@@ -403,7 +403,8 @@ def test_zero_grading_recovers_ideal():
     for mu in multidegrees_up_to(d, 3):
         plain = component_basis(list(gens), n, d, mu)
         assert plain is not component_basis(gens, n, d, mu)
-        assert classical_component(n, d, mu).span_key() == plain.span_key()
+        recovered = initial_component(gens, n, d, mu, grading_vector(zero_weight_system(n), d))
+        assert recovered.span_key() == plain.span_key()
 
 
 def test_toric_component_is_binomial():
@@ -559,7 +560,12 @@ _rows = st.lists(
     ),
     max_size=12,
 )
-_grades = st.lists(st.integers(-2, 2), min_size=COLUMNS, max_size=COLUMNS)
+# Integer grades, and Fraction grades, as a tropical point gives them.
+_grades = st.lists(
+    st.one_of(st.integers(-2, 2), st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))),
+    min_size=COLUMNS,
+    max_size=COLUMNS,
+)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -648,9 +654,9 @@ def test_cached_echelon_rows_match_the_spanning_rows():
 def test_initial_rows_on_the_benchmark_components(monkeypatch):
     """The n=5 components of the benchmark's ideals workload, degree 2 and
     3 (30 of them), under every canonical system and two seeded interior
-    points: the leading-term pass gives the reference rows, and both of
-    its branches run: some components file every row as it is, others
-    have a leading term that collides and a row that is reduced."""
+    points: the (grade, column) Echelon gives the reference rows, and
+    both of its branches run: some components take every row as it is,
+    others have a leading term that collides and a row that is reduced."""
     n = 5
     d = tuple(range(1, n))
     mus = [mu for mu in multidegrees_up_to(d, 3) if sum(mu) >= 2]
@@ -658,8 +664,8 @@ def test_initial_rows_on_the_benchmark_components(monkeypatch):
     systems = [A for _, A in canonical_weight_systems(n)]
     systems += [_seeded_interior_point(n, seed) for seed in (1, 2)]
     collisions = []
-    eliminate = ideals._eliminate
-    monkeypatch.setattr(ideals, "_eliminate", lambda *a: collisions.append(1) or eliminate(*a))
+    eliminate = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate", lambda *a: collisions.append(1) or eliminate(*a))
     clean = 0
     for A in systems:
         g = grading_vector(A, d)
@@ -686,6 +692,30 @@ def test_initial_rows_of_fraction_rows():
     # whose initial part (0, 8, 9, 0), with (3, 2, 0, 0), spans in(V)
     want = [{0: 1, 2: Fraction(-3, 4)}, {1: 1, 2: Fraction(9, 8)}]
     assert ideals._initial_rows(rows, grades) == want == reference_initial_rows(rows, grades)
+
+
+def test_fraction_grades_of_a_tropical_point():
+    """A seeded cone point plus abelian/6 at n=4: on every full flag
+    component of degree <= 3, the point's grades, in sixths, give the
+    initial component of their primitive integer multiple, each computed
+    from a cold cache, and the Fraction reference. Ranking the columns by
+    the key grade * width + column instead changes four of the 19."""
+    n, d = 4, (1, 2, 3)
+    (A,) = random_cone_points(n, 1, seed=3)
+    cone, abelian = map_h(A).s, map_h(abelian_weight_system(n)).s
+    point = TropicalPoint(n, {I: cone[I] + Fraction(abelian[I], 6) for I in cone})
+    fractional = tropical.grading_from_point(point, d)
+    integral = linalg._integral(point.s)
+    assert any(v.denominator > 1 for v in fractional.values())
+    gens = plucker_relations(n, d)
+    for mu in multidegrees_up_to(d, 3):
+        ideals._canonical_rows_cache.cache_clear()
+        got = initial_component(gens, n, d, mu, fractional)
+        ideals._canonical_rows_cache.cache_clear()
+        assert got.rows == initial_component(gens, n, d, mu, integral).rows, mu
+        basis, rows = ideals._canonical_rows_cache(n, d, mu)
+        grades = reference_column_grades(pair_monomials(n, d, basis), fractional)
+        assert got.rows == reference_initial_rows(rows, grades), mu
 
 
 def test_homogeneous_components_are_their_own_initial_components():
@@ -773,7 +803,7 @@ def test_the_shared_component_basis_is_read_only():
         for row in spanning:
             ref.insert(row)
         want = ref.reduced_rows()
-        shared = classical_component(n, d, mu)
+        shared = initial_component(gens, n, d, mu, grading_vector(zero, d))
         assert shared is component_basis(gens, n, d, mu)
         served = initial_component(gens, n, d, mu, g)
         assert initial_component(gens, n, d, mu, g) is served
@@ -809,9 +839,9 @@ def test_certificates_serve_the_reference_rows(monkeypatch):
     points, then 10 random cone points. Every basis, served by a
     certificate or computed, equals the Fraction reference on grades taken
     afresh. Once the toric system has run on a component, the interior
-    points are served without one more leading-term pass; some calls of
-    the canonical and random stages are served by a certificate that is
-    not the rows' own, and some are computed."""
+    points are served without one more (grade, column) reduction; some
+    calls of the canonical and random stages are served by a certificate
+    that is not the rows' own, and some are computed."""
     calls = []
     initial_rows = ideals._initial_rows
     monkeypatch.setattr(ideals, "_initial_rows", lambda *a: calls.append(1) or initial_rows(*a))

@@ -51,15 +51,23 @@ def sympy_rank(vecs):
     return DomainMatrix(rows, (len(vecs), COLUMNS), QQ).rank()
 
 
+# The column order: the labels' own, or a permutation of them as a key,
+# as the (grade, column) order of an initial ideal is.
+orders = st.one_of(st.none(), st.permutations(range(COLUMNS)).map(lambda p: p.__getitem__))
+
+
 @settings(derandomize=True, max_examples=100, deadline=None)
-@given(vector_lists())
-def test_integer_kernel_matches_fraction_reference(vecs):
-    fast, slow = Echelon(), FractionEchelon()
+@given(vector_lists(), orders)
+def test_integer_kernel_matches_fraction_reference(vecs, order):
+    fast, slow = Echelon(order), FractionEchelon(order)
     for vec in vecs:
         before = dict(vec)
         assert fast.insert(vec) == slow.insert(vec)
         assert vec == before  # callers' rows, cached ones too, are not touched
     assert fast.rank == slow.rank == sympy_rank(vecs)
+    pivots = [min(row, key=slow.poskey) for row in fast.rref()]
+    assert pivots == sorted(slow.rows, key=slow.poskey)
+    assert all(row[pivot] > 0 for row, pivot in zip(fast.rref(), pivots))
     rows = fast.reduced_rows()
     assert rows == slow.reduced_rows()
     for row in rows:
@@ -94,8 +102,7 @@ def test_integral_of_a_zero_vector_is_zero():
 
 
 def test_rows_put_in_directly_need_not_be_primitive():
-    """reduced_rows needs integer rows with distinct, positive pivots only;
-    the initial-ideal path stores initial parts of primitive rows as is."""
+    """reduced_rows needs integer rows with distinct, positive pivots only."""
     rows = {0: {0: 2, 1: 4, 3: 6}, 1: {1: 3, 3: -3}, 2: {2: 4, 3: 2}}
     ech = Echelon()
     ech.rows = {p: dict(row) for p, row in rows.items()}
@@ -118,9 +125,8 @@ def test_rows_put_in_directly_need_not_be_primitive():
 ])
 def test_eliminate_takes_a_leading_coefficient_of_either_sign(vec, row, want):
     """vec := (b/g)*vec - (a/g)*row for a = vec[col], b = row[col] of
-    either sign and g = gcd(a, b) > 0: a row filed under a leading term
-    that is not its pivot can have b < 0, and the result is still the
-    combination that clears col, with the sign of b/g on vec's part."""
+    either sign and g = gcd(a, b) > 0: the result is the combination that
+    clears col, with the sign of b/g on vec's part."""
     before = dict(row)
     _eliminate(vec, row, 1)
     assert vec == want
