@@ -23,21 +23,12 @@ _CERTIFICATES = 64  # kept for one cached component at most (initial_component)
 
 
 def _sort_sign(seq):
-    """The sorted tuple of seq and the sign of the sorting permutation;
-    (None, 0) on a repeated entry."""
-    out = list(seq)
-    sign = 1
-    for i in range(1, len(out)):  # insertion sort, one sign flip per swap
-        x = out[i]
-        j = i
-        while j and out[j - 1] > x:
-            out[j] = out[j - 1]
-            j -= 1
-            sign = -sign
-        if j and out[j - 1] == x:
-            return None, 0
-        out[j] = x
-    return tuple(out), sign
+    """The sorted tuple of seq and the sign of the sorting permutation, the
+    parity of its inversions; (None, 0) on a repeated entry."""
+    out = tuple(sorted(seq))
+    if len(set(out)) < len(out):
+        return None, 0
+    return out, (-1) ** sum(a > b for a, b in combinations(seq, 2))
 
 
 # -- monomials ---------------------------------------------------------------
@@ -202,16 +193,26 @@ def plucker_relations(n, d, mu=None):
     at a time, every exchange whose rest meets i is zero or +-1 times one
     that is examined, so the kept relations do not change.
 
-    Exchanges that come out zero are skipped, duplicates up to scalar are
-    dropped (the first one built is kept) and the result is
-    deterministically ordered. Relations are built over the integers and
-    scaled to lead coefficient 1; only the kept ones become Fraction
-    polynomials. The result is cached, so it is a tuple: no caller can
-    change it for the next one. It is marked with the ideal it generates,
-    which initial_component reads instead of building the relations to
-    compare, and with each relation's multidegree, which _spanning_rows
-    reads: the terms are products X_e1 X_e2 of sizes p and q, so it is
-    e_p + e_q.
+    Every examined exchange is a sum of distinct squarefree products with
+    coefficients +-1. The second factor never repeats an entry: it is
+    block + rest for X_i X_j and i_P + rest otherwise, and the rest lies
+    off both i and the block. No two terms are equal and none is a square.
+    Every first factor F other than i holds a block entry b not in i, and
+    no second factor i_P + rest holds b. So two swapped-in terms F S and
+    F' S' agree only with F = F' and S = S', hence P = P', and F = S never
+    holds. X_i X_j has no b in i, so it would come back only as F S with
+    S = i_P + rest = i, which needs rest empty and k = p, but k <= p - 1.
+    So each coefficient is -s1 s2 = +-1, no exchange is zero, and scaling
+    to lead coefficient 1 multiplies by the lead, +-1 too.
+
+    Duplicates up to scalar are dropped (the first one built is kept) and
+    the result is deterministically ordered; only the kept relations
+    become Fraction polynomials. The result is cached, so it is a tuple:
+    no caller can change it for the next one. It is marked with the ideal
+    it generates, which initial_component reads instead of building the
+    relations to compare, and with each relation's multidegree, which
+    _spanning_rows reads: the terms are products X_e1 X_e2 of sizes p and
+    q, so it is e_p + e_q.
     """
     d = tuple(d)
     kept = {}  # relation key -> (coefficients, multidegree)
@@ -235,20 +236,9 @@ def plucker_relations(n, d, mu=None):
                         for e1, s1, removed in firsts:
                             seq = removed + rest
                             e2, s2 = signs.get(seq) or signs.setdefault(seq, _sort_sign(seq))
-                            if not s2:
-                                continue
-                            mono = ((e1, 2),) if e1 == e2 else (
-                                ((e1, 1), (e2, 1)) if e1 < e2 else ((e2, 1), (e1, 1)))
-                            rel[mono] = rel.get(mono, 0) - s1 * s2
-                            if not rel[mono]:
-                                del rel[mono]
-                        if not rel:
-                            continue
+                            rel[((e1, 1), (e2, 1)) if e1 < e2 else ((e2, 1), (e1, 1))] = -s1 * s2
                         lead = rel[min(rel)]
-                        canon = {
-                            m: Fraction(c, lead) if c % lead else c // lead
-                            for m, c in rel.items()
-                        }
+                        canon = {m: c * lead for m, c in rel.items()}
                         kept.setdefault(tuple(sorted(canon.items())), (canon, nu))
     keys = sorted(kept)
     out = _Relations(GradedPolynomial(kept[key][0]) for key in keys)

@@ -155,6 +155,62 @@ def test_face_degeneration_weights_b_of_another_n_exit_two(tmp_path, capsys):
     assert "n=4" in capsys.readouterr().err
 
 
+def _point_raised(A, key):
+    """map_h(A) with s_key raised by 1, off conditions [i]-[iii]."""
+    point = map_h(A).to_json()
+    point["s"][key] += 1
+    return point
+
+
+_TORIC3 = toric_weight_system(3).to_json()
+_ZERO3 = zero_weight_system(3).to_json()
+_FACE = ["ideal", "check-face-degeneration", "--n", "3", "--d", "1,2", "--mu", "1,1"]
+
+
+@pytest.mark.parametrize("argv, files, verdict", [
+    (["ideal", "check-quadratic", "--n", "3", "--d", "1,2", "--mu", "1,2"],
+     [("--weights", _TORIC3)], "quadratic=true"),
+    (_FACE, [("--weights", _ZERO3), ("--weights-b", _TORIC3)], "face-degeneration=true"),
+    (["trop", "witness"], [("--point", map_h(toric_weight_system(3)).to_json())],
+     "no violated inequality"),
+], ids=["check-quadratic", "check-face-degeneration", "trop-witness"])
+def test_verdicts_exit_zero(argv, files, verdict, tmp_path, capsys):
+    for flag, payload in files:
+        argv = argv + [flag, _write(tmp_path, flag[2:] + ".json", payload)]
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == verdict
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("argv, files, max_dim, message", [
+    (_FACE, [("--weights", _TORIC3), ("--weights-b", _ZERO3)], None,
+     "face precondition fails"),
+    (["trop", "witness"], [("--point", _point_raised(toric_weight_system(4), "2,3"))], None,
+     "conditions [i]-[iii] must hold first"),
+    (["ideal", "gen", "--n", "3", "--d", "1,2"], [], "abc",
+     "PBWDEGEN_MAX_DIM must be an integer, got 'abc'"),
+    (["rep", "dim", "--lam", "1,-1"], [], None,
+     "dominant weight coefficients must be nonnegative"),
+    (["ideal", "initial", "--n", "3", "--d", "1,2", "--mu", "1,1,1"], [("--weights", _TORIC3)],
+     None, "--mu must have one entry per size in --d"),
+    (_FACE[:-1] + ["1"], [("--weights", _ZERO3), ("--weights-b", _TORIC3)], None,
+     "--mu must have one entry per size in --d"),
+], ids=["face-not-nested", "trop-witness-off-i-iii", "max-dim-not-an-integer",
+        "negative-lam", "mu-too-long", "mu-too-short"])
+def test_refusals_exit_two_with_one_line(argv, files, max_dim, message, tmp_path, capsys,
+                                         monkeypatch):
+    if max_dim is not None:
+        monkeypatch.setenv("PBWDEGEN_MAX_DIM", max_dim)
+    for flag, payload in files:
+        argv = argv + [flag, _write(tmp_path, flag[2:] + ".json", payload)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("entries", [
     {"1,2": 2.7, "1,3": 0, "2,3": 0},
     {"1,2": True, "1,3": 0, "2,3": 0},

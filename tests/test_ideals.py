@@ -12,10 +12,12 @@ from fraction_relations import exchange_relation, fraction_plucker_relations, no
 from reference_components import column_grades as reference_column_grades
 from reference_components import component_monomials as reference_component_monomials
 from reference_components import mono_mul
+from reference_kernel import images_rank, toric_kernel_key
 from pbwdegen import ideals, linalg, tropical
 from pbwdegen.degrees import all_indices, degree_s, grading_vector
 from pbwdegen.fflv import DominantWeight, weyl_dim
 from pbwdegen.linalg import canonical_rows, pivot_one
+from pbwdegen.representations import psi_images, psi_vanishes
 from pbwdegen.tropical import TropicalPoint, map_h
 from pbwdegen.ideals import (
     GradedPolynomial,
@@ -384,6 +386,42 @@ def test_ssyt_monomials_complement_the_ideal():
                 added += 1
         assert added == len(enumerate_ssyt(lam))
         assert added == len(cb.monomials) - cb.rank
+
+
+@pytest.mark.parametrize("n, bound, toric_only", [(3, 3, False), (4, 3, False), (5, 2, True)])
+def test_initial_components_are_kernels_of_psi(n, bound, toric_only):
+    """in_A(I)_mu = ker(psi_A)_mu on every canonical system of the full
+    flag, up to degree bound: psi_A kills every RREF row, the images of
+    the monomials have the Weyl dimension as rank, and at the toric point
+    the rows are the closed form of the kernel, signs included."""
+    d = tuple(range(1, n))
+    gens = plucker_relations(n, d)
+    toric = 0
+    for label, A in canonical_weight_systems(n):
+        if toric_only and label != "toric":
+            continue
+        g = grading_vector(A, d)
+        images = psi_images(n, d, A)
+        for mu in multidegrees_up_to(d, bound):
+            cb = initial_component(gens, n, d, mu, g)
+            assert psi_vanishes(cb.row_polynomials(), images), (label, mu)
+            coeffs = [0] * (n - 1)
+            for k, m in zip(d, mu):
+                coeffs[k - 1] = m
+            want = weyl_dim(DominantWeight(n, tuple(coeffs)))
+            assert images_rank(n, d, mu, A) == want == len(cb.monomials) - cb.rank, (label, mu)
+            if label == "toric":
+                assert cb.span_key() == toric_kernel_key(n, d, mu), mu
+                toric += 1
+    assert toric == len(multidegrees_up_to(d, bound))
+
+
+def test_toric_kernel_key_carries_the_signs():
+    """The closed form is not sign-blind: at n=4 some word class pairs
+    monomials of opposite sign, so a row reads e_c + e_c'."""
+    d, mu = (1, 2, 3), (1, 1, 1)
+    key = toric_kernel_key(4, d, mu)
+    assert {row[1][1] for row in key} == {1, -1}
 
 
 def test_initial_part_min_convention():
@@ -920,14 +958,15 @@ class _CountingSigns:
         return self.signs.setdefault(key, value)
 
 
-def _all_first_factors(i_set, block, placements):
-    """Every placement built and sorted, those that repeat an entry dropped."""
+def _all_first_factors(i_set, block, placements, sort_sign):
+    """Every placement built and sorted by sort_sign, those that repeat an
+    entry dropped."""
     firsts = [(i_set, -1, block)]
     for positions in placements:
         i_new = list(i_set)
         for m, pos in enumerate(positions):
             i_new[pos] = block[m]
-        e1, s1 = ideals._sort_sign(i_new)
+        e1, s1 = sort_sign(i_new)
         if s1:
             firsts.append((e1, s1, tuple(i_set[pos] for pos in positions)))
     return firsts
@@ -937,25 +976,46 @@ def test_placements_that_repeat_an_entry_are_not_built(monkeypatch):
     """At the n=6 full flag the first factors are those of building every
     placement, but only the 4,260 placements that repeat no entry are
     built, of the 6,900 offered (as the parent built them all). The
-    multidegrees, taken from the size pairs, are those of the terms."""
-    first_factors = ideals._first_factors
-    seen = {"calls": 0, "offered": 0, "built": 0}
+    multidegrees, taken from the size pairs, are those of the terms. No
+    sequence _sort_sign sorts repeats an entry: neither a placement built
+    nor a second factor, so every term's sign is +-1."""
+    first_factors, sort_sign = ideals._first_factors, ideals._sort_sign
+    seen = {"calls": 0, "offered": 0, "built": 0, "sorted": 0}
 
     def counting(i_set, block, placements, signs):
         memo = _CountingSigns(signs)
         out = first_factors(i_set, block, placements, memo)
-        assert out == _all_first_factors(i_set, block, placements)
+        assert out == _all_first_factors(i_set, block, placements, sort_sign)
         seen["calls"] += 1
         seen["offered"] += len(placements)
         seen["built"] += memo.gets
         return out
 
+    def distinct(seq):
+        assert len(set(seq)) == len(seq), seq
+        seen["sorted"] += 1
+        return sort_sign(seq)
+
     monkeypatch.setattr(ideals, "_first_factors", counting)
+    monkeypatch.setattr(ideals, "_sort_sign", distinct)
     n, d = 6, (1, 2, 3, 4, 5)
     rels = plucker_relations.__wrapped__(n, d)  # built afresh, not from the cache
-    assert seen == {"calls": 1671, "offered": 6900, "built": 4260}
+    assert seen == {"calls": 1671, "offered": 6900, "built": 4260, "sorted": 331}
     assert len(rels) == 509
     assert rels.multidegrees == tuple(rel.multidegree(d) for rel in rels)
+
+
+def test_relations_are_squarefree_with_unit_coefficients():
+    """The 3,172 relations of the n=7 full flag, beyond the Fraction
+    reference: every term is X_a X_b with a != b and coefficient +-1, as
+    the proof in plucker_relations says of every exchange."""
+    n, d = 7, (1, 2, 3, 4, 5, 6)
+    rels = plucker_relations.__wrapped__(n, d)
+    assert len(rels) == 3172
+    for rel in rels:
+        for mono, c in rel.terms.items():
+            (a, e), (b, f) = mono
+            assert a != b and e == f == 1 and c in (1, -1), rel
 
 
 def test_relations_carry_their_multidegrees(monkeypatch):
