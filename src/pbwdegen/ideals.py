@@ -6,7 +6,8 @@ A GradedPolynomial's monomial is a sorted tuple of (index tuple, exponent)
 pairs, one per Pluecker variable it contains. A component's column is the
 sorted tuple of its variables' ids, each repeated by its exponent, the
 id of X_I being the position of I in degrees.all_indices(n, d). Columns
-are ordered as their pair monomials are, so outputs are deterministic.
+are ordered as their pair monomials are, by integer ranks of the ids, so
+outputs are deterministic; RREF rows are sorted (column, Fraction) tuples.
 """
 
 from fractions import Fraction
@@ -16,7 +17,7 @@ from math import comb, lcm
 from operator import add, eq, lt
 
 from .degrees import all_indices, grading_vector, index_label
-from .linalg import Echelon, canonical_rows, pivot_one
+from .linalg import Echelon, pivot_one
 from .weights import face_contains, face_signature
 
 _CERTIFICATES = 64  # kept for one cached component at most (initial_component)
@@ -237,9 +238,10 @@ def plucker_relations(n, d, mu=None):
                             seq = removed + rest
                             e2, s2 = signs.get(seq) or signs.setdefault(seq, _sort_sign(seq))
                             rel[((e1, 1), (e2, 1)) if e1 < e2 else ((e2, 1), (e1, 1))] = -s1 * s2
-                        lead = rel[min(rel)]
-                        canon = {m: c * lead for m, c in rel.items()}
-                        kept.setdefault(tuple(sorted(canon.items())), (canon, nu))
+                        terms = sorted(rel.items())
+                        key = tuple(terms) if terms[0][1] > 0 else tuple((m, -c) for m, c in terms)
+                        if key not in kept:  # scaled in rel's order, which .terms keeps
+                            kept[key] = ({m: c * terms[0][1] for m, c in rel.items()}, nu)
     keys = sorted(kept)
     out = _Relations(GradedPolynomial(kept[key][0]) for key in keys)
     out.d = d
@@ -273,7 +275,13 @@ def component_monomials(n, d, mu):
     """Ordered monomial basis of the coordinate-ring component of
     multidegree mu (aligned with d): id tuples in the order of their pair
     monomials. The ids of one size form a block after those of the sizes
-    before it, so a product over the sizes is a concatenation."""
+    before it, so a product over the sizes is a concatenation. A column's
+    key lists rank * base + count for its distinct ids in rank order, the
+    rank of an id being that of its index in lex order and base > every
+    count: it compares as the (index, count) pairs of its pair monomial do."""
+    indices, base = all_indices(n, d), sum(mu) + 1
+    rank = {I: r for r, I in enumerate(sorted(indices))}
+    scaled = [rank[I] * base for I in indices]
     monos = [()]
     start = 0
     for k, count in zip(d, mu):
@@ -281,7 +289,7 @@ def component_monomials(n, d, mu):
         block = list(combinations_with_replacement(ids, count))
         monos = [m + f for m in monos for f in block]
         start = ids.stop
-    return [m for _, m in sorted(zip(pair_monomials(n, d, monos), monos))]
+    return sorted(monos, key=lambda m: tuple(sorted([scaled[i] + m.count(i) for i in set(m)])))
 
 
 def _spanning_rows(gens, n, d, mu):
@@ -347,19 +355,20 @@ def _column_grades(monomials, g, n, d, positions=None):
     grade = [g[I] for I in all_indices(n, d)].__getitem__
     grades = [0] * len(monomials)
     for ids in zip(*monomials) if positions is None else positions:
-        grades = list(map(add, grades, map(grade, ids)))
-    return grades
+        grades = map(add, grades, map(grade, ids))  # chained lazily, listed once
+    return list(grades)
 
 
 class ComponentBasis:
-    """Row-reduced basis of an ideal component over a fixed monomial list."""
+    """Row-reduced basis of an ideal component over a fixed monomial list; its
+    RREF rows, in linalg.pivot_one's canonical form, are its span key."""
 
     def __init__(self, n, d, mu, monomials, rows):
         self.n = n
         self.d = d
         self.mu = mu
         self.monomials = monomials  # ordered basis of the ring component, id tuples
-        self.rows = rows  # RREF rows, sparse over column positions
+        self.rows = rows  # RREF rows, tuples of (column position, Fraction)
 
     @property
     def rank(self):
@@ -367,11 +376,11 @@ class ComponentBasis:
 
     def row_polynomials(self):
         pairs = pair_monomials(self.n, self.d, self.monomials)
-        return [GradedPolynomial({pairs[c]: v for c, v in row.items()}) for row in self.rows]
+        return [GradedPolynomial({pairs[c]: v for c, v in row}) for row in self.rows]
 
     def span_key(self):
-        """canonical_rows of the rows, taken afresh: a shared basis keeps no copy."""
-        return canonical_rows(self.rows)
+        """The rows themselves: RREF is unique, so equal spans give equal rows."""
+        return self.rows
 
 
 def component_basis(gens, n, d, mu):
@@ -458,7 +467,7 @@ def contains_monomial(cb):
     is a unit row."""
     for row in cb.rows:
         if len(row) == 1:
-            (c,) = row
+            ((c, _),) = row
             return pair_monomials(cb.n, cb.d, [cb.monomials[c]])[0]
     return None
 
@@ -496,9 +505,8 @@ def face_degeneration_check(A, B, n, d, mu):
     gB = grading_vector(B, d)
     ideal_A = initial_component(gens, n, d, mu, gA)
     grades_B = _column_grades(ideal_A.monomials, gB, n, d)
-    lhs = canonical_rows(_initial_rows(ideal_A.rows, grades_B))
-    rhs = initial_component(gens, n, d, mu, gB).span_key()
-    return lhs == rhs
+    lhs = _initial_rows(map(dict, ideal_A.rows), grades_B)
+    return lhs == initial_component(gens, n, d, mu, gB).span_key()
 
 
 def multidegrees_up_to(d, bound):

@@ -12,9 +12,9 @@ Fraction entries, and is reduced fraction-free in the spirit of Bareiss
 (Math. Comp. 22, 1968). One integer back-substitution,
 :meth:`Echelon.rref`, gives the reduced rows; Fractions are built in one
 place, :func:`pivot_one`, which :meth:`Echelon.reduced_rows` calls, once
-per distinct (entry, pivot coefficient) pair of a call.
-:func:`canonical_rows` keeps those rows as sorted tuples and hashes no
-Fraction.
+per distinct (entry, pivot coefficient) pair of a call, each row once in
+its canonical form, (column, Fraction) pairs sorted by column: the RREF is
+unique, so equal spans give equal rows, their own hashable span key.
 """
 
 from fractions import Fraction
@@ -126,34 +126,25 @@ class Echelon:
         return [reduced[pivot] for pivot in pivots]
 
     def reduced_rows(self):
-        """Fully reduced (RREF) rows with pivot coefficient 1, as Fraction
-        vectors sorted by pivot in the column order."""
+        """Fully reduced (RREF) rows with pivot coefficient 1, sorted by
+        pivot in the column order, in pivot_one's canonical form."""
         return pivot_one(self.rref(), self.least)
 
 
 def pivot_one(rows, least=min):
     """The integer rows, each divided by its pivot entry, at the column
-    least(row) (the least label by default), as Fraction vectors in the
-    same order."""
+    least(row) (the least label by default), in the same order: a tuple
+    of rows, each a tuple of its (column, Fraction) pairs sorted by column."""
     fractions = {}  # pivot coefficient -> {entry: Fraction}; mostly +-1, +-2
     out = []
     for row in rows:
         p = row[least(row)]
         memo = fractions.setdefault(p, {})
-        frac_row = {}
-        for c, v in row.items():
+        frac_row = []
+        for c, v in sorted(row.items()):
             f = memo.get(v)
             if f is None:
                 f = memo[v] = Fraction(v, p)
-            frac_row[c] = f
-        out.append(frac_row)
-    return out
-
-
-def canonical_rows(rows):
-    """Hashable canonical form of RREF rows in pivot order, as
-    :meth:`Echelon.reduced_rows` returns them, for span comparison: each
-    row a tuple of its (column, entry) pairs sorted by column. RREF is
-    unique, so equal spans give equal forms; sorting the form leaves it
-    unchanged."""
-    return tuple(tuple(sorted(row.items())) for row in rows)
+            frac_row.append((c, f))
+        out.append(tuple(frac_row))
+    return tuple(out)

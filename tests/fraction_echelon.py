@@ -2,7 +2,8 @@
 
 This is the package's original ``Echelon``: every vector is reduced and
 stored with Fraction coefficients and pivot coefficient 1. The tests
-compare the integer kernel of ``pbwdegen.linalg`` against it.
+compare the integer kernel of ``pbwdegen.linalg`` against it, its dict
+rows read in the package's canonical row form through ``canonical_rows``.
 """
 
 from fractions import Fraction
@@ -78,3 +79,10 @@ class FractionEchelon:
                         row = vec_add(row, reduced[col], -row[col])
             reduced[pivot] = row
         return [reduced[p] for p in pivots]
+
+
+def canonical_rows(rows):
+    """Dict rows in the canonical form of ``pbwdegen.linalg.pivot_one``: a
+    tuple of rows, each a tuple of its (column, entry) pairs sorted by
+    column."""
+    return tuple(tuple(sorted(row.items())) for row in rows)

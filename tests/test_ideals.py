@@ -7,16 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraction_echelon import FractionEchelon
+from fraction_echelon import FractionEchelon, canonical_rows
 from fraction_relations import exchange_relation, fraction_plucker_relations, normalize_index
 from reference_components import column_grades as reference_column_grades
 from reference_components import component_monomials as reference_component_monomials
-from reference_components import mono_mul
+from reference_components import mono_mul, pair_sorted_id_monomials
 from reference_kernel import images_rank, toric_kernel_key
 from pbwdegen import ideals, linalg, tropical
 from pbwdegen.degrees import all_indices, degree_s, grading_vector
 from pbwdegen.fflv import DominantWeight, weyl_dim
-from pbwdegen.linalg import canonical_rows, pivot_one
+from pbwdegen.linalg import pivot_one
 from pbwdegen.representations import psi_images, psi_vanishes
 from pbwdegen.tropical import TropicalPoint, map_h
 from pbwdegen.ideals import (
@@ -377,7 +377,7 @@ def test_ssyt_monomials_complement_the_ideal():
         ids = {I: i for i, I in enumerate(all_indices(n, d))}
         ech = Echelon()
         for row in cb.rows:
-            ech.insert(row)
+            ech.insert(dict(row))
         added = 0
         for Y in enumerate_ssyt(lam):
             # one id per column, the ids of equal columns repeated
@@ -579,7 +579,7 @@ def reference_initial_rows(rows, grades):
     for row in graded.reduced_rows():
         lowest = min(grades[c] for c in row)
         out.insert({c: v for c, v in row.items() if grades[c] == lowest})
-    return out.reduced_rows()
+    return canonical_rows(out.reduced_rows())
 
 
 COLUMNS = 6
@@ -611,7 +611,7 @@ _grades = st.lists(
 def test_initial_rows_match_fraction_reference(rows, grades):
     got = ideals._initial_rows(rows, grades)
     assert got == reference_initial_rows(rows, grades)
-    assert all(type(v) is Fraction for row in got for v in row.values())
+    assert all(type(v) is Fraction for row in got for _, v in row)
 
 
 @pytest.mark.parametrize("n, bound", [(5, 3), (6, 2)])
@@ -642,7 +642,7 @@ def test_fraction_generators_span_their_own_multiples():
         ref = FractionEchelon()
         for m in pair_monomials(n, d, component_monomials(n, d, (mu[0] - 1, mu[1] - 1))):
             ref.insert({col[mono_mul(t, m)]: v for t, v in p.terms.items()})
-        assert cb.rows == ref.reduced_rows()
+        assert cb.rows == canonical_rows(ref.reduced_rows())
 
 
 def test_cached_echelon_rows_match_the_spanning_rows():
@@ -663,7 +663,7 @@ def test_cached_echelon_rows_match_the_spanning_rows():
             for spanned in (gens, list(gens)):  # the cached rows, and all rows afresh
                 plain = component_basis(spanned, n, d, mu)
                 assert plain.monomials == basis
-                assert plain.rows == ref.reduced_rows(), mu
+                assert plain.rows == canonical_rows(ref.reduced_rows()), mu
             cached_basis, cached_rows = ideals._canonical_rows_cache(n, d, mu)
             assert cached_basis == basis and len(cached_rows) == ref.rank
             # integer RREF: primitive, positive pivot, zero on every other
@@ -728,7 +728,7 @@ def test_initial_rows_of_fraction_rows():
     # 6 * rows: (3, 2, 0, 6) and (4, 0, -3, 2) both lead at column 0; the
     # second becomes 3 * (4, 0, -3, 2) - 4 * (3, 2, 0, 6) = (0, -8, -9, -18),
     # whose initial part (0, 8, 9, 0), with (3, 2, 0, 0), spans in(V)
-    want = [{0: 1, 2: Fraction(-3, 4)}, {1: 1, 2: Fraction(9, 8)}]
+    want = (((0, 1), (2, Fraction(-3, 4))), ((1, 1), (2, Fraction(9, 8))))
     assert ideals._initial_rows(rows, grades) == want == reference_initial_rows(rows, grades)
 
 
@@ -840,7 +840,7 @@ def test_the_shared_component_basis_is_read_only():
         ref = FractionEchelon()
         for row in spanning:
             ref.insert(row)
-        want = ref.reduced_rows()
+        want = canonical_rows(ref.reduced_rows())
         shared = initial_component(gens, n, d, mu, grading_vector(zero, d))
         assert shared is component_basis(gens, n, d, mu)
         served = initial_component(gens, n, d, mu, g)
@@ -854,7 +854,7 @@ def test_the_shared_component_basis_is_read_only():
         assert component_basis(gens, n, d, mu) is shared
         assert initial_component(gens, n, d, mu, g) is served
         assert shared.rows == want, mu
-        assert shared.span_key() == canonical_rows(want)
+        assert shared.span_key() == want and shared.span_key() is shared.rows
         grades = reference_column_grades(pair_monomials(n, d, served.monomials), g)
         assert served.rows == reference_initial_rows(spanning, grades), mu
 
@@ -1084,7 +1084,10 @@ def test_id_bases_match_the_pair_monomial_reference():
     """The id-tuple basis, read back as pair monomials, is the pair-monomial
     basis in the same order, and the grades agree under the toric grading
     and a seeded interior one: every n <= 5, every d and every mu of degree
-    <= 3, and the n=6 full flag in degree <= 2."""
+    <= 3 (269 components with the n=6 full flag in degree <= 2). The
+    integer rank keys order the columns exactly as sorting the id tuples
+    by their pair monomials does."""
+    count = 0
     for n, d, bound in _component_setups():
         systems = (toric_weight_system(n), _seeded_interior_point(n))
         gradings = [grading_vector(A, d) for A in systems]
@@ -1092,5 +1095,32 @@ def test_id_bases_match_the_pair_monomial_reference():
             basis = component_monomials(n, d, mu)
             want = reference_component_monomials(n, d, mu)
             assert pair_monomials(n, d, basis) == want, (n, d, mu)
+            assert basis == pair_sorted_id_monomials(n, d, mu), (n, d, mu)
+            count += 1
             for g in gradings:
                 assert ideals._column_grades(basis, g, n, d) == reference_column_grades(want, g)
+    assert count == 269
+
+
+def test_component_rows_are_their_span_key():
+    """The rows of initial_component and component_basis, from the cached
+    component or spanned afresh, are a tuple of rows in pivot order, each
+    a tuple of (column, Fraction) pairs sorted by column with pivot entry
+    1, and are the span key itself: every canonical system at n=4, every
+    multidegree of degree <= 3."""
+    n, d = 4, (1, 2, 3)
+    gens = plucker_relations(n, d)
+    mus = multidegrees_up_to(d, 3)
+    bases = [component_basis(spanned, n, d, mu) for spanned in (gens, list(gens)) for mu in mus]
+    for _, A in canonical_weight_systems(n):
+        g = grading_vector(A, d)
+        bases += [initial_component(spanned, n, d, mu, g) for spanned in (gens, list(gens))
+                  for mu in mus]
+    for cb in bases:
+        assert cb.span_key() is cb.rows and type(cb.rows) is tuple
+        assert [row[0][0] for row in cb.rows] == sorted({row[0][0] for row in cb.rows})
+        for row in cb.rows:
+            assert type(row) is tuple and all(type(pair) is tuple for pair in row)
+            cols = [c for c, _ in row]
+            assert cols == sorted(set(cols)) and set(cols) <= set(range(len(cb.monomials)))
+            assert all(type(v) is Fraction and v for _, v in row) and row[0][1] == 1
