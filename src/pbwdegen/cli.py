@@ -272,17 +272,11 @@ def weights_canonical(run, args):
     return run.emit(out, [e["label"] for e in out])
 
 
-# above this rank admissible triangles are too rare to sample (none in 100 s at n=7)
-RANDOM_MAX_N = 6
-
-
 def weights_random(run, args):
     n = _weights_rank(run, args)
-    if n > RANDOM_MAX_N:
-        raise InputError(f"weights random needs --n <= {RANDOM_MAX_N}, got {n}")
     if args.count < 0:
         raise InputError(f"--count must be nonnegative, got {args.count}")
-    _guard_size("--count", args.count)
+    _guard_size("entries of the --count triangles", args.count * comb(n, 2))
     run.params.update(count=args.count, seed=args.seed)
     out = [A.to_json() for A in weights.random_cone_points(n, args.count, seed=args.seed)]
     return run.emit(out, [json.dumps(e, sort_keys=True) for e in out])

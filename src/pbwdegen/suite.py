@@ -64,12 +64,9 @@ def _check(noun, bound=None):
 @_check("triangles", bound=1.0)
 def check_cone_soundness(cap):
     """Derived inequalities hold on triangles of the cone: 50 seeded cone
-    points at n = 3, 4 and the canonical systems at n = 5, 6, where cone
-    points are too rare in the box to sample quickly."""
+    points at each n = 3, 4, 5, 6."""
     for n in _ns((3, 4, 5, 6), cap):
-        points = (weights.random_cone_points(n, 50, seed=1) if n <= 4
-                  else [A for _, A in weights.canonical_weight_systems(n)])
-        for A in points:
+        for A in weights.random_cone_points(n, 50, seed=1):
             yield f"derived inequality fails for n={n}", weights.derived_inequalities_hold(A)
 
 

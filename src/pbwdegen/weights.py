@@ -275,80 +275,32 @@ def canonical_weight_systems(n):
     return out
 
 
-# Entries of random_cone_points are drawn from [-BOX, BOX]; the draw and
-# field widths of the sampler below hold for this box only.
-BOX = 3
-# Words of the Mersenne Twister taken per bulk draw of random_cone_points.
-_DRAW_WORDS = 4096
-
-
-def _accepted_draws(rng):
-    """Endless blocks of the draws r = entry + 3 in [0, 6] that
-    getrandbits(3) gives one at a time, the 7s dropped, one byte each.
-
-    getrandbits(32 * m) holds m consecutive 32-bit outputs, the first in
-    the lowest bits, and getrandbits(3) is the top 3 bits of one output:
-    the top byte of each output shifted by 5, which a byte table maps
-    and drops in C.
-    """
-    table = bytes(b >> 5 for b in range(256))
-    rejects = bytes(range(7 << 5, 256))
-    while True:
-        words = rng.getrandbits(32 * _DRAW_WORDS).to_bytes(4 * _DRAW_WORDS, "little")
-        yield words[3::4].translate(table, rejects)
-
-
-def _cone_members(block, count, size, rows_a, rows_b):
-    """The indices, in order, of the cone's candidates among the first count
-    of a block, each size one-byte draws r = entry + 3 in [0, 6].
-
-    All are tested at once. Draw p of all candidates is one int C_p, a
-    byte field each. (a) is read on C_p + C_q + (F - 3) - C_t and (b) on
-    C_p + C_q + F - C_t - C_u with F = 128, adding first. Each field then
-    stays within [116, 140], inside [0, 256), so no field carries or
-    borrows: a result field is its inequality's slack at the entries plus
-    F, and its top bit, worth F, is set exactly when the slack is >= 0.
-    The AND of the results with the top bits keeps those of the members,
-    found by bytes.find.
-    """
-    mask = int.from_bytes(b"\x80" * count, "little")
-    cols = [int.from_bytes(block[p:count * size:size], "little") for p in range(size)]
-    shifted = int.from_bytes(bytes([128 - BOX]) * count, "little")
-    acc = mask
-    for p, q, t in rows_a:
-        acc &= cols[p] + cols[q] + shifted - cols[t]
-    for p, q, t, u in rows_b:
-        acc &= cols[p] + cols[q] + mask - cols[t] - cols[u]
-    flags = acc.to_bytes(count, "little")  # 0x80 or 0 in each byte
-    at = flags.find(0x80)
-    while at >= 0:
-        yield at
-        at = flags.find(0x80, at + 1)
-
-
 def random_cone_points(n, count, seed=0):
-    """The first count admissible triangles among uniform integer triangles
-    with entries in [-BOX, BOX] drawn from random.Random(seed). Each entry
-    is drawn as randint(-3, 3) draws it in CPython 3.10-3.12:
-    getrandbits(3), redrawn at 7.
+    """count integer points of the cone, each built from its slacks with
+    draws from random.Random(seed).
 
-    The draws r = entry + 3 are taken from the same stream in bulk,
-    and the whole candidates of a block are tested at once.
+    The cone is simplicial: a_{i,i+1} is free, (a) at i fixes a_{i,i+2}
+    and (b) at (i, j) fixes a_{i,j+1}. A point draws its superdiagonal
+    with randint(-3, 3), then one slack with randint(0, 3) per inequality,
+    by increasing gap j - i and then i, and sets the entry that the
+    inequality fixes to its bound minus the slack. With a zero diagonal,
+    (a) at i reads as (b) at (i, i+1), so one rule fills both, (a) first.
+    The face of a point is the set of its zero slacks.
     """
     if count <= 0:
         return []
     if n < 2:
         raise ValueError("need n >= 2")
-    size = len(triangle_pairs(n))
-    rows_a, rows_b = _cone_rows(n)
-    found = []
-    pending = b""
-    for block in _accepted_draws(random.Random(seed)):
-        block = pending + block
-        whole = len(block) // size
-        for i in _cone_members(block, whole, size, rows_a, rows_b):
-            r = block[i * size:(i + 1) * size]
-            found.append(WeightSystem(n, tuple([x - BOX for x in r])))
-            if len(found) == count:
-                return found
-        pending = block[whole * size:]
+    rng = random.Random(seed)
+    pairs = triangle_pairs(n)
+    points = []
+    for _ in range(count):
+        a = {(i, i): 0 for i in range(2, n)}
+        for i in range(1, n):
+            a[i, i + 1] = rng.randint(-3, 3)
+        for gap in range(1, n - 1):
+            for i in range(1, n - gap):
+                j = i + gap
+                a[i, j + 1] = a[i, j] + a[i + 1, j + 1] - a[i + 1, j] - rng.randint(0, 3)
+        points.append(WeightSystem(n, tuple(a[p] for p in pairs)))
+    return points

@@ -1,10 +1,12 @@
 """Reference cone predicate and sampler, kept for the tests only.
 
-These are the package's original definitions: the slacks of (a) and (b)
-read entry by entry through ``A.a``, and a sampler that draws every
-candidate with ``randint``, builds a validated ``WeightSystem`` from it
-and tests it with the membership check below. The tests compare the
-table-driven predicate and sampler of ``pbwdegen.weights`` against them.
+The predicate is the package's original definition: the slacks of (a)
+and (b) read entry by entry through ``A.a``. The sampler builds each
+point with ``slack_point`` from its superdiagonal and its slacks, the
+construction that ``pbwdegen.weights.random_cone_points`` makes with the
+same draws. The box sampler, the package's earlier one, rejection-samples
+uniform triangles; it stays as a source of test triangles on and off the
+faces of the cone.
 """
 
 import random
@@ -42,7 +44,41 @@ def face_signature(A):
     return FaceSignature(A.n, tight_a, tight_b)
 
 
-def random_cone_points(n, count, bound=3, seed=0):
+def slack_point(n, superdiagonal, slack):
+    """The integer triangle with the entries a_{i,i+1} taken from
+    superdiagonal and every other entry the bound that its inequality (a)
+    or (b) puts on it minus slack(): each inequality is used once, (a)
+    first and then (b) by increasing gap j - i and then i. It lies in the
+    cone iff every slack is >= 0, and a zero slack makes its inequality
+    tight."""
+    a = {(i, i + 1): superdiagonal[i - 1] for i in range(1, n)}
+    for i in range(1, n - 1):
+        a[(i, i + 2)] = a[(i, i + 1)] + a[(i + 1, i + 2)] - slack()
+    for diff in range(3, n):
+        for i in range(1, n - diff + 1):
+            j = i + diff - 1
+            a[(i, j + 1)] = a[(i, j)] + a[(i + 1, j + 1)] - a[(i + 1, j)] - slack()
+    return WeightSystem.from_map(n, a)
+
+
+def slack_order(n):
+    """The inequalities in the order slack_point draws their slacks: i for
+    (a) at i, then (i, j) for (b) at (i, j)."""
+    return ineq_a_indices(n) + [(i, i + diff - 1) for diff in range(3, n)
+                                for i in range(1, n - diff + 1)]
+
+
+def random_cone_points(n, count, seed=0):
+    """count points of slack_point, each with a superdiagonal uniform on
+    [-3, 3] and slacks uniform on [0, 3], drawn from random.Random(seed)."""
+    if count <= 0:
+        return []
+    rng = random.Random(seed)
+    return [slack_point(n, [rng.randint(-3, 3) for _ in range(1, n)], lambda: rng.randint(0, 3))
+            for _ in range(count)]
+
+
+def box_triangles(n, count, bound=3, seed=0):
     """Rejection-sample admissible integer triangles with entries in
     [-bound, bound]."""
     rng = random.Random(seed)

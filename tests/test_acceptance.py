@@ -77,7 +77,7 @@ def test_representation_dimensions_failure_texts(change, text, monkeypatch):
     assert suite.check_representation_dimensions() == (False, f"classical n=2 lam=(1,): {text}")
 
 
-@pytest.mark.parametrize("cap,drawn", [(3, 50), (4, 100), (None, 130)])
+@pytest.mark.parametrize("cap,drawn", [(3, 50), (4, 100), (None, 200)])
 def test_cone_soundness_counts_the_triangles_drawn(cap, drawn):
     ok, detail = suite.check_cone_soundness(cap)
     assert ok

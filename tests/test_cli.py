@@ -727,11 +727,10 @@ def test_suite_capped(capsys):
 def test_suite_counts_have_closed_forms(capsys):
     assert cli.main(["suite"]) == 0
     counts = _suite_counts(capsys.readouterr().out.splitlines())
-    # 50 cone points each at n = 3, 4 and 2^(n-2) + 3 canonical systems
-    # at n = 5, 6; C(n + 2, 3) weights with coefficient sum
+    # 50 cone points each at n = 3..6; C(n + 2, 3) weights with coefficient sum
     # <= 3 for n = 2..5, and C(n + 1, 2) with sum <= 2 for n = 2..4; C(n, 2)
     # pairs omega_k + omega_m, k <= m < n, for n = 2..4
-    assert counts["cone soundness"] == (130, "triangles")
+    assert counts["cone soundness"] == (200, "triangles")
     assert counts["dimension agreement"] == (69, "weights")
     assert counts["bijection round-trip"] == (19, "shapes")
     assert counts["Minkowski property"] == (10, "fundamental pairs")
@@ -819,16 +818,35 @@ def test_weights_size_guard(argv, builder, capsys, monkeypatch):
 
 
 def test_weights_random_refuses_large_n(capsys, monkeypatch):
+    # one triangle of 4,999,950,000 entries, refused before any draw
     monkeypatch.setattr(cli.weights, "random_cone_points", _refuse)
-    assert cli.main(["weights", "random", "--n", str(cli.RANDOM_MAX_N + 1), "--count", "1"]) == 2
-    assert f"--n <= {cli.RANDOM_MAX_N}" in capsys.readouterr().err
+    assert cli.main(["weights", "random", "--n", "100000", "--count", "1"]) == 2
+    assert "PBWDEGEN_MAX_DIM" in capsys.readouterr().err
 
 
-def test_weights_random_n_bound_is_inclusive(capsys):
-    argv = ["--format", "json", "weights", "random", "--n", str(cli.RANDOM_MAX_N), "--count", "1"]
-    assert cli.main(argv) == 0
+def test_weights_random_n_bound_is_inclusive(capsys, monkeypatch):
+    # the guard counts the entries written, --count times n(n-1)/2
+    monkeypatch.setenv("PBWDEGEN_MAX_DIM", "28")
+    argv = ["--format", "json", "weights", "random", "--count", "1", "--n"]
+    assert cli.main(argv + ["8"]) == 0
     [point] = json.loads(capsys.readouterr().out)["result"]
-    assert point["n"] == cli.RANDOM_MAX_N
+    assert point["n"] == 8
+    assert cli.main(argv + ["9"]) == 2
+    assert "entries of the --count triangles 36 exceeds" in capsys.readouterr().err
+    monkeypatch.setenv("PBWDEGEN_MAX_DIM", "30")
+    argv = ["weights", "random", "--n", "3", "--count"]
+    assert cli.main(argv + ["10"]) == 0
+    assert cli.main(argv + ["11"]) == 2
+
+
+def test_weights_random_points_pass_weights_check(tmp_path, capsys):
+    assert cli.main(["--format", "json", "weights", "random", "--n", "8", "--count", "50"]) == 0
+    points = json.loads(capsys.readouterr().out)["result"]
+    assert len(points) == 50
+    for number, point in enumerate(points):
+        path = _write(tmp_path, f"p{number}.json", point)
+        assert cli.main(["weights", "check", "--weights", path]) == 0
+        assert "member=true" in capsys.readouterr().out
 
 
 def test_weights_random_refuses_a_negative_count(capsys, monkeypatch):
@@ -861,7 +879,7 @@ def test_manifest_records_the_params(argv, params, capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv, size", [
     (["weights", "canonical", "--n", "4"], 7),  # 2^(4-2) + 3 systems
-    (["weights", "random", "--count", "5"], 5),
+    (["weights", "random", "--n", "2", "--count", "5"], 5),  # one entry each
 ])
 def test_weights_size_guard_bound_is_inclusive(argv, size, capsys, monkeypatch):
     monkeypatch.setenv("PBWDEGEN_MAX_DIM", str(size))

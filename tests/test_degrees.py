@@ -18,12 +18,12 @@ from pbwdegen.degrees import (
 from pbwdegen.ideals import initial_component, multidegrees_up_to, plucker_relations
 from pbwdegen.tropical import cone_C_membership, map_h
 from reference_combinatorics import reference_degree_table
+from reference_sampling import slack_point
 from pbwdegen.weights import (
     NotInConeError,
     Triangle,
     WeightSystem,
     abelian_weight_system,
-    check_cone_membership,
     face_signature,
     random_cone_points,
     zero_weight_system,
@@ -89,23 +89,6 @@ def test_degree_requires_cone_membership():
         grading_vector(A, (1, 2))
     with pytest.raises(NotInConeError):
         map_h(A)
-
-
-def slack_point(n, superdiagonal, slack):
-    """The integer point of the cone with the entries a_{i,i+1} taken from
-    superdiagonal and every other entry the bound that its inequality (a)
-    or (b) puts on it minus slack(): each inequality is used once, (a)
-    first, and a zero slack makes it tight."""
-    a = {(i, i + 1): superdiagonal[i - 1] for i in range(1, n)}
-    for i in range(1, n - 1):
-        a[(i, i + 2)] = a[(i, i + 1)] + a[(i + 1, i + 2)] - slack()
-    for diff in range(3, n):
-        for i in range(1, n - diff + 1):
-            j = i + diff - 1
-            a[(i, j + 1)] = a[(i, j)] + a[(i + 1, j + 1)] - a[(i + 1, j)] - slack()
-    A = WeightSystem.from_map(n, a)
-    assert check_cone_membership(A)
-    return A
 
 
 @st.composite

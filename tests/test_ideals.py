@@ -13,6 +13,7 @@ from reference_components import column_grades as reference_column_grades
 from reference_components import component_monomials as reference_component_monomials
 from reference_components import mono_mul, pair_sorted_id_monomials
 from reference_kernel import images_rank, toric_kernel_key
+from reference_sampling import slack_point
 from pbwdegen import ideals, linalg, tropical
 from pbwdegen.degrees import all_indices, degree_s, grading_vector
 from pbwdegen.fflv import DominantWeight, weyl_dim
@@ -48,7 +49,6 @@ from pbwdegen.weights import (
     WeightSystem,
     zero_weight_system,
 )
-from test_degrees import slack_point
 
 
 def test_normalize_index():

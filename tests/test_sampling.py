@@ -1,13 +1,11 @@
-"""The table-driven cone predicate and sampler against the reference
-definitions of ``tests/reference_sampling.py``."""
+"""The table-driven cone predicate and the slack sampler against the
+reference definitions of ``tests/reference_sampling.py``."""
 
 import random
-from itertools import product
 
 import pytest
 
 import reference_sampling as ref
-from pbwdegen import weights
 from pbwdegen.weights import (
     NotInConeError,
     WeightSystem,
@@ -24,83 +22,58 @@ def _entries(points):
     return [A.entries for A in points]
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9])
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
 def test_sampler_matches_reference(n, seed):
-    want = ref.random_cone_points(n, 5, 3, seed)
+    want = ref.random_cone_points(n, 5, seed)
     assert _entries(random_cone_points(n, 5, seed)) == _entries(want)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-def test_sampler_matches_reference_n6(seed):
-    want = ref.random_cone_points(6, 1, 3, seed)
-    assert _entries(random_cone_points(6, 1, seed)) == _entries(want)
-
-
 def test_sampler_matches_reference_on_the_battery_draws():
-    for n in (3, 4, 5):
-        got = random_cone_points(n, 50, seed=10 + n)
-        assert _entries(got) == _entries(ref.random_cone_points(n, 50, 3, seed=10 + n))
+    # check_cone_soundness draws seed 1 at n = 3..6, check_tropical_cone
+    # seed 10 + n at n = 3..5
+    for n, seed in [(n, 1) for n in (3, 4, 5, 6)] + [(n, 10 + n) for n in (3, 4, 5)]:
+        got = random_cone_points(n, 50, seed=seed)
+        assert _entries(got) == _entries(ref.random_cone_points(n, 50, seed=seed))
         assert all(type(A) is WeightSystem for A in got)
 
 
-@pytest.mark.parametrize("words", [1, 2, 3, 7, 64])
-def test_sampler_does_not_depend_on_the_draw_size(words, monkeypatch):
-    # with 7 words a draw holds at most 7 entries, so at n=5 (10 entries)
-    # every candidate straddles two or more draws; with 64 most counts are
-    # reached partway through a draw
-    monkeypatch.setattr(weights, "_DRAW_WORDS", words)
-    for n, count, seed in [(3, 6, 1), (4, 5, 2), (5, 3, 15), (5, 4, 4)]:
-        want = ref.random_cone_points(n, count, 3, seed)
-        assert _entries(random_cone_points(n, count, seed)) == _entries(want)
+def test_every_triangle_is_the_slack_point_of_its_slacks():
+    # so the construction reaches every integer point of the cone, and
+    # only those: the slacks of a point of the cone are all >= 0
+    rng = random.Random(9)
+    triangles = _triangles() + [
+        WeightSystem(7, tuple(rng.randint(-3, 3) for _ in range(21))) for _ in range(50)
+    ]
+    for A in triangles:
+        superdiagonal = [A.a(i, i + 1) for i in range(1, A.n)]
+        slacks = [ref.slack_a(A, q) if isinstance(q, int) else ref.slack_b(A, *q)
+                  for q in ref.slack_order(A.n)]
+        assert ref.slack_point(A.n, superdiagonal, iter(slacks).__next__) == A
+        assert check_cone_membership(A) == all(s >= 0 for s in slacks)
 
 
-def test_sampler_stops_partway_through_a_draw():
-    # one candidate of the first 4,096-word draw, and 250 points over five draws
-    assert _entries(random_cone_points(3, 1, seed=5)) == _entries(
-        ref.random_cone_points(3, 1, 3, seed=5)
-    )
-    assert _entries(random_cone_points(4, 250, seed=3)) == _entries(
-        ref.random_cone_points(4, 250, 3, seed=3)
-    )
-
-
-def _members(block, n):
-    """The candidates of a block that the bit-parallel test keeps, and
-    those that check_cone_membership keeps, each tested alone."""
-    size = len(triangle_pairs(n))
-    count = len(block) // size
-    got = list(weights._cone_members(block, count, size, *weights._cone_rows(n)))
-    candidates = [tuple(r - 3 for r in block[i * size:(i + 1) * size]) for i in range(count)]
-    want = [i for i, e in enumerate(candidates) if check_cone_membership(WeightSystem(n, e))]
-    return got, want, count
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-@pytest.mark.parametrize("seed", [0, 1, 3, 31, 32, 63, 64, 127, 128, 200])
-def test_bit_parallel_verdicts_match_the_cone_test(n, seed):
-    # every candidate of three draws
-    blocks = weights._accepted_draws(random.Random(n + seed))
-    kept = total = 0
-    for _ in range(3):
-        got, want, count = _members(next(blocks), n)
-        assert got == want
-        kept, total = kept + len(got), total + count
-    if n in (3, 4):
-        assert 0 < kept < total
-
-
-@pytest.mark.parametrize("n", [3, 4])
-def test_bit_parallel_verdicts_at_the_extreme_draws(n):
-    # every candidate with draws 0, 3 and 6 alone, where the slacks reach
-    # -12 and 12, the ends of a field
-    draws = product((0, 3, 6), repeat=len(triangle_pairs(n)))
-    got, want, _ = _members(bytes(r for c in draws for r in c), n)
-    assert got == want
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+def test_the_face_of_a_sampled_point_is_its_zero_draws(n):
+    # the sampler's draws replayed: the superdiagonal, then one slack per
+    # inequality in the order of ref.slack_order
+    rng = random.Random(n)
+    faces = set()
+    for A in random_cone_points(n, 40, seed=n):
+        superdiagonal = [rng.randint(-3, 3) for _ in range(1, n)]
+        slacks = [rng.randint(0, 3) for _ in ref.slack_order(n)]
+        assert [A.a(i, i + 1) for i in range(1, n)] == superdiagonal
+        sig = ref.face_signature(A)
+        zeros = {q for q, s in zip(ref.slack_order(n), slacks) if s == 0}
+        assert sig.tight_a | sig.tight_b == zeros
+        assert face_signature(A) == sig
+        faces.add(frozenset(zeros))
+    if 3 <= n <= 5:  # the interior and a proper face both turn up
+        assert frozenset() in faces and len(faces) > 1
 
 
 def test_no_count_draws_nothing_whatever_the_bound():
-    for sample in (random_cone_points, ref.random_cone_points):
+    for sample in (random_cone_points, ref.random_cone_points, ref.box_triangles):
         assert sample(3, 0, seed=1) == []
         assert sample(4, -2) == []
         with pytest.raises(ValueError):
@@ -121,8 +94,8 @@ def _triangles():
         size = len(triangle_pairs(n))
         out += [WeightSystem(n, tuple(rng.randint(-3, 3) for _ in range(size))) for _ in range(300)]
     for n in (3, 4, 5):
-        out += ref.random_cone_points(n, 20, bound=1, seed=n)  # mostly on faces
-        out += ref.random_cone_points(n, 20, bound=3, seed=n)
+        out += ref.box_triangles(n, 20, bound=1, seed=n)  # mostly on faces
+        out += ref.box_triangles(n, 20, bound=3, seed=n)
     return out
 
 
