@@ -118,12 +118,13 @@ def relation_pairs(d, mu=None):
 
 
 def relation_exchanges(n, d, mu=None):
-    """The number of exchanges plucker_relations(n, d, mu) examines,
-    counted without listing them: for each size pair p >= q, index i of
-    size p and block size k, the blocks with t < k entries in i times the
-    rests of q - k entries off both."""
+    """The number of exchanges plucker_relations(n, d, mu) examines, counted
+    without listing them: for each size pair p >= q, index i of size p and
+    block size k, the blocks with t < k entries in i times the rests of
+    q - k entries off both, of one entry once in p + 1 (the one past max i)."""
     return sum(
         comb(n, p) * comb(p, t) * comb(n - p, k - t) * comb(n - p - k + t, q - k)
+        // (1 + p * (k == 1))  # k = 1: one (i, {s}) of the p + 1 with the same i + {s}
         for p, q in relation_pairs(d, mu)
         for k in range(1, min(q, p - 1) + 1)
         for t in range(max(0, k - n + p, q - n + p), k)  # room for k - t off i, q - k off both
@@ -131,28 +132,35 @@ def relation_exchanges(n, d, mu=None):
 
 
 class _Relations(tuple):
-    """The relations plucker_relations returns, marked with the ideal
-    (n, d) they generate (None when they are only those that fit a mu)
-    and with their multidegrees over the sizes d, taken once."""
+    """The relations plucker_relations returns, marked with the ideal (n, d)
+    they generate (None if only those that fit a mu), with n, d, and each
+    one's multidegree over d and id terms, (sorted id pair, int), once."""
 
-    ideal = None
-    d = None
-    multidegrees = ()
+    ideal = n = d = None
+    multidegrees = id_terms = ()
 
 
-def _first_factors(i_set, block, placements, signs):
+class _Signs(dict):
+    """A sequence -> (rank of its sorted tuple, sign), seeded with (rank, 1) per index."""
+
+    def __missing__(self, seq):
+        e, s = _sort_sign(seq)
+        return self.setdefault(seq, (self[e][0], s))
+
+
+def _first_factors(r_i, i_set, block, placements, signs):
     """The first factors of the exchanges of i with block + rest, the same
-    for every rest: (sorted index, sign, entries removed) for each
-    placement of the block in i that repeats no entry. X_i itself comes
-    first, with the block as the entries removed and sign -1 against the
-    minus of the swaps. signs memoizes _sort_sign.
+    for every rest: (rank of the sorted index, sign, entries removed) for
+    each placement of the block in i that repeats no entry. X_i itself, of
+    rank r_i, comes first, with the block as the entries removed and sign
+    -1 against the minus of the swaps. signs is the _Signs memo.
 
     The entries of i are distinct and so are those of the block, so a
     placement repeats an entry exactly when it leaves a block entry that
     is already in i at its own position. Those placements are skipped
     before they are built, and every placement built gives a first factor.
     """
-    firsts = [(i_set, -1, block)]
+    firsts = [(r_i, -1, block)]
     held = {pos for pos, v in enumerate(i_set) if v in block}
     for positions in placements:
         if not held.issubset(positions):
@@ -160,9 +168,8 @@ def _first_factors(i_set, block, placements, signs):
         i_new = list(i_set)
         for m, pos in enumerate(positions):
             i_new[pos] = block[m]
-        i_new = tuple(i_new)
-        e1, s1 = signs.get(i_new) or signs.setdefault(i_new, _sort_sign(i_new))
-        firsts.append((e1, s1, tuple(i_set[pos] for pos in positions)))
+        r1, s1 = signs[tuple(i_new)]
+        firsts.append((r1, s1, tuple(i_set[pos] for pos in positions)))
     return firsts
 
 
@@ -178,6 +185,13 @@ def plucker_relations(n, d, mu=None):
     the exchange of i with j = block + rest, X_i X_j minus the products
     with the block swapped into i in all possible ways (in order, into
     positions P of i), each index sorted with its sign.
+
+    A block {s} is taken only past max(i). With U = i + {s}, the terms are
+    X_{U-u} X_{rest+u}, u in U (u = s: X_i X_j). With alpha the rank in U,
+    beta(u) that of u in rest + u and c that of s in U - u, u = i_pos has
+    sign -(-1)**(pos-c+beta(u)), pos - c = alpha(u) - alpha(s) -+ 1, so it
+    and (-1)**beta(s) are (-1)**alpha(s) (-1)**(alpha(u)+beta(u)): each s
+    gives one sum up to sign. The least i, U - max(U), was built first.
 
     A rest entry r = i_rho in i adds nothing. Every term that places into
     position rho repeats r and vanishes. If k <= p - 2, the exchange is
@@ -206,48 +220,55 @@ def plucker_relations(n, d, mu=None):
     So each coefficient is -s1 s2 = +-1, no exchange is zero, and scaling
     to lead coefficient 1 multiplies by the lead, +-1 too.
 
-    Duplicates up to scalar are dropped (the first one built is kept) and
-    the result is deterministically ordered; only the kept relations
-    become Fraction polynomials. The result is cached, so it is a tuple:
-    no caller can change it for the next one. It is marked with the ideal
-    it generates, which initial_component reads instead of building the
-    relations to compare, and with each relation's multidegree, which
-    _spanning_rows reads: the terms are products X_e1 X_e2 of sizes p and
-    q, so it is e_p + e_q.
+    An index is keyed by its rank in the lex order of the paired sizes'
+    indices, so a term (r1, r2), r1 < r2, sorts as ((I1, 1), (I2, 1)). Of
+    each relation up to scalar the first built is kept, in its term order,
+    sorted by key, and only those become Fraction polynomials. The result
+    is cached, so it is a tuple no caller can change, and a _Relations:
+    initial_component reads its ideal, _spanning_rows the multidegrees
+    (e_p + e_q) and id terms.
     """
     d = tuple(d)
-    kept = {}  # relation key -> (coefficients, multidegree)
-    signs = {}  # few distinct sequences recur across the exchanges
-    ground = range(1, n + 1)
-    for p, q in relation_pairs(d, mu):
+    pairs, ground = relation_pairs(d, mu), range(1, n + 1)
+    sizes = {k for pair in pairs for k in pair}
+    first_id = {k: sum(comb(n, j) for j in d[:d.index(k)]) for k in sizes}
+    by_rank = sorted((I, first_id[k] + pos) for k in sizes  # (index, id)
+                     for pos, I in enumerate(combinations(ground, k)))
+    signs = _Signs({I: (r, 1) for r, (I, _) in enumerate(by_rank)})
+    kept = {}  # relation key -> (first built terms, their lead, multidegree)
+    for p, q in pairs:
         nu = tuple((k == p) + (k == q) for k in d)
         lengths = range(1, min(q, p - 1) + 1)
         placements = {k: list(combinations(range(p), k)) for k in lengths}
         for i_set in combinations(ground, p):
+            r_i, members = signs[i_set][0], set(i_set)
+            off_i = [v for v in ground if v not in members]
             for k in lengths:
-                for block in combinations(ground, k):
-                    if all(v in i_set for v in block):
+                for block in combinations(ground[i_set[-1]:] if k == 1 else ground, k):
+                    if members.issuperset(block):
                         continue
-                    off = [v for v in ground if v not in block and v not in i_set]
+                    off = [v for v in off_i if v not in block]
                     if len(off) < q - k:
                         continue
-                    firsts = _first_factors(i_set, block, placements[k], signs)
+                    firsts = _first_factors(r_i, i_set, block, placements[k], signs)
                     for rest in combinations(off, q - k):
                         rel = {}
-                        for e1, s1, removed in firsts:
-                            seq = removed + rest
-                            e2, s2 = signs.get(seq) or signs.setdefault(seq, _sort_sign(seq))
-                            rel[((e1, 1), (e2, 1)) if e1 < e2 else ((e2, 1), (e1, 1))] = -s1 * s2
+                        for r1, s1, removed in firsts:
+                            r2, s2 = signs[removed + rest]
+                            rel[(r1, r2) if r1 < r2 else (r2, r1)] = -s1 * s2
                         terms = sorted(rel.items())
                         key = tuple(terms) if terms[0][1] > 0 else tuple((m, -c) for m, c in terms)
-                        if key not in kept:  # scaled in rel's order, which .terms keeps
-                            kept[key] = ({m: c * terms[0][1] for m, c in rel.items()}, nu)
-    keys = sorted(kept)
-    out = _Relations(GradedPolynomial(kept[key][0]) for key in keys)
-    out.d = d
-    out.multidegrees = tuple(kept[key][1] for key in keys)
-    if mu is None:
-        out.ideal = (n, d)
+                        if key not in kept:
+                            kept[key] = (rel, terms[0][1], nu)
+    unit = {1: Fraction(1), -1: Fraction(-1)}
+    var = [(I, 1) for I, _ in by_rank]  # shared by the terms of every kept relation
+    rels = [kept[key] for key in sorted(kept)]
+    out = _Relations(GradedPolynomial({(var[a], var[b]): unit[c * lead]
+                                       for (a, b), c in rel.items()}) for rel, lead, _ in rels)
+    out.n, out.d, out.multidegrees = n, d, tuple(nu for _, _, nu in rels)
+    out.id_terms = tuple(tuple((tuple(sorted((by_rank[a][1], by_rank[b][1]))), c * lead)
+                               for (a, b), c in rel.items()) for rel, lead, _ in rels)
+    out.ideal = (n, d) if mu is None else None
     return out
 
 
@@ -294,27 +315,25 @@ def component_monomials(n, d, mu):
 
 def _spanning_rows(gens, n, d, mu):
     """Spanning rows of the ideal component: every generator, scaled to
-    integer coefficients, times every monomial of complementary
-    multidegree, as sparse integer vectors over the monomial basis.
-    Relations from plucker_relations carry their multidegrees over d."""
+    integer coefficients, times every monomial of complementary multidegree,
+    as sparse integer vectors over the monomial basis. plucker_relations
+    marks its relations with their multidegrees and id terms over (n, d)."""
     basis = component_monomials(n, d, mu)
     col = {m: idx for idx, m in enumerate(basis)}
-    ids = {I: i for i, I in enumerate(all_indices(n, d))}
-    if getattr(gens, "d", None) == d:
-        nus = gens.multidegrees
-    else:
-        nus = [g.multidegree(d) for g in gens]
+    marked = (getattr(gens, "n", None), getattr(gens, "d", None)) == (n, d)
+    nus = gens.multidegrees if marked else [g.multidegree(d) for g in gens]
+    ids = None if marked else {I: i for i, I in enumerate(all_indices(n, d))}
     rows = []
-    for g, nu in zip(gens, nus):
+    for number, (g, nu) in enumerate(zip(gens, nus)):
         rest = tuple(a - b for a, b in zip(mu, nu))
         if any(x < 0 for x in rest):
             continue
-        den = lcm(*[c.denominator for c in g.terms.values()])
-        terms = [
-            (tuple(sorted(ids[I] for I, e in t for _ in range(e))),
-             c.numerator * (den // c.denominator))
-            for t, c in g.terms.items()
-        ]
+        if marked:
+            terms = gens.id_terms[number]
+        else:
+            den = lcm(*[c.denominator for c in g.terms.values()])
+            terms = [(tuple(sorted(ids[I] for I, e in t for _ in range(e))),
+                      c.numerator * (den // c.denominator)) for t, c in g.terms.items()]
         for m in component_monomials(n, d, rest):
             rows.append({col[tuple(sorted(t + m))]: c for t, c in terms})
     return basis, rows

@@ -562,12 +562,12 @@ def test_max_dim_guard_essential_closure(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
-    # n=12, d=(6): 6,599,208 exchanges
+    # n=12, d=(6): 6,594,456 exchanges
     ["ideal", "gen", "--n", "12", "--d", "6"],
     ["rep", "psi-check", "--n", "12", "--d", "6"],
     ["ideal", "check-quadratic", "--n", "12", "--d", "6", "--mu", "1"],
     ["ideal", "check-face-degeneration", "--n", "12", "--d", "6", "--mu", "1"],
-    # the n=9 toric point on d=(4,5): 155,610 exchanges, and 31,878
+    # the n=9 toric point on d=(4,5): 153,174 exchanges, and 31,878
     # monomials in degree 2, under the cap
     ["trop", "check", "--d", "4,5", "--degree-bound", "2"],
 ])
@@ -588,7 +588,7 @@ def test_relation_generation_is_guarded(argv, tmp_path, capsys, monkeypatch):
 
 
 def test_ideal_initial_builds_only_the_relations_that_fit_mu(tmp_path, capsys, monkeypatch):
-    # n=12, d=(6): of the 6,599,208 exchanges, none fits mu=(1) and all fit
+    # n=12, d=(6): of the 6,594,456 exchanges, none fits mu=(1) and all fit
     # mu=(2); the full generating set is never built
     build = cli.ideals.plucker_relations
 
@@ -605,7 +605,7 @@ def test_ideal_initial_builds_only_the_relations_that_fit_mu(tmp_path, capsys, m
     # 427,350 monomials pass, the exchanges not, before any is built
     monkeypatch.setattr(cli.ideals, "plucker_relations", _refuse)
     assert cli.main(argv + ["--mu", "2"]) == 2
-    assert "Pluecker relation exchanges 6599208 exceeds" in capsys.readouterr().err
+    assert "Pluecker relation exchanges 6594456 exceeds" in capsys.readouterr().err
 
 
 def test_ideal_initial_at_n12_ends_quickly(tmp_path):
@@ -655,17 +655,18 @@ def test_ideal_gen_counts_index_entries_before_listing_them(tmp_path):
 
 
 def test_relation_guard_bound_is_inclusive(capsys, monkeypatch):
-    # 6 indices i, 2 blocks of one entry off i each, 1 rest off both: 12
-    argv = ["ideal", "gen", "--n", "4", "--d", "2"]
-    monkeypatch.setenv("PBWDEGEN_MAX_DIM", "12")
+    # 10 sets U of three entries, each with its block {max U} and the 2
+    # rests off U: 20 exchanges (the 10 indices hold 20 entries)
+    argv = ["ideal", "gen", "--n", "5", "--d", "2"]
+    monkeypatch.setenv("PBWDEGEN_MAX_DIM", "20")
     assert cli.main(argv) == 0
-    monkeypatch.setenv("PBWDEGEN_MAX_DIM", "11")
+    monkeypatch.setenv("PBWDEGEN_MAX_DIM", "19")
     assert cli.main(argv) == 2
-    assert "Pluecker relation exchanges 12 exceeds" in capsys.readouterr().err
+    assert "Pluecker relation exchanges 20 exceeds" in capsys.readouterr().err
 
 
 def test_full_flag_at_n8_passes_the_relation_guard(capsys, monkeypatch):
-    # 64,632 exchanges, under the default cap; the relations are stubbed
+    # 59,195 exchanges, under the default cap; the relations are stubbed
     # by the one relation of n=3 to keep the test fast
     small = cli.ideals.plucker_relations(3, (1, 2))
     built = []

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd
@@ -235,14 +236,15 @@ def test_relation_pairs_that_fit_mu():
 
 def _loop_exchanges(n, d, mu=None):
     """The exchanges plucker_relations' loop examines, one at a time: an
-    index i, a block not inside i and a rest off block and i."""
+    index i, a block not inside i, of one entry only past max(i), and a
+    rest off block and i."""
     ground = range(1, n + 1)
     count = 0
     for p, q in relation_pairs(d, mu):
         for i in combinations(ground, p):
             for k in range(1, min(q, p - 1) + 1):
                 for block in combinations(ground, k):
-                    if set(block) <= set(i):
+                    if set(block) <= set(i) or (k == 1 and block[0] < i[-1]):
                         continue
                     off = [v for v in ground if v not in block and v not in i]
                     count += sum(1 for _ in combinations(off, q - k))
@@ -259,8 +261,29 @@ def test_relation_exchanges_count_the_loop():
                      (7, (1, 3, 5), (1, 1, 0)), (7, (3, 4), (0, 0))]:
         assert relation_exchanges(n, d, mu) == _loop_exchanges(n, d, mu), (n, d, mu)
     # the full flag at n = 6, 7, 8 and the middle Grassmannian at n = 12
-    assert [relation_exchanges(n, tuple(range(1, n))) for n in (6, 7, 8)] == [2031, 11809, 64632]
-    assert relation_exchanges(12, (6,)) == 6599208
+    assert [relation_exchanges(n, tuple(range(1, n))) for n in (6, 7, 8)] == [1638, 10312, 59195]
+    assert relation_exchanges(12, (6,)) == 6594456
+
+
+def test_one_entry_exchanges_of_the_same_entries_agree_up_to_sign():
+    """The premise of plucker_relations' one-entry skip, on the Fraction
+    reference: for n <= 6, every size pair p >= q, p >= 2, every U of p + 1
+    entries, every W of q - 1 entries off U and every s in U, the exchange
+    of U - s with the block {s} and rest W is (-1)**alpha(s) times one sum,
+    alpha the rank in U, so +-1 times the one of s = max U."""
+    cases = 0
+    for n in range(3, 7):
+        ground = range(1, n + 1)
+        for p, q in relation_pairs(tuple(range(1, n))):
+            for U in combinations(ground, p + 1):
+                for W in combinations([v for v in ground if v not in U], q - 1):
+                    top = exchange_relation(n, U[:-1], (U[-1],) + W, 1)
+                    assert len(top.terms) == p + 1
+                    for alpha, s in enumerate(U[:-1]):
+                        i = tuple(v for v in U if v != s)
+                        assert exchange_relation(n, i, (s,) + W, 1) == top.scale((-1) ** (alpha - p))
+                        cases += 1
+    assert cases == 508
 
 
 def test_initial_component_from_the_relations_that_fit_mu():
@@ -943,49 +966,50 @@ def test_a_grading_that_moves_one_initial_support_is_not_served(monkeypatch):
 
 
 class _CountingSigns:
-    """The sign memo of plucker_relations, counting its lookups: one per
-    placement built."""
+    """The ranked sign memo of plucker_relations, counting its lookups: one
+    per placement built."""
 
     def __init__(self, signs):
         self.signs = signs
         self.gets = 0
 
-    def get(self, key):
+    def __getitem__(self, key):
         self.gets += 1
-        return self.signs.get(key)
-
-    def setdefault(self, key, value):
-        return self.signs.setdefault(key, value)
+        return self.signs[key]
 
 
-def _all_first_factors(i_set, block, placements, sort_sign):
+def _all_first_factors(r_i, i_set, block, placements, sort_sign, rank):
     """Every placement built and sorted by sort_sign, those that repeat an
-    entry dropped."""
-    firsts = [(i_set, -1, block)]
+    entry dropped, each sorted index given by its rank."""
+    firsts = [(r_i, -1, block)]
     for positions in placements:
         i_new = list(i_set)
         for m, pos in enumerate(positions):
             i_new[pos] = block[m]
         e1, s1 = sort_sign(i_new)
         if s1:
-            firsts.append((e1, s1, tuple(i_set[pos] for pos in positions)))
+            firsts.append((rank[e1], s1, tuple(i_set[pos] for pos in positions)))
     return firsts
 
 
 def test_placements_that_repeat_an_entry_are_not_built(monkeypatch):
     """At the n=6 full flag the first factors are those of building every
-    placement, but only the 4,260 placements that repeat no entry are
-    built, of the 6,900 offered (as the parent built them all). The
-    multidegrees, taken from the size pairs, are those of the terms. No
-    sequence _sort_sign sorts repeats an entry: neither a placement built
-    nor a second factor, so every term's sign is +-1."""
+    placement, but only the 3,478 placements that repeat no entry are
+    built, of the 6,118 offered (as an earlier builder built them all).
+    The multidegrees, taken from the size pairs, are those of the terms.
+    No sequence _sort_sign sorts repeats an entry: neither a placement
+    built nor a second factor, so every term's sign is +-1. It sorts 268:
+    the memo starts with the 62 sorted indices, each of sign 1."""
     first_factors, sort_sign = ideals._first_factors, ideals._sort_sign
     seen = {"calls": 0, "offered": 0, "built": 0, "sorted": 0}
+    n, d = 6, (1, 2, 3, 4, 5)
+    rank = {I: r for r, I in enumerate(sorted(all_indices(n, d)))}  # every size is paired
 
-    def counting(i_set, block, placements, signs):
+    def counting(r_i, i_set, block, placements, signs):
+        assert r_i == rank[i_set]
         memo = _CountingSigns(signs)
-        out = first_factors(i_set, block, placements, memo)
-        assert out == _all_first_factors(i_set, block, placements, sort_sign)
+        out = first_factors(r_i, i_set, block, placements, memo)
+        assert out == _all_first_factors(r_i, i_set, block, placements, sort_sign, rank)
         seen["calls"] += 1
         seen["offered"] += len(placements)
         seen["built"] += memo.gets
@@ -998,9 +1022,8 @@ def test_placements_that_repeat_an_entry_are_not_built(monkeypatch):
 
     monkeypatch.setattr(ideals, "_first_factors", counting)
     monkeypatch.setattr(ideals, "_sort_sign", distinct)
-    n, d = 6, (1, 2, 3, 4, 5)
     rels = plucker_relations.__wrapped__(n, d)  # built afresh, not from the cache
-    assert seen == {"calls": 1671, "offered": 6900, "built": 4260, "sorted": 331}
+    assert seen == {"calls": 1403, "offered": 6118, "built": 3478, "sorted": 268}
     assert len(rels) == 509
     assert rels.multidegrees == tuple(rel.multidegree(d) for rel in rels)
 
@@ -1016,6 +1039,40 @@ def test_relations_are_squarefree_with_unit_coefficients():
         for mono, c in rel.terms.items():
             (a, e), (b, f) = mono
             assert a != b and e == f == 1 and c in (1, -1), rel
+
+
+# sha256 over each relation's (key, list(terms.items()), multidegree) at the
+# n=7 full flag, taken from the Fraction-free builder before relations were
+# generated on lex ranks; the Fraction reference takes seconds at n=7
+N7_FULL_FLAG_SHA256 = "d89536ccc0143444592eefb828c663bbc2e7278fd4f157dcef9b83a0346def2f"
+
+
+def test_relations_at_the_n7_full_flag_are_pinned():
+    """Keys, term order and multidegrees of the 3,172 relations at n=7,
+    where tier-1 cannot afford the reference that n <= 6 is checked on."""
+    rels = plucker_relations(7, (1, 2, 3, 4, 5, 6))
+    h = hashlib.sha256()
+    for rel, nu in zip(rels, rels.multidegrees):
+        h.update(repr((rel.key(), list(rel.terms.items()), nu)).encode())
+    assert h.hexdigest() == N7_FULL_FLAG_SHA256
+
+
+def test_relations_carry_their_id_terms():
+    """Each marked relation's id terms are its terms, in the same order,
+    over the ids of all_indices(n, d); relations marked with another n are
+    spanned from their terms."""
+    for n, d, mu in [(4, (1, 2, 3), None), (5, (1, 2, 3, 4), (1, 1, 0, 0)),
+                     (6, (2, 4), None), (5, (2,), None), (6, (1, 5), (1, 1))]:
+        rels = plucker_relations(n, d, mu)
+        ids = {I: i for i, I in enumerate(all_indices(n, d))}
+        assert (rels.n, rels.d) == (n, d) and rels
+        assert rels.id_terms == tuple(
+            tuple((tuple(sorted(ids[I] for I, _ in m)), int(c)) for m, c in rel.terms.items())
+            for rel in rels)
+    d, mu = (1, 2, 3), (1, 1, 0)
+    small = plucker_relations(4, d)
+    want = ideals._spanning_rows(list(small), 5, d, mu)
+    assert want[1] and ideals._spanning_rows(small, 5, d, mu) == want
 
 
 def test_relations_carry_their_multidegrees(monkeypatch):
