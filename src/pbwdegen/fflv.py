@@ -113,11 +113,6 @@ def dyck_paths(n):
     return out
 
 
-def path_bound(lam, path):
-    """Upper bound a_{i_1} + ... + a_{i_N} for the path under weight lam."""
-    return sum(lam.a(i) for i in range(path.steps[0][0], path.steps[-1][0] + 1))
-
-
 def is_fflv_pattern(T, lam):
     """True iff every Dyck path sum of T is within its bound under lam.
 
@@ -139,11 +134,6 @@ def is_fflv_pattern(T, lam):
     return True
 
 
-def cell_bound(lam, i, j):
-    """Bound on T_{i,j} from the hook path through the single cell (i, j)."""
-    return sum(lam.a(t) for t in range(i, j))
-
-
 def _walk_patterns(lam, emit):
     """Call emit with the entry tuple of every integer point of the FFLV
     polytope, in lexicographic order.
@@ -160,9 +150,10 @@ def _walk_patterns(lam, emit):
     ever borrows from the next.
     """
     n = lam.n
-    maxima = [cell_bound(lam, i, j) for i, j in triangle_pairs(n)]
+    prefix = list(accumulate(lam.coeffs, initial=0))  # prefix[t] = a_1 + ... + a_t
+    maxima = [prefix[j - 1] - prefix[i - 1] for i, j in triangle_pairs(n)]  # hook bounds
     paths = dyck_paths(n)
-    bounds = [path_bound(lam, p) for p in paths]
+    bounds = [prefix[p.steps[-1][0]] - prefix[p.steps[0][0] - 1] for p in paths]
     width = max(bounds).bit_length() + 1
     off = Triangle.offsets(n)
     masks = [0] * len(maxima)

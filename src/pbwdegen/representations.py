@@ -15,20 +15,7 @@ from functools import lru_cache
 from .degrees import all_indices, grading_vector
 from .fflv import pattern_entries
 from .linalg import Echelon
-from .weights import NotInConeError, is_interior, triangle_pairs
-
-
-def classical_action(i, j, elems):
-    """Action of the lowering generator for (i, j) on a wedge basis tuple.
-
-    Returns (new tuple, sign) or None. The sign counts entries strictly
-    between i and j (transpositions needed to re-sort).
-    """
-    if i not in elems or j in elems:
-        return None
-    between = sum(1 for v in elems if i < v < j)
-    new = tuple(sorted(j if v == i else v for v in elems))
-    return new, (-1) ** between
+from .weights import NotInConeError, Triangle, is_interior, triangle_pairs
 
 
 # the default suite reads 50 (system, sizes) tables and a module closure one,
@@ -46,21 +33,31 @@ def wedge_maps(A, n, sizes):
     computation builds once and then looks up. The id of e_I is the
     position of I in all_indices(n, sizes), so an image has a larger id.
 
+    f_{i,j}, i < j, kills e_I unless i = I[t] and j is not in I, so only
+    those (I, t, j) are visited. With u entries of I below j, the re-sorted
+    image is I[:t] + I[t+1:u] + (j,) + I[u:], and j passes the u-t-1
+    entries between i and j, one transposition each, for the sign
+    (-1)^(u-t-1). I goes in id order, so each table lists its ids ascending.
+
     A=None gives the classical action. A weight system gives its graded
     slice: f_x is kept on I only when s_I + a_x is the degree of the image.
     """
     indices = all_indices(n, sizes)
     ids = {I: i for i, I in enumerate(indices)}
-    s = None if A is None or not indices else _coordinate_degree(A, tuple(sizes))
     maps = {x: {} for x in triangle_pairs(n)}
-    for x, images in maps.items():
-        for I in indices:
-            res = classical_action(*x, I)
-            if res is None:
-                continue
-            new, sign = res
-            if s is None or s[I] + A.a(*x) == s[new]:
-                images[ids[I]] = (ids[new], sign)
+    tables, off = list(maps.values()), Triangle.offsets(n)  # x = (i, j) at off[i] + j
+    s = None if A is None or not indices else _coordinate_degree(A, tuple(sizes))
+    for src, I in enumerate(indices):
+        k = len(I)
+        for t, i in enumerate(I):
+            head, sign, u = I[:t], 1, t + 1
+            for j in range(i + 1, n + 1):
+                if u < k and I[u] == j:  # j in I: no image, and every later j passes it
+                    sign, u = -sign, u + 1
+                    continue
+                new, pos = head + I[t + 1 : u] + (j,) + I[u:], off[i] + j
+                if s is None or s[I] + A.a(i, j) == s[new]:
+                    tables[pos][src] = (ids[new], sign)
     return maps
 
 

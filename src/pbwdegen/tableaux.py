@@ -11,7 +11,8 @@ a time.
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, count
+from itertools import accumulate, combinations, count
+from operator import le
 
 from .fflv import TrianglePattern, enumerate_patterns, is_fflv_pattern
 from .weights import Triangle
@@ -77,12 +78,17 @@ def _column_is_pbw(col):
     return True
 
 
+def _reach(left):
+    """The suffix maxima of a column: reach[r] = max(left[r:])."""
+    return list(accumulate(reversed(left), max))[::-1]
+
+
 def _adjacent_ok(left, right):
-    """Condition (4) between two neighboring columns."""
-    for i, v in enumerate(right, start=1):
-        if not any(left[k] >= v for k in range(i - 1, len(left))):
-            return False
-    return True
+    """Condition (4) between two neighboring columns: each right[r] has some
+    left[k] >= right[r] with k >= r, that is right[r] <= max(left[r:]), as
+    a set has an entry >= v iff its maximum is. A longer right column fails
+    on a row where left[r:] is empty, which zip would skip."""
+    return len(right) <= len(left) and all(map(le, right, _reach(left)))
 
 
 def is_pbw_ssyt(Y):
@@ -106,6 +112,8 @@ def _walk_ssyt(lam, emit):
     stand right of a given column are found once per call; filtering
     keeps content order, so the output order is that of the content sets.
     Every tableau draws its heights and columns from those checked here.
+    Heights never increase, so :func:`_adjacent_ok` reduces to all(map(le,
+    right, reach)), with reach the left column's suffix maxima, taken once.
     """
     n = lam.n
     heights = _column_heights(lam)
@@ -131,9 +139,8 @@ def _walk_ssyt(lam, emit):
         for col in choices:
             nxt = following.get((col, h))
             if nxt is None:
-                nxt = following[(col, h)] = [
-                    right for right in columns[h] if _adjacent_ok(col, right)
-                ]
+                reach = _reach(col)
+                nxt = following[(col, h)] = [r for r in columns[h] if all(map(le, r, reach))]
             cols.append(col)
             extend(depth + 1, nxt)
             cols.pop()

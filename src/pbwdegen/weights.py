@@ -196,10 +196,11 @@ def derived_inequalities_hold(A):
     Every admissible weight system satisfies these, each being a sum of
     defining inequalities.
     """
-    a, labels = A.a, range(1, A.n + 1)
-    if any(a(i, j) + a(j, k) < a(i, k) for i, j, k in combinations(labels, 3)):
+    e, off, labels = A.entries, Triangle.offsets(A.n), range(1, A.n + 1)
+    if any(e[off[i] + j] + e[off[j] + k] < e[off[i] + k] for i, j, k in combinations(labels, 3)):
         return False
-    return all(a(i, j) + a(k, l) >= a(i, l) + a(k, j) for i, k, j, l in combinations(labels, 4))
+    return all(e[off[i] + j] + e[off[k] + l] >= e[off[i] + l] + e[off[k] + j]
+               for i, k, j, l in combinations(labels, 4))
 
 
 @dataclass(frozen=True)

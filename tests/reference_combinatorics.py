@@ -11,15 +11,10 @@ give the same results.
 """
 
 from pbwdegen.degrees import complement_pairs
-from pbwdegen.fflv import (
-    TrianglePattern,
-    cell_bound,
-    dyck_paths,
-    is_fflv_pattern,
-    path_bound,
-)
+from pbwdegen.fflv import TrianglePattern, dyck_paths, is_fflv_pattern
 from pbwdegen.tableaux import PBWTableau, _column_heights, is_pbw_ssyt, pbw_column
 from pbwdegen.weights import triangle_pairs
+from reference_definitions import cell_bound, path_bound
 
 
 def cell_walk_patterns(lam):

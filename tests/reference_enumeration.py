@@ -9,19 +9,10 @@ package's enumerators to return the same lists, order included.
 
 from itertools import combinations
 
-from pbwdegen.fflv import (
-    TrianglePattern,
-    cell_bound,
-    dyck_paths,
-    path_bound,
-)
-from pbwdegen.tableaux import (
-    PBWTableau,
-    _adjacent_ok,
-    _column_heights,
-    pbw_column,
-)
+from pbwdegen.fflv import TrianglePattern, dyck_paths
+from pbwdegen.tableaux import PBWTableau, _column_heights, pbw_column
 from pbwdegen.weights import triangle_pairs
+from reference_definitions import cell_bound, path_bound
 
 
 def reference_patterns(lam):
@@ -63,6 +54,15 @@ def reference_patterns(lam):
     return out
 
 
+def adjacent_literal(left, right):
+    """Condition (4) as written: every entry v of right, in row i, has an
+    entry >= v in a row >= i of left."""
+    for i, v in enumerate(right, start=1):
+        if not any(left[k] >= v for k in range(i - 1, len(left))):
+            return False
+    return True
+
+
 def reference_ssyt(lam):
     """All PBW semistandard tableaux of the given shape, depth first over
     column content sets in sorted order."""
@@ -82,7 +82,7 @@ def reference_ssyt(lam):
             return
         for content in contents[heights[depth]]:
             col = pbw_column(n, content)
-            if cols and not _adjacent_ok(cols[-1], col):
+            if cols and not adjacent_literal(cols[-1], col):
                 continue
             cols.append(col)
             extend(depth + 1)

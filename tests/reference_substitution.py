@@ -12,8 +12,8 @@ generator positions as such a tuple.
 from fractions import Fraction
 
 from pbwdegen.degrees import degree_s
-from pbwdegen.representations import classical_action
 from pbwdegen.weights import triangle_pairs
+from reference_definitions import classical_action
 
 
 def zp_scale(p, c):

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 import pbwdegen
-from pbwdegen import ideals, suite
+from pbwdegen import fflv, ideals, representations, suite, tableaux
 from pbwdegen.degrees import grading_vector
 from pbwdegen.weights import toric_weight_system
 
@@ -77,8 +77,8 @@ def _module_containers():
 
 def _grown_by_cold_calls():
     """The module-level containers, with their lengths before and after,
-    that cold calls of the relations, an initial component and the battery
-    at cap 3 grow."""
+    that cold calls of the relations, an initial component, the tableau and
+    pattern counts, the wedge action tables and the battery at cap 3 grow."""
     before = _module_containers()
     assert before  # the walk sees the package's tables, such as suite.CHECKS
     n, d = 5, (1, 2, 3, 4)
@@ -86,6 +86,11 @@ def _grown_by_cold_calls():
     ideals.plucker_relations(n, d, (1, 1, 0, 0))
     g = grading_vector(toric_weight_system(n), d)
     ideals.initial_component(ideals.plucker_relations(n, d), n, d, (1, 1, 1, 0), g)
+    lam = fflv.DominantWeight(n, (1, 1, 1, 1))
+    tableaux.count_ssyt(lam)
+    fflv.count_patterns(lam)
+    representations.wedge_maps(None, n, d)
+    representations.wedge_maps(toric_weight_system(n), n, d)
     suite.run_suite(cap=3)
     after = _module_containers()
     return {key: (before.get(key), size) for key, size in after.items() if before.get(key) != size}

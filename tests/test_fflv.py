@@ -11,15 +11,14 @@ from pbwdegen.fflv import (
     DominantWeight,
     DyckPath,
     TrianglePattern,
-    cell_bound,
     dyck_paths,
     enumerate_patterns,
     is_fflv_pattern,
     minkowski_check,
-    path_bound,
     weyl_dim,
 )
 from pbwdegen.weights import triangle_pairs
+from reference_definitions import cell_bound, path_bound
 
 
 def path_sum(T, path):

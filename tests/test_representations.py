@@ -14,7 +14,6 @@ from pbwdegen.degrees import all_indices, fundamental_pattern, grading_vector
 from pbwdegen.representations import (
     annihilator_monomial_check,
     apply_generator,
-    classical_action,
     cyclic_module_dim,
     essential_closure,
     exp_coordinates,
@@ -37,6 +36,7 @@ from pbwdegen.weights import (
     zero_weight_system,
 )
 from lie_structure import graded_bracket, verify_lie_structure
+from reference_definitions import classical_action, literal_wedge_maps
 from reference_closure import apply_generator as tensor_word_generator
 from reference_closure import cyclic_module_dim as reference_cyclic_module_dim
 from reference_closure import essential_exponents
@@ -61,6 +61,24 @@ def test_degenerate_action_filters_by_degree():
     assert e2 not in maps[(2, 3)]
     # the classical table keeps it
     assert wedge_maps(None, 3, (1,))[(2, 3)][e2] == (e3, 1)
+
+
+def _in_key_order(maps):
+    return [(x, list(images.items())) for x, images in maps.items()]
+
+
+def test_wedge_maps_are_the_literal_action_tables():
+    # the tables over acting triples only equal classical_action on every
+    # pair and index plus the degree test, as dicts and in key order:
+    # exp_coordinates enumerates maps.values()
+    for n in range(2, 7):
+        systems = [None] + [A for _, A in canonical_weight_systems(n)]
+        systems += random_cone_points(n, 5, seed=n)
+        for A in systems:
+            for sizes in [(k,) for k in range(1, n)] + [tuple(range(1, n))]:
+                got, want = wedge_maps(A, n, sizes), literal_wedge_maps(A, n, sizes)
+                assert got == want, (n, A, sizes)
+                assert _in_key_order(got) == _in_key_order(want), (n, A, sizes)
 
 
 def test_graded_bracket():

@@ -1,3 +1,6 @@
+from itertools import combinations
+from operator import le
+
 import pytest
 
 from pbwdegen import tableaux
@@ -12,6 +15,7 @@ from pbwdegen.tableaux import (
     tau,
     zeta,
 )
+from reference_enumeration import adjacent_literal
 
 
 def test_column_arrangement():
@@ -59,6 +63,23 @@ def test_adjacency_condition():
     assert is_pbw_ssyt(good)
     bad = PBWTableau(3, ((1, 2), (3,)))  # PBW columns, so it is built
     assert not is_pbw_ssyt(bad)
+
+
+def test_adjacency_is_the_literal_condition_on_every_pair():
+    # every ordered pair of PBW columns for n <= 7, right columns longer
+    # than the left included: those are never adjacent, yet a bare zip of
+    # right against the suffix maxima of left would pass some of them
+    zip_passes_longer = 0
+    for n in range(2, 8):
+        cols = [pbw_column(n, c) for h in range(1, n) for c in combinations(range(1, n + 1), h)]
+        for left in cols:
+            reach = tableaux._reach(left)
+            for right in cols:
+                assert _adjacent_ok(left, right) == adjacent_literal(left, right), (left, right)
+                if len(right) > len(left) and all(map(le, right, reach)):
+                    assert not _adjacent_ok(left, right)
+                    zip_passes_longer += 1
+    assert zip_passes_longer
 
 
 def order_preceq(x, y, n):
